@@ -1,5 +1,5 @@
 """Sample hook-weighted lozenge tilings of a thick hook and check the
-annealed partition-function estimate against exact enumeration."""
+annealed partition-function estimate against the exact value."""
 from pathlib import Path
 
 from skewtab import (
@@ -33,7 +33,7 @@ def main():
     # ladder needs to be longer than the defaults
     est = estimate_logZ(shape, w, sweeps_per_level=80, particles=128,
                         kappa_segments=48, seed=7)
-    print(f"exact  log Z = {exact.value:.6f}  ({exact.count} tilings)")
+    print(f"exact  log Z = {exact.value:.6f}")
     print(f"AIS    log Z = {est.value:.6f} +- {est.stderr:.6f}")
     print(f"difference   = {abs(est.value - exact.value):.6f}")
 

@@ -43,13 +43,12 @@ from .tiling import (
     type_counts,
 )
 from .nhlf import (
-    LogSum,
+    PartitionFunction,
     WeightField,
     cap_gap,
     cap_gaps,
     capped_weights,
     count_nhlf,
-    custom_weights,
     hook_weights,
     partition_function,
     tiling_weight,

@@ -72,6 +72,22 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _decimal(n: int) -> str:
+    """Decimal digits of a nonnegative integer of any length.
+
+    str() refuses integers longer than the interpreter's digit limit (4300
+    by default), which exact counts of a few thousand cells exceed.  Splitting
+    at a power of ten keeps each str() call under the limit without changing
+    the limit for the rest of the process.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or n.bit_length() <= 3 * limit:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half the digits
+    hi, lo = divmod(n, 10 ** half)
+    return _decimal(hi) + _decimal(lo).zfill(half)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -93,13 +109,7 @@ def _cmd_count(args, run: _Run) -> int:
         val = count_hlf(shape.outer)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown method {method}")
-    print(val)
-    return 0
-
-
-def _cmd_nhlf(args, run: _Run) -> int:
-    shape = load_shape(args.shape)
-    print(count_nhlf(shape, guard=args.guard))
+    print(_decimal(val))
     return 0
 
 
@@ -297,11 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="auto",
                    choices=["auto", "det", "brute", "nhlf", "hlf"])
     p.set_defaults(func=_cmd_count)
-
-    p = add_parser("nhlf", help="count via the tiling sum formula")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--guard", type=int, default=10_000_000)
-    p.set_defaults(func=_cmd_nhlf)
 
     p = add_parser("enumerate", help="list all tilings of a shape's region")
     p.add_argument("--shape", required=True)

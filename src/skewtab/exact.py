@@ -17,15 +17,24 @@ from .shapes import Partition, SkewShape, hook_table
 BRUTE_FORCE_LIMIT = 25
 
 
+def _divide_exactly(num: int, den: int, what: str) -> int:
+    """num / den for a quotient known to be an integer.
+
+    A remainder means a broken invariant, so it raises instead of rounding.
+    """
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ArithmeticError(f"{what} did not divide evenly")
+    return quotient
+
+
 def count_hlf(lam) -> int:
     """Number of standard fillings of a straight shape: N! over hook product."""
     lam = Partition(lam)
     if not lam:
         return 1
-    num = factorial(lam.size)
-    den = hook_table(lam).product()
-    assert num % den == 0
-    return num // den
+    return _divide_exactly(factorial(lam.size), hook_table(lam).product(),
+                           "N! over the hook product")
 
 
 def count_brute_force(shape: SkewShape, limit: int = BRUTE_FORCE_LIMIT) -> int:
@@ -117,8 +126,7 @@ def count_determinant(shape: SkewShape) -> int:
     den = 1
     for i in range(n):
         den *= factorial(a[i] + n)
-    assert num % den == 0, "determinant count did not divide evenly"
-    return num // den
+    return _divide_exactly(num, den, "determinant count")
 
 
 def superfactorial(n: int) -> int:
@@ -140,8 +148,7 @@ def macmahon(a: int, b: int, c: int) -> int:
     num = superfactorial(a) * superfactorial(b) * superfactorial(c)
     num *= superfactorial(a + b + c)
     den = superfactorial(a + b) * superfactorial(b + c) * superfactorial(a + c)
-    assert num % den == 0
-    return num // den
+    return _divide_exactly(num, den, "MacMahon product")
 
 
 def count_thick_hook(a: int, b: int, c: int) -> int:
@@ -153,5 +160,4 @@ def count_thick_hook(a: int, b: int, c: int) -> int:
     num *= superfactorial(c) ** 2 * superfactorial(a + b + c) ** 2
     den = superfactorial(a + b) * superfactorial(a + c) * superfactorial(b + c)
     den *= superfactorial(a + b + 2 * c)
-    assert num % den == 0
-    return num // den
+    return _divide_exactly(num, den, "thick hook product")

@@ -1,103 +1,48 @@
-"""Weighted sums over a shape's height functions: hook weights and caps.
+"""Weighted sums over a shape's lozenge tilings: hook weights and caps.
 
 The central identity: the number of standard fillings of a skew shape
 equals N! divided by the outer hook product, times the sum over all
-height functions of the product of hook lengths at cells carrying a
-horizontal lozenge.  `count_nhlf` evaluates this exactly in integers;
-`partition_function` evaluates arbitrary log weight fields in floating
-point through a streaming log-sum accumulator.
+tilings of the product of hook lengths at cells carrying a horizontal
+lozenge.  One engine, `_tiling_sum`, evaluates every such sum exactly and
+in polynomial time as a Lindström–Gessel–Viennot determinant of lattice
+path sums.  `count_nhlf` feeds it integer hooks; `partition_function` and
+`cap_gaps` feed it the log weight fields as exact rationals.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from fractions import Fraction
+from typing import Callable, Iterable, NamedTuple
 
-from .shapes import SkewShape, hook_table
-from .tiling import (ENUM_GUARD, HeightFunction, Tiling, _as_region,
-                     _decode_up, iter_flat_cells, iter_height_maps)
-
-
-class LogSum:
-    """Streaming accumulator for log(sum of exp(terms)).
-
-    Keeps the running maximum and a rescaled mantissa sum, so the result
-    is stable and insensitive to the order terms arrive in.
-    """
-
-    __slots__ = ("_max", "_acc", "count")
-
-    def __init__(self):
-        self._max = -math.inf
-        self._acc = 0.0
-        self.count = 0
-
-    def add(self, logw: float) -> "LogSum":
-        self.count += 1
-        if logw == -math.inf:
-            return self
-        if logw <= self._max:
-            self._acc += math.exp(logw - self._max)
-        else:
-            self._acc = self._acc * math.exp(self._max - logw) + 1.0
-            self._max = logw
-        return self
-
-    def merge(self, other: "LogSum") -> "LogSum":
-        """Absorb another accumulator in place (exact, no value round trip)."""
-        self.count += other.count
-        if other._max == -math.inf:
-            return self
-        if other._max <= self._max:
-            self._acc += other._acc * math.exp(other._max - self._max)
-        else:
-            self._acc = self._acc * math.exp(self._max - other._max) + other._acc
-            self._max = other._max
-        return self
-
-    @property
-    def value(self) -> float:
-        if self.count == 0:
-            return -math.inf
-        return self._max + math.log(self._acc)
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"LogSum(value={self.value!r}, count={self.count})"
+from .exact import _divide_exactly
+from .shapes import Cell, SkewShape, hook_table
+from .tiling import Region, Tiling, _as_region
 
 
 class WeightField:
-    """Log weight per lozenge, as a function of (type, x, y).
+    """Log weight per horizontal-lozenge cell; unlisted cells weigh 1.
 
-    `cell_logs` is set for fields supported on horizontal lozenges only
-    (types 1 and 2 weightless); the enumeration and sampling code uses it
-    as a fast path.  `tag` records provenance for run manifests, and
-    `capped_cells` lists the cells a capped field actually clipped.
+    `tag` records provenance for run manifests, and `capped_cells` lists
+    the cells a capped field actually clipped.
     """
 
-    __slots__ = ("tag", "cell_logs", "capped_cells", "_fn")
+    __slots__ = ("tag", "cell_logs", "capped_cells")
 
-    def __init__(self, fn: Callable[[int, int, int], float], tag: str,
-                 cell_logs: dict | None = None):
-        self._fn = fn
-        self.tag = tag
+    def __init__(self, cell_logs: dict, tag: str):
         self.cell_logs = cell_logs
+        self.tag = tag
         self.capped_cells = None
-
-    def __call__(self, typ: int, x: int, y: int) -> float:
-        return self._fn(typ, x, y)
 
     def __repr__(self) -> str:
         return f"WeightField({self.tag})"
 
 
 def uniform_weights() -> WeightField:
-    return WeightField(lambda t, x, y: 0.0, "uniform", cell_logs={})
+    return WeightField({}, "uniform")
 
 
 def hook_weights(shape: SkewShape, scale: float | None = None) -> WeightField:
-    """log hook length on horizontal lozenges, 0 on the others.
+    """log hook length on horizontal lozenges.
 
     With `scale` = N the hook is divided by sqrt(N) first (the weighting
     under which the partition function has an N-independent scale).
@@ -106,122 +51,195 @@ def hook_weights(shape: SkewShape, scale: float | None = None) -> WeightField:
     half_log = 0.5 * math.log(scale) if scale is not None else 0.0
     logs = {cell: math.log(hv) - half_log for cell, hv in table.items()}
     tag = "hook" if scale is None else f"hook/sqrt({scale:g})"
-
-    def fn(t: int, x: int, y: int) -> float:
-        return logs[(x, y)] if t == 3 else 0.0
-
-    return WeightField(fn, tag, cell_logs=logs)
+    return WeightField(logs, tag)
 
 
 def capped_weights(shape: SkewShape, N: int, eps: float) -> WeightField:
     """Scaled hook weights with the log clipped from below at log(eps)."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    base = hook_weights(shape, scale=N)
+    base = hook_weights(shape, scale=N).cell_logs
     flo = math.log(eps)
-    logs = {cell: max(lw, flo) for cell, lw in base.cell_logs.items()}
-    capped = frozenset(c for c, lw in base.cell_logs.items() if lw < flo)
-
-    def fn(t: int, x: int, y: int) -> float:
-        return logs[(x, y)] if t == 3 else 0.0
-
-    w = WeightField(fn, f"hook_capped({eps:g})", cell_logs=logs)
-    w.capped_cells = capped
+    w = WeightField({cell: max(lw, flo) for cell, lw in base.items()},
+                    f"hook_capped({eps:g})")
+    w.capped_cells = frozenset(c for c, lw in base.items() if lw < flo)
     return w
 
 
-def custom_weights(fn: Callable[[int, int, int], float],
-                   tag: str = "custom") -> WeightField:
-    return WeightField(fn, tag)
-
-
 def tiling_weight(h, w: WeightField) -> float:
-    """Total log weight of the tiling encoded by a height function."""
-    if isinstance(h, Tiling):
-        return sum(w(l.type, l.x, l.y) for l in h.lozenges)
-    region = h.region
-    hd = h.h
+    """Total log weight of a tiling, given as a Tiling or a height function."""
     logs = w.cell_logs
-    if logs is not None:
-        total = 0.0
-        for chain in region.chains.values():
-            prev = hd[chain[0]]
-            for v in chain[1:]:
-                cur = hd[v]
-                if cur == prev:
-                    total += logs.get(v, 0.0)
-                prev = cur
-        return total
+    if isinstance(h, Tiling):
+        return sum(logs.get((l.x, l.y), 0.0) for l in h.lozenges
+                   if l.type == 3)
+    hd = h.h
     total = 0.0
-    for p in region.up_triangles():
-        typ, anchor = _decode_up(p, hd)
-        total += w(typ, anchor[0], anchor[1])
+    for chain in h.region.chains.values():
+        prev = hd[chain[0]]
+        for v in chain[1:]:
+            cur = hd[v]
+            if cur == prev:
+                total += logs.get(v, 0.0)
+            prev = cur
     return total
 
 
-def partition_function(shape, w: WeightField,
-                       guard: int = ENUM_GUARD) -> LogSum:
-    """Exhaustive log partition function of the weight field over the shape."""
-    region = _as_region(shape)
-    acc = LogSum()
+def _det(m: list[list]) -> Fraction:
+    """Determinant of a square matrix of rationals; consumes the matrix."""
+    det = Fraction(1)
+    n = len(m)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        row = m[k]
+        det *= row[k]
+        for other in m[k + 1:]:
+            if other[k]:
+                f = Fraction(other[k], row[k])
+                for j in range(k + 1, n):
+                    if row[j]:
+                        other[j] -= f * row[j]
+    return det
+
+
+def _tiling_sum(region: Region,
+                cell_weight: Callable[[Cell], int | Fraction]) -> Fraction:
+    """Exact sum over the region's tilings of the product of positive cell
+    weights over the flat cells (horizontal lozenges).
+
+    With D = region.depth, chain d has k_d + D steps, of which D rise.
+    Level line l = 1..D crosses chain d at the step p_d(l) where the height
+    reaches l; p_d strictly increases in l, and from chain d to chain d + 1
+    it moves by -1 or 0 when d >= 0 and by 0 or +1 when d < 0 (the e1 and
+    e2 edge rules).  Masked steps must rise and form a suffix of the chain,
+    so level l is forced onto step k_d + l when that step is masked or
+    k_d = 0, and the free levels 1..f_d ride on the unmasked steps.  Each
+    maximal run of chains on which a level is free becomes one lattice path
+    from the forced node before the run to the forced node after it, and
+    tilings correspond to vertex-disjoint families of these paths.  Flat
+    cells are the unmasked steps no path visits, so with node weight 1/w
+    the sum is prod(w over the unmasked steps of chains with k_d > 0) times
+    det[path sums from sources to sinks] (Lindström–Gessel–Viennot; see
+    Morales–Pak–Panova, arXiv:1512.08348, section 3).
+    """
+    depth = region.depth
+    outer = region.shape.outer
+    ds = sorted(region.chains)
+    prefactor = Fraction(1)
+    ks, free, node_w = [], [], []
+    for d in ds:
+        chain = region.chains[d]
+        k = len(chain) - 1 - depth
+        # chains with k_d = 0 are pinned ramps: no flat cell, no free level
+        ws = [Fraction(cell_weight(c)) for c in chain[1:] if c in outer] \
+            if k else []
+        for w in ws:
+            prefactor *= w
+        ks.append(k)
+        free.append(len(ws) - k)
+        node_w.append([None] + [1 / w for w in ws])
+
+    sources, sinks = [], []
+    for level in range(1, depth + 1):
+        for c in range(1, len(ds)):
+            inside = level <= free[c]
+            if inside != (level <= free[c - 1]):
+                if inside:
+                    sources.append((c - 1, ks[c - 1] + level))
+                else:
+                    sinks.append((c, ks[c] + level))
+    sinks_on: dict[int, list] = {}
+    for j, (c, t) in enumerate(sinks):
+        sinks_on.setdefault(c, []).append((j, t))
+
+    n = len(sources)
+    m = [[0] * n for _ in range(n)]
+    for i, (c, t) in enumerate(sources):
+        sums = {t: Fraction(1)}  # weighted path count by step, on chain c
+        while sums:
+            moves = (-1, 0) if ds[c] >= 0 else (0, 1)
+            c += 1
+            for j, s in sinks_on.get(c, ()):
+                m[i][j] = sum(sums.get(s - dt, 0) for dt in moves)
+            top, wts = ks[c] + free[c], node_w[c]
+            nxt: dict[int, Fraction] = {}
+            for s, val in sums.items():
+                for dt in moves:
+                    if 1 <= s + dt <= top:
+                        nxt[s + dt] = nxt.get(s + dt, 0) + val
+            sums = {s: val * wts[s] for s, val in nxt.items()}
+    return prefactor * _det(m)
+
+
+class PartitionFunction(NamedTuple):
+    """Exact partition function `z` of a weight field; `value` is log z."""
+
+    z: Fraction
+
+    @property
+    def value(self) -> float:
+        return math.log(self.z.numerator) - math.log(self.z.denominator)
+
+
+def partition_function(shape, w: WeightField) -> PartitionFunction:
+    """Exact partition function of the weight field over the shape's tilings.
+
+    Each cell weighs the float exp(log weight), taken as the exact rational
+    it is, so nothing is rounded after the weights themselves.
+    """
     logs = w.cell_logs
-    if logs is not None:
-        for flats in iter_flat_cells(region, guard):
-            acc.add(sum(logs.get(c, 0.0) for c in flats))
-        return acc
-    for hmap in iter_height_maps(region, guard):
-        acc.add(tiling_weight(HeightFunction(region, hmap, validate=False), w))
-    return acc
+    return PartitionFunction(_tiling_sum(
+        _as_region(shape), lambda c: Fraction(math.exp(logs.get(c, 0.0)))))
 
 
-def count_nhlf(shape, guard: int = ENUM_GUARD) -> int:
+def count_nhlf(shape) -> int:
     """Exact filling count: N!/hookproduct * sum over tilings of hook products.
 
-    All arithmetic is integer; the hook product sum runs over the
-    horizontal-lozenge cells of every height function.
+    The hook product sum runs over the horizontal-lozenge cells of every
+    tiling and is evaluated exactly by the determinant engine.
     """
     region = _as_region(shape)
     shape = region.shape
     if not shape.outer:
         return 1
     table = hook_table(shape.outer)
-    total = 0
-    for flats in iter_flat_cells(region, guard):
-        term = 1
-        for c in flats:
-            term *= table[c]
-        total += term
-    num = math.factorial(shape.size) * total
-    den = table.product()
-    assert num % den == 0, "hook sum did not divide the factorial evenly"
-    return num // den
+    total = _tiling_sum(region, table.__getitem__)
+    return _divide_exactly(math.factorial(shape.size) * total.numerator,
+                           table.product() * total.denominator,
+                           "N! times the hook sum over the hook product")
 
 
-def cap_gaps(shape, N: int, eps_list: Iterable[float],
-             guard: int = ENUM_GUARD) -> list[float]:
-    """Per-cell normalized loss of capping, one value per eps, single pass.
+def _log_ratio(a: Fraction, b: Fraction) -> float:
+    """log(a / b) for a >= b > 0.
 
-    Each gap is (log Z_capped - log Z) / N with both partition functions
-    under hook/sqrt(N) weights; capping only raises weights, so gaps are
-    nonnegative.
+    log1p of the correctly rounded excess (a - b) / b is exactly 0 when
+    a == b and never decreases as a grows.
     """
-    eps_list = list(eps_list)
-    for eps in eps_list:
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    excess = (a - b) / b
+    try:
+        return math.log1p(float(excess))
+    except OverflowError:
+        return math.log(excess.numerator) - math.log(excess.denominator)
+
+
+def cap_gaps(shape, N: int, eps_list: Iterable[float]) -> list[float]:
+    """Per-cell normalized loss of capping, one value per eps.
+
+    Each gap is log(Z_capped / Z) / N with both partition functions under
+    hook/sqrt(N) weights.  Capping only raises weights, and a lower cap
+    raises fewer, so the exact ratios make every gap nonnegative and
+    monotone in eps.
+    """
     region = _as_region(shape)
-    base = hook_weights(region.shape, scale=N).cell_logs
-    floors = [math.log(e) for e in eps_list]
-    capped_tables = [{c: max(lw, flo) for c, lw in base.items()} for flo in floors]
-    acc = LogSum()
-    acc_eps = [LogSum() for _ in eps_list]
-    for flats in iter_flat_cells(region, guard):
-        acc.add(sum(base[c] for c in flats))
-        for tab, a in zip(capped_tables, acc_eps):
-            a.add(sum(tab[c] for c in flats))
-    z = acc.value
-    return [(a.value - z) / N for a in acc_eps]
+    capped = [capped_weights(region.shape, N, eps) for eps in eps_list]
+    z = partition_function(region, hook_weights(region.shape, scale=N)).z
+    return [_log_ratio(partition_function(region, w).z, z) / N
+            for w in capped]
 
 
-def cap_gap(shape, N: int, eps: float, guard: int = ENUM_GUARD) -> float:
-    return cap_gaps(shape, N, [eps], guard)[0]
+def cap_gap(shape, N: int, eps: float) -> float:
+    return cap_gaps(shape, N, [eps])[0]

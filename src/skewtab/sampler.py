@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nhlf import WeightField, tiling_weight, uniform_weights
-from .tiling import (HeightFunction, Tiling, _as_region, _decode_up,
-                     _flip_interval, heights_to_tiling, iter_height_maps,
-                     minimal_extension)
+from .tiling import (HeightFunction, Tiling, _as_region, _flip_interval,
+                     heights_to_tiling, iter_height_maps, minimal_extension)
 
 REVALIDATE_EVERY = 1_000_000
 
@@ -80,41 +79,23 @@ class ChainState:
 
 
 def _delta_logw(region, hd: dict, v, new: int, w: WeightField) -> float:
-    """Log weight change of setting h[v] = new, via the three triangles at v."""
+    """Log weight change of setting h[v] = new.
+
+    Only the horizontal lozenges at cells v and v + e3 can toggle.
+    """
     logs = w.cell_logs
     i, j = v
     old = hd[v]
-    if logs is not None:
-        # only horizontal lozenges at cells v and v + e3 can toggle
-        delta = 0.0
-        p3 = (i - 1, j - 1)
-        if p3 in region.vertices:
-            lw = logs.get(v, 0.0)
-            delta += lw * ((new == hd[p3]) - (old == hd[p3]))
-        q3 = (i + 1, j + 1)
-        if q3 in region.vertices:
-            lw = logs.get(q3, 0.0)
-            delta += lw * ((hd[q3] == new) - (hd[q3] == old))
-        return delta
-    ups = []
-    for p in (v, (i - 1, j), (i - 1, j - 1)):
-        if (
-            p in region.vertices
-            and (p[0] + 1, p[1]) in region.vertices
-            and (p[0] + 1, p[1] + 1) in region.vertices
-        ):
-            ups.append(p)
-    before = 0.0
-    for p in ups:
-        typ, a = _decode_up(p, hd)
-        before += w(typ, a[0], a[1])
-    hd[v] = new
-    after = 0.0
-    for p in ups:
-        typ, a = _decode_up(p, hd)
-        after += w(typ, a[0], a[1])
-    hd[v] = old
-    return after - before
+    delta = 0.0
+    p3 = (i - 1, j - 1)
+    if p3 in region.vertices:
+        lw = logs.get(v, 0.0)
+        delta += lw * ((new == hd[p3]) - (old == hd[p3]))
+    q3 = (i + 1, j + 1)
+    if q3 in region.vertices:
+        lw = logs.get(q3, 0.0)
+        delta += lw * ((hd[q3] == new) - (hd[q3] == old))
+    return delta
 
 
 def glauber_step(state: ChainState, w: WeightField | None = None) -> ChainState:
@@ -279,7 +260,6 @@ def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
                   for t in range(kappa_segments + 1)]
 
     steps = sweeps_per_level * len(free)
-    logs = w.cell_logs
 
     def pin(hd):
         return sum(hd[v] - hmin[v] for v in free)

@@ -32,7 +32,9 @@ def load_shape(path) -> SkewShape:
         raise ValueError(f"{path}: expected an object with 'outer' (and 'inner')")
     outer = data["outer"]
     inner = data.get("inner", [])
-    if not all(isinstance(v, int) for v in list(outer) + list(inner)):
+    # bool is a subclass of int, so JSON true would otherwise count as 1
+    if not all(isinstance(v, int) and not isinstance(v, bool)
+               for v in list(outer) + list(inner)):
         raise ValueError(f"{path}: row lengths must be integers")
     return SkewShape(outer, inner)
 

@@ -32,7 +32,7 @@ import numpy as np
 from scipy import integrate
 
 from .entropy import lobachevsky
-from .exact import count_determinant
+from .nhlf import count_nhlf
 from .shapes import StableProfile
 
 DEFAULT_MESH = 64
@@ -693,7 +693,7 @@ def _finite_n_point(args) -> float:
     shape = family(n)
     if shape.size != n:
         raise ValueError(f"family produced {shape.size} cells for size {n}")
-    return (math.log(count_determinant(shape)) - 0.5 * n * math.log(n)) / n
+    return (math.log(count_nhlf(shape)) - 0.5 * n * math.log(n)) / n
 
 
 def finite_n_constant(shape_family: Callable, sizes, threads: int | None = None
@@ -701,7 +701,7 @@ def finite_n_constant(shape_family: Callable, sizes, threads: int | None = None
     """Exact finite size constants (log f_N - 0.5 N log N) / N along a family.
 
     shape_family maps a size N to a SkewShape of exactly that size.  With
-    threads > 1 the determinants run in a process pool (the family must be
+    threads > 1 the counts run in a process pool (the family must be
     picklable).
     """
     sizes = [int(n) for n in sizes]

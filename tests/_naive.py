@@ -1,10 +1,17 @@
-"""Independent reference counter for standard fillings of a skew diagram.
+"""Independent reference routes for the package's exact results.
 
-Counts linear extensions by peeling removable corners in decreasing entry
-order, memoized on the remaining outer rows.  Deliberately a different
-algorithm from anything in the package, so agreement is meaningful.
+`naive_count` counts standard fillings of a skew diagram by peeling
+removable corners in decreasing entry order, memoized on the remaining
+outer rows: deliberately a different algorithm from anything in the
+package, so agreement is meaningful.  `enumerated_sum` and `LogSum` sum
+weights over every enumerated tiling, the exponential baseline that the
+package's determinant engine for tiling sums replaces.
 """
+import math
+from fractions import Fraction
 from functools import lru_cache
+
+from skewtab.tiling import iter_flat_cells
 
 
 def naive_count(outer, inner=()) -> int:
@@ -24,3 +31,63 @@ def naive_count(outer, inner=()) -> int:
     result = ways(outer)
     ways.cache_clear()
     return result
+
+
+class LogSum:
+    """Streaming accumulator for log(sum of exp(terms)).
+
+    Keeps the running maximum and a rescaled mantissa sum, so the result
+    is stable and insensitive to the order terms arrive in.
+    """
+
+    __slots__ = ("_max", "_acc", "count")
+
+    def __init__(self):
+        self._max = -math.inf
+        self._acc = 0.0
+        self.count = 0
+
+    def add(self, logw: float) -> "LogSum":
+        self.count += 1
+        if logw == -math.inf:
+            return self
+        if logw <= self._max:
+            self._acc += math.exp(logw - self._max)
+        else:
+            self._acc = self._acc * math.exp(self._max - logw) + 1.0
+            self._max = logw
+        return self
+
+    def merge(self, other: "LogSum") -> "LogSum":
+        """Absorb another accumulator in place (exact, no value round trip)."""
+        self.count += other.count
+        if other._max == -math.inf:
+            return self
+        if other._max <= self._max:
+            self._acc += other._acc * math.exp(other._max - self._max)
+        else:
+            self._acc = self._acc * math.exp(self._max - other._max) + other._acc
+            self._max = other._max
+        return self
+
+    @property
+    def value(self) -> float:
+        if self.count == 0:
+            return -math.inf
+        return self._max + math.log(self._acc)
+
+
+def enumerated_sum(region, weight) -> Fraction:
+    """Sum over every tiling of the product of weight[c] over flat cells."""
+    total = Fraction(0)
+    for flats in iter_flat_cells(region):
+        total += math.prod((Fraction(weight[c]) for c in flats), start=1)
+    return total
+
+
+def enumerated_log_z(region, cell_logs: dict) -> LogSum:
+    """log of the sum over every tiling of exp(total log weight)."""
+    acc = LogSum()
+    for flats in iter_flat_cells(region):
+        acc.add(sum(cell_logs.get(c, 0.0) for c in flats))
+    return acc

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
-from skewtab.cli import main
+from skewtab import count_hlf
+from skewtab.cli import _decimal, main
 
 
 def run(capsys, *argv):
@@ -47,11 +49,34 @@ def test_count_hlf_requires_straight(capsys, data_dir):
 
 def test_bad_shape_file_exits_2(capsys, tmp_path):
     p = tmp_path / "bad.json"
-    p.write_text("{nope")
-    code, _, err = run(capsys, "--no-manifest", "count", "--shape", str(p))
-    assert code == 2
-    msg = json.loads(err.strip())
-    assert "error" in msg and err.count("\n") == 1
+    # JSON true is a Python int subclass, but not a row length
+    for text in ("{nope", '{"outer": [3, 3], "inner": [true]}'):
+        p.write_text(text)
+        code, out, err = run(capsys, "--no-manifest", "count",
+                             "--shape", str(p))
+        assert code == 2 and not out, text
+        msg = json.loads(err.strip())
+        assert "error" in msg and err.count("\n") == 1
+
+
+def test_count_beyond_str_digit_limit(capsys, tmp_path):
+    # the 80 x 80 square's count has more digits than str() allows by default
+    p = tmp_path / "square.json"
+    p.write_text(json.dumps({"outer": [80] * 80}))
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "--no-manifest", "count", "--shape", str(p),
+                       "--method", "hlf")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    digits = out.strip()
+    assert len(digits) > 4300 and digits.isdigit()
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == count_hlf([80] * 80)
+    # zeros where the digits are split must survive
+    assert _decimal(10 ** 9000 + 7) == "1" + "0" * 8999 + "7"
 
 
 def test_missing_file_exits_2(capsys):

@@ -14,6 +14,7 @@ from skewtab import (
     macmahon,
     superfactorial,
 )
+from skewtab.exact import _divide_exactly
 
 
 def test_hlf_small_straight():
@@ -108,3 +109,10 @@ def test_thick_hook_formula():
                     (a, b, c)
     with pytest.raises(ValueError):
         count_thick_hook(1, 1, 0)
+
+
+def test_divide_exactly_raises_on_remainder():
+    # an explicit error, so the divisibility check survives python -O
+    assert _divide_exactly(12, 4, "12 / 4") == 3
+    with pytest.raises(ArithmeticError, match="7 / 2"):
+        _divide_exactly(7, 2, "7 / 2")

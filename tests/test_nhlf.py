@@ -1,21 +1,25 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from _naive import naive_count
+from _naive import LogSum, enumerated_log_z, enumerated_sum, naive_count
+from test_acceptance import _all_partitions_up_to, _subpartitions
 from skewtab import (
-    LogSum,
     SkewShape,
     capped_weights,
+    count_determinant,
     count_nhlf,
-    custom_weights,
+    count_thick_hook,
     hook_weights,
     partition_function,
+    thick_hook_shape,
+    thick_ribbon_shape,
     tiling_weight,
     uniform_weights,
 )
-from skewtab.nhlf import cap_gap, cap_gaps
+from skewtab.nhlf import _det, _log_ratio, _tiling_sum, cap_gap, cap_gaps
 from skewtab.shapes import hook_table
 from skewtab.tiling import enumerate_H, iter_flat_cells, build_region
 
@@ -120,13 +124,6 @@ def test_term_sum_by_hand(s332_21):
     assert total == 128
 
 
-def test_custom_weights(s332_21):
-    w = custom_weights(lambda x, y, typ: 0.0, tag="flat")
-    z = partition_function(s332_21, w)
-    assert abs(z.value - math.log(5)) < 1e-12
-    assert z.count == 5
-
-
 def test_cap_gap_properties(s332_21):
     n = s332_21.size
     gaps = cap_gaps(s332_21, n, [0.5, 0.25, 0.1])
@@ -137,3 +134,107 @@ def test_cap_gap_properties(s332_21):
     assert cap_gap(s332_21, n, 0.25) == gaps[1]
     # eps = 1 caps everything below sqrt(N), still bounded
     assert cap_gap(s332_21, n, 1.0) <= 1.0 * (1 - 0.0) + 1e-12
+
+
+def _random_weights(sh, rng):
+    return {c: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            for c in sh.outer.cells()}
+
+
+def test_tiling_sum_matches_enumeration():
+    # exact agreement for random rational weights: every connected shape
+    # with |outer| <= 8 and a nonempty inner shape, then larger random ones
+    rng = random.Random(7)
+    checked = 0
+    for lam in _all_partitions_up_to(8):
+        for mu in _subpartitions(lam):
+            if not any(mu):
+                continue
+            try:
+                sh = SkewShape(lam, mu)
+            except ValueError:
+                continue
+            region = build_region(sh)
+            w = _random_weights(sh, rng)
+            assert _tiling_sum(region, w.__getitem__) \
+                == enumerated_sum(region, w), (lam, mu)
+            checked += 1
+    assert checked == 485
+    done = 0
+    while done < 30:
+        lam = sorted((rng.randint(1, 8) for _ in range(rng.randint(2, 8))),
+                     reverse=True)
+        mu = sorted((rng.randint(0, v) for v in lam), reverse=True)
+        try:
+            sh = SkewShape(lam, mu)
+        except ValueError:
+            continue
+        region = build_region(sh)
+        if not sh.inner or not 9 <= len(region.free) <= 30:
+            continue
+        w = _random_weights(sh, rng)
+        assert _tiling_sum(region, w.__getitem__) \
+            == enumerated_sum(region, w), (lam, mu)
+        done += 1
+
+
+def test_count_nhlf_large_shapes():
+    for k in range(1, 13):
+        assert count_nhlf(thick_hook_shape(k, k, k)) \
+            == count_thick_hook(k, k, k), k
+    for k in (10, 16):
+        sh = thick_ribbon_shape(k)
+        assert count_nhlf(sh) == count_determinant(sh), k
+
+
+def test_partition_function_matches_enumeration(s332_21):
+    for sh in (s332_21, thick_hook_shape(2, 2, 2), thick_hook_shape(3, 2, 2),
+               SkewShape([5, 4, 4, 2], [2, 1])):
+        region = build_region(sh)
+        n = sh.size
+        for w in (uniform_weights(), hook_weights(sh),
+                  hook_weights(sh, scale=n), capped_weights(sh, n, 0.25)):
+            exact = enumerated_log_z(region, w.cell_logs).value
+            assert abs(partition_function(region, w).value - exact) \
+                <= 1e-12 * max(1.0, abs(exact)), (sh, w)
+        z = enumerated_log_z(region, hook_weights(sh, scale=n).cell_logs)
+        for eps, gap in zip((0.5, 0.1), cap_gaps(region, n, (0.5, 0.1))):
+            capped = enumerated_log_z(region,
+                                      capped_weights(sh, n, eps).cell_logs)
+            assert abs(gap - (capped.value - z.value) / n) < 1e-12, (sh, eps)
+
+
+def test_cap_gaps_beyond_enumeration():
+    # c06's bounds on th(8,8,8), N = 192, far past any enumeration
+    sh = thick_hook_shape(8, 8, 8)
+    eps_list = [0.5, 0.25, 0.1]
+    gaps = cap_gaps(sh, sh.size, eps_list)
+    for eps, gap in zip(eps_list, gaps):
+        assert 0.0 <= gap <= eps * eps * (1.0 - math.log(eps)), (eps, gap)
+    assert 0.0 < gaps[2] < gaps[1] < gaps[0]
+
+
+def test_cap_gap_resolves_tiny_ratios():
+    # a cap a few ulps above the smallest log weight raises one cell's
+    # weight by a few ulps: the gap must be that tiny positive ratio, not
+    # the rounding noise of two large logs
+    sh = thick_hook_shape(2, 2, 2)
+    n = sh.size
+    floor = min(hook_weights(sh, scale=n).cell_logs.values())
+    eps = math.exp(floor)
+    for _ in range(4):
+        eps = math.nextafter(eps, 1.0)
+    gap = cap_gap(sh, n, eps)
+    z = partition_function(sh, hook_weights(sh, scale=n)).z
+    zc = partition_function(sh, capped_weights(sh, n, eps)).z
+    assert zc > z
+    assert 0.0 < gap and abs(gap - float((zc - z) / z) / n) <= 1e-9 * gap
+    # ratios beyond the float range still have a log
+    assert abs(_log_ratio(Fraction(10) ** 400, Fraction(1))
+               - 400 * math.log(10)) < 1e-9
+
+
+def test_det_with_row_swap():
+    assert _det([[0, 1], [1, 0]]) == -1
+    assert _det([[0, 2, 1], [3, 0, 0], [0, 1, 1]]) == -3
+    assert _det([[1, 2], [2, 4]]) == 0
