@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nhlf import WeightField, tiling_weight, uniform_weights
+from .nhlf import (WeightField, partition_function, tiling_weight,
+                   uniform_weights)
 from .tiling import (HeightFunction, Tiling, _as_region, _flip_interval,
-                     heights_to_tiling, iter_height_maps, minimal_extension)
+                     heights_to_tiling, minimal_extension)
 
 REVALIDATE_EVERY = 1_000_000
 
@@ -229,7 +230,8 @@ def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
 
     baseline = "mcmc" reaches the uniform measure through a pinning ladder
     estimated by the same annealing run; baseline = "exact" substitutes the
-    exhaustive state count (subject to the enumeration guard).  A schedule
+    exact state count from the determinant engine, which enumerates
+    nothing and so needs no guard.  A schedule
     stopping short of 1 estimates the partially tempered partition function.
     """
     region = _as_region(shape)
@@ -251,8 +253,7 @@ def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
 
     log_count = None
     if baseline == "exact":
-        n_states = sum(1 for _ in iter_height_maps(region))
-        log_count = math.log(n_states)
+        log_count = partition_function(region, uniform_weights()).value
         kappas = [0.0]
     else:
         kappa_max = len(free) * math.log(region.depth + 1) + 40.0

@@ -12,8 +12,12 @@ slope triangle is the tiling entropy sigma(s, t) plus the weight term
 rho(x, y) * (1 - s - t), where rho is the capped log of the scaled hook
 limit hbar(x, y) = (psi^{-1}(y) - x) + (psi(x) - y).  Coordinate ascent
 over a three coloring of a triangulated grid solves it: each update is a
-one dimensional concave maximization on the node's feasible interval,
-found by bisection on the derivative.
+one dimensional concave maximization on the node's feasible interval.
+Its derivative has the sign of prod sin(pi A) exp(-R) - prod sin(pi B),
+where A and B run over the slopes that fall and rise with the node's
+height and R collects the weight term, so the update bisects on the sign
+of that sine product and takes no logarithm; each mesh level stops at the
+first sweep whose projected gradient residual is within tolerance.
 
 The growth constant of the family is then Psi_max - k(psi) - 1 in the
 normalization log f_N ~ 0.5 N log N + c N, where k(psi) is the integral
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -251,6 +256,25 @@ def _seg_dist(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return d
 
 
+@dataclass(frozen=True)
+class LevelTrace:
+    """Convergence record of one mesh level of a solve."""
+
+    nodes: int  # free nodes
+    residuals: tuple  # projected gradient residual after each sweep
+    psi: float
+    seconds: float
+    converged: bool
+
+    @property
+    def sweeps(self) -> int:
+        return len(self.residuals)
+
+    @property
+    def kkt_residual(self) -> float:
+        return self.residuals[-1] if self.residuals else math.inf
+
+
 class MeshProfile:
     """Triangulated height profile over a polygon.
 
@@ -261,7 +285,7 @@ class MeshProfile:
 
     __slots__ = ("xy", "ij", "tris", "up", "cent", "free", "f", "ell",
                  "psi_value", "kkt_residual", "sweeps", "converged",
-                 "refine_gap", "restart_spread", "restart_l2", "tag")
+                 "refine_gap", "restart_spread", "restart_l2", "levels", "tag")
 
     def __init__(self, xy, ij, tris, up, cent, free, f, ell, tag=""):
         self.xy = xy
@@ -279,6 +303,7 @@ class MeshProfile:
         self.refine_gap = math.nan
         self.restart_spread = 0.0
         self.restart_l2 = 0.0
+        self.levels: list[LevelTrace] = []
         self.tag = tag
 
     def slopes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -332,15 +357,6 @@ def _build_mesh(poly, ell: float, gamma: Callable, tag: str = "") -> MeshProfile
 # coordinate ascent
 
 
-def _dsig(s, t):
-    ec = 1e-12
-    s = np.clip(s, ec, 1.0 - ec)
-    t = np.clip(t, ec, 1.0 - ec)
-    u = np.clip(1.0 - s - t, ec, 1.0 - ec)
-    lu = np.log(2.0 * np.sin(_PI * u))
-    return lu - np.log(2.0 * np.sin(_PI * s)), lu - np.log(2.0 * np.sin(_PI * t))
-
-
 def _sigma_clip(s, t):
     s = np.clip(s, 0.0, 1.0)
     t = np.clip(t, 0.0, 1.0)
@@ -359,151 +375,174 @@ def evaluate_psi(mesh: MeshProfile, functional: Functional) -> float:
     return float(vals.sum() * 0.5 * mesh.ell ** 2)
 
 
-class _Groups:
-    """Per color incidence tables for vectorized node updates."""
+@dataclass(frozen=True)
+class _Group:
+    """Incidence columns of one color class of free nodes, shaped (6, k).
 
-    def __init__(self, mesh: MeshProfile, rho_tri: np.ndarray):
-        self.rho_tri = rho_tri
-        n = len(mesh.xy)
-        incid: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for t_idx, tri in enumerate(mesh.tris):
-            for slot, v in enumerate(tri):
-                incid[v].append((t_idx, slot))
-        sc_up, tc_up = (-1, 1, 0), (0, -1, 1)
-        sc_dn, tc_dn = (0, -1, 1), (-1, 1, 0)
-        self.groups = []
-        color = (mesh.ij[:, 0] + mesh.ij[:, 1]) % 3
-        for c in range(3):
-            nodes = np.nonzero(mesh.free & (color == c))[0]
-            k = len(nodes)
-            tri_g = np.zeros((k, 6), dtype=np.int64)
-            sc = np.zeros((k, 6))
-            tc = np.zeros((k, 6))
-            valid = np.zeros((k, 6), dtype=bool)
-            for row, v in enumerate(nodes):
-                for col, (t_idx, slot) in enumerate(incid[v][:6]):
-                    tri_g[row, col] = t_idx
-                    if mesh.up[t_idx]:
-                        sc[row, col] = sc_up[slot]
-                        tc[row, col] = tc_up[slot]
-                    else:
-                        sc[row, col] = sc_dn[slot]
-                        tc[row, col] = tc_dn[slot]
-                    valid[row, col] = True
-            self.groups.append((nodes, tri_g, sc, tc, valid))
+    Column j of node v is an incident triangle (v0, v1, v2) with v in slot
+    i.  Raising f[v] by dx lowers one slope of that triangle by dx / ell,
+    the falling slope A = (f[v(i+1)] + ell [i = 2] - f[v]) / ell, raises
+    another, B = (f[v] + ell [i = 0] - f[v(i-1)]) / ell, and leaves the
+    third alone.  This holds for up and down triangles alike, and so does
+    the weight term's coefficient: f[v] enters ell (s + t) as (i - 1) f[v].
+    Nodes with fewer than six triangles pad with invalid columns.
+    """
+
+    nodes: np.ndarray
+    fall_at: np.ndarray
+    fall_off: np.ndarray
+    rise_at: np.ndarray
+    rise_off: np.ndarray
+    valid: np.ndarray
+    rho_sum: np.ndarray  # per node, sum over columns of rho * (i - 1)
 
 
-def _node_envelope(mesh, grp, f):
-    """Per node slope bases and the feasible interval of its height."""
-    nodes, tri_g, sc, tc, valid = grp
-    ell = mesh.ell
-    t0, t1, t2 = mesh.tris.T
-    sl = np.where(mesh.up, f[t1] - f[t0], f[t2] - f[t1])
-    tl = np.where(mesh.up, f[t2] - f[t1], f[t1] - f[t0])
-    x = f[nodes]
-    sb = sl[tri_g] - sc * x[:, None]
-    tb = tl[tri_g] - tc * x[:, None]
-    lo = np.full(len(nodes), -np.inf)
-    hi = np.full(len(nodes), np.inf)
-    for c, b in ((sc, sb), (tc, tb), (-(sc + tc), ell - sb - tb)):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = -b / c
-        take_lo = valid & (c > 0)
-        take_hi = valid & (c < 0)
-        lo = np.maximum(lo, np.where(take_lo, bound, -np.inf).max(axis=1))
-        hi = np.minimum(hi, np.where(take_hi, bound, np.inf).min(axis=1))
-    return x, sb, tb, lo, hi
+def _groups(mesh: MeshProfile, rho_tri: np.ndarray) -> list[_Group]:
+    incid: list[list[tuple[int, int]]] = [[] for _ in range(len(mesh.xy))]
+    for t_idx, tri in enumerate(mesh.tris):
+        for slot, v in enumerate(tri):
+            incid[v].append((t_idx, slot))
+    color = (mesh.ij[:, 0] + mesh.ij[:, 1]) % 3
+    out = []
+    for c in range(3):
+        nodes = np.nonzero(mesh.free & (color == c))[0]
+        fall_at = np.tile(nodes.astype(np.int32), (6, 1))
+        rise_at = fall_at.copy()
+        fall_off = np.zeros(fall_at.shape)
+        rise_off = np.zeros(fall_at.shape)
+        valid = np.zeros(fall_at.shape, dtype=bool)
+        rho_sum = np.zeros(len(nodes))
+        for col, v in enumerate(nodes):
+            for row, (t_idx, slot) in enumerate(incid[v][:6]):
+                tri = mesh.tris[t_idx]
+                fall_at[row, col] = tri[(slot + 1) % 3]
+                rise_at[row, col] = tri[(slot - 1) % 3]
+                fall_off[row, col] = mesh.ell * (slot == 2)
+                rise_off[row, col] = mesh.ell * (slot == 0)
+                valid[row, col] = True
+                rho_sum[col] += rho_tri[t_idx] * (slot - 1)
+        out.append(_Group(nodes, fall_at, fall_off, rise_at, rise_off, valid,
+                          rho_sum))
+    return out
 
 
-def _group_gfun(mesh, grp, sb, tb, rho_tri):
-    nodes, tri_g, sc, tc, valid = grp
-    ell = mesh.ell
-    rho_g = rho_tri[tri_g]
+def _columns(grp: _Group, f: np.ndarray, ell: float):
+    """Slope bases of every column and each node's feasible interval.
 
-    def gfun(x):
-        s = (sc * x[:, None] + sb) / ell
-        t = (tc * x[:, None] + tb) / ell
-        ds, dt = _dsig(s, t)
-        term = np.where(valid, ds * sc + dt * tc - rho_g * (sc + tc), 0.0)
-        return term.sum(axis=1) * (0.5 * ell)
+    At height x the column's falling slope is (fall - x) / ell and its
+    rising slope (rise + x) / ell.  The interval [lo, hi] keeps both in
+    [0, 1]; lo > hi marks a node whose fixed slopes leave it no room.
+    """
+    fall = f[grp.fall_at] + grp.fall_off
+    rise = grp.rise_off - f[grp.rise_at]
+    lo = np.where(grp.valid, np.maximum(-rise, fall - ell), -np.inf).max(axis=0)
+    hi = np.where(grp.valid, np.minimum(fall, ell - rise), np.inf).min(axis=0)
+    return fall, rise, lo, hi
 
-    return gfun
+
+def _derivative(grp: _Group, fall, rise, x, ell: float) -> np.ndarray:
+    """Derivative of the functional in each node's height x.
+
+    It is 0.5 ell (log(prod sin(pi A) / prod sin(pi B)) - rho_sum): the
+    slope that does not move and the log 2 of each entropy term cancel.
+    Slopes are clipped to [1e-12, 1 - 1e-12] first.
+    """
+    a = np.clip((fall - x) / ell, 1e-12, 1.0 - 1e-12)
+    b = np.clip((rise + x) / ell, 1e-12, 1.0 - 1e-12)
+    pa = np.where(grp.valid, np.sin(_PI * a), 1.0).prod(axis=0)
+    pb = np.where(grp.valid, np.sin(_PI * b), 1.0).prod(axis=0)
+    return 0.5 * ell * (np.log(pa / pb) - grp.rho_sum)
 
 
-def _update_group(mesh, grp, f, rho_tri) -> None:
-    nodes = grp[0]
-    if len(nodes) == 0:
+def _sign_kernel(grp: _Group, fall, rise, mid, ell: float) -> Callable:
+    """Log-free function of offsets d with the derivative's sign at mid + d.
+
+    mid is the centre of each node's feasible interval.  The sign is that
+    of prod sin(pi A) exp(-rho_sum) - prod sin(pi B).  With alpha = pi A
+    at mid and y = pi d / ell, each factor sin(alpha - y) divided by cos y
+    is sin(alpha) - cos(alpha) tan(y); the interval is at most ell wide,
+    so |y| < pi / 2 inside it and the division keeps the sign.  Each
+    evaluation takes one tangent per node instead of a sine per column.
+    """
+    scale = _PI / ell
+    ang = np.stack([fall - mid, rise + mid]) * scale
+    sin = np.where(grp.valid, np.sin(ang), 1.0)
+    cos = np.where(grp.valid, np.cos(ang), 0.0)
+    cos[0] *= -1.0
+    weight = np.exp(-grp.rho_sum)
+    sin[0, 0] *= weight  # column 0 is valid for every node
+    cos[0, 0] *= weight
+
+    def sign(d):
+        prods = (sin + cos * np.tan(d * scale)).prod(axis=1)
+        return prods[0] - prods[1]
+
+    return sign
+
+
+def _update_group(grp: _Group, f: np.ndarray, ell: float, tol: float) -> None:
+    """Move every node of the group to the maximizer on its interval.
+
+    Bisection on the sign kernel stops once the widest bracket is below
+    1e-4 tol, far under the residual the solve is asked for.
+    """
+    if len(grp.nodes) == 0:
         return
-    x, sb, tb, lo, hi = _node_envelope(mesh, grp, f)
-    gfun = _group_gfun(mesh, grp, sb, tb, rho_tri)
-    pad = 1e-9 * mesh.ell
-    lo2 = lo + pad
-    hi2 = hi - pad
-    empty = hi2 < lo2
-    a = np.where(empty, x, lo2)
-    b = np.where(empty, x, hi2)
-    ga = gfun(a)
-    gb = gfun(b)
-    at_left = ga <= 0
-    at_right = gb >= 0
-    root = ~(at_left | at_right | empty)
-    aa, bb = a.copy(), b.copy()
-    for _ in range(46):
-        mid = 0.5 * (aa + bb)
-        gm = gfun(mid)
-        pos = gm > 0
-        aa = np.where(root & pos, mid, aa)
-        bb = np.where(root & ~pos, mid, bb)
-    out = np.where(at_left, a, np.where(at_right, b, 0.5 * (aa + bb)))
-    out = np.where(empty, 0.5 * (lo + hi), out)
-    f[nodes] = out
+    fall, rise, lo, hi = _columns(grp, f, ell)
+    mid = 0.5 * (lo + hi)
+    sign = _sign_kernel(grp, fall, rise, mid, ell)
+    half = 0.5 * (hi - lo) - 1e-9 * ell
+    empty = half < 0  # no room: the node sits at the centre
+    at_left = ~empty & (sign(-half) <= 0)
+    at_right = ~empty & ~at_left & (sign(half) >= 0)
+    d = np.where(at_left, -half, np.where(at_right, half, 0.0))
+    step = np.where(empty | at_left | at_right, 0.0, 0.5 * half)
+    width = 4.0 * float(step.max())
+    if width > 0.0:
+        for _ in range(math.ceil(math.log2(width / (1e-4 * tol)))):
+            d += np.copysign(step, sign(d))
+            step *= 0.5
+    f[grp.nodes] = mid + d
 
 
-def _kkt(mesh, groups: _Groups, f) -> float:
+def _kkt(groups: list[_Group], f: np.ndarray, ell: float) -> float:
     """Projected gradient residual: how far each free node could still move."""
     worst = 0.0
-    for grp in groups.groups:
-        nodes = grp[0]
-        if len(nodes) == 0:
+    for grp in groups:
+        if len(grp.nodes) == 0:
             continue
-        x, sb, tb, lo, hi = _node_envelope(mesh, grp, f)
-        g = _group_gfun(mesh, grp, sb, tb, groups.rho_tri)(x)
+        fall, rise, lo, hi = _columns(grp, f, ell)
+        x = f[grp.nodes]
+        g = _derivative(grp, fall, rise, x, ell)
         target = np.clip(x + g, np.minimum(lo, x), np.maximum(hi, x))
         move = np.abs(target - x)
         move[lo > hi] = 0.0
-        if len(move):
-            worst = max(worst, float(move.max()))
+        worst = max(worst, float(move.max()))
     return worst
 
 
 def _solve_mesh(mesh: MeshProfile, functional: Functional, tol: float,
-                max_sweeps: int, stall: float = 1e-12) -> None:
+                max_sweeps: int) -> list[float]:
+    """Sweep the three colors until the residual is at most tol.
+
+    Returns the residual after each sweep.
+    """
     rho_tri = (functional.rho(mesh.cent[:, 0], mesh.cent[:, 1])
                if functional.rho is not None else np.zeros(len(mesh.tris)))
-    rho_tri = np.asarray(rho_tri, dtype=float)
-    groups = _Groups(mesh, rho_tri)
-    f = mesh.f
-    prev = -np.inf
-    stalled = 0
-    for sweep in range(1, max_sweeps + 1):
-        for grp in groups.groups:
-            _update_group(mesh, grp, f, rho_tri)
-        cur = evaluate_psi(mesh, functional)
-        if abs(cur - prev) <= stall * max(1.0, abs(cur)):
-            stalled += 1
-        else:
-            stalled = 0
-        prev = cur
-        if stalled >= 3 or sweep % 100 == 0 or sweep == max_sweeps:
-            res = _kkt(mesh, groups, f)
-            mesh.kkt_residual = res
-            mesh.sweeps = sweep
-            if res <= tol:
-                mesh.converged = True
-                break
-            if stalled >= 3:
-                stalled = 0  # keep sweeping toward the tolerance
+    groups = _groups(mesh, np.asarray(rho_tri, dtype=float))
+    residuals: list[float] = []
+    for _ in range(max_sweeps):
+        for grp in groups:
+            _update_group(grp, mesh.f, mesh.ell, tol)
+        residuals.append(_kkt(groups, mesh.f, mesh.ell))
+        if residuals[-1] <= tol:
+            break
+    mesh.sweeps = len(residuals)
+    if residuals:
+        mesh.kkt_residual = residuals[-1]
+        mesh.converged = residuals[-1] <= tol
     mesh.psi_value = evaluate_psi(mesh, functional)
+    return residuals
 
 
 def _interp_init(coarse: MeshProfile, fine: MeshProfile, gamma) -> None:
@@ -543,8 +582,9 @@ def maximize(functional: Functional, gamma: Callable | None = None,
 
     Runs coarse to fine over three mesh levels (unless multigrid is off),
     then repeats from perturbed starts if restarts > 1, keeping the best.
-    The returned mesh carries the value, the projected gradient residual
-    and the refinement gap between the last two levels.
+    The returned mesh carries the value, the projected gradient residual,
+    the refinement gap between the last two levels and, in `levels`, one
+    LevelTrace per mesh level of its own run.
     """
     if gamma is None:
         gamma = functional.gamma
@@ -563,7 +603,9 @@ def maximize(functional: Functional, gamma: Callable | None = None,
     for r in range(restarts):
         coarse: MeshProfile | None = None
         gap = math.nan
+        trace = []
         for li, n in enumerate(levels):
+            start = time.perf_counter()
             mesh = _build_mesh(functional.polygon, functional.bbox / n, gamma,
                                functional.tag)
             if coarse is not None:
@@ -573,11 +615,15 @@ def maximize(functional: Functional, gamma: Callable | None = None,
                 mesh.f[mesh.free] += rng.uniform(-noise, noise,
                                                  mesh.free.sum())
             budget = max_sweeps if li == len(levels) - 1 else max_sweeps // 2
-            _solve_mesh(mesh, functional, tol, budget)
+            residuals = _solve_mesh(mesh, functional, tol, budget)
+            trace.append(LevelTrace(
+                int(mesh.free.sum()), tuple(residuals), mesh.psi_value,
+                time.perf_counter() - start, mesh.converged))
             if coarse is not None:
                 gap = abs(mesh.psi_value - coarse.psi_value)
             coarse = mesh
         coarse.refine_gap = gap
+        coarse.levels = trace
         finals.append(coarse)
         if best is None or coarse.psi_value > best.psi_value:
             best = coarse

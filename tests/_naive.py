@@ -5,11 +5,16 @@ removable corners in decreasing entry order, memoized on the remaining
 outer rows: deliberately a different algorithm from anything in the
 package, so agreement is meaningful.  `enumerated_sum` and `LogSum` sum
 weights over every enumerated tiling, the exponential baseline that the
-package's determinant engine for tiling sums replaces.
+package's determinant engine for tiling sums replaces.  `dsig` and
+`node_derivative` differentiate the variational functional one triangle
+at a time through the entropy gradient, with a log per slope: the route
+the solver's log-free node kernel replaces.
 """
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from skewtab.tiling import iter_flat_cells
 
@@ -91,3 +96,38 @@ def enumerated_log_z(region, cell_logs: dict) -> LogSum:
     for flats in iter_flat_cells(region):
         acc.add(sum(cell_logs.get(c, 0.0) for c in flats))
     return acc
+
+
+def dsig(s, t):
+    """Gradient of the lozenge entropy in (s, t), slopes clipped inside (0, 1)."""
+    ec = 1e-12
+    s = np.clip(s, ec, 1.0 - ec)
+    t = np.clip(t, ec, 1.0 - ec)
+    u = np.clip(1.0 - s - t, ec, 1.0 - ec)
+    lu = np.log(2.0 * np.sin(math.pi * u))
+    return lu - np.log(2.0 * np.sin(math.pi * s)), lu - np.log(2.0 * np.sin(math.pi * t))
+
+
+def node_derivative(mesh, rho_tri, v, x) -> float:
+    """d/df[v] of the mesh functional at f[v] = x, the other heights fixed.
+
+    Sums 0.5 ell (ds sc + dt tc - rho (sc + tc)) over the triangles at v,
+    where (sc, tc) are the coefficients of f[v] in ell (s, t).
+    """
+    ell = mesh.ell
+    f = mesh.f.copy()
+    f[v] = x
+    total = 0.0
+    for k in np.nonzero((mesh.tris == v).any(axis=1))[0]:
+        tri = [int(i) for i in mesh.tris[k]]
+        f0, f1, f2 = f[tri]
+        slot = tri.index(v)
+        if mesh.up[k]:
+            s, t = (f1 - f0) / ell, (f2 - f1) / ell
+            sc, tc = (-1, 1, 0)[slot], (0, -1, 1)[slot]
+        else:
+            s, t = (f2 - f1) / ell, (f1 - f0) / ell
+            sc, tc = (0, -1, 1)[slot], (-1, 1, 0)[slot]
+        ds, dt = dsig(s, t)
+        total += ds * sc + dt * tc - rho_tri[k] * (sc + tc)
+    return 0.5 * ell * total

@@ -188,6 +188,9 @@ def test_solve_small_profile(capsys, data_dir, tmp_path):
                        "--out", str(mesh_csv))
     assert code == 0
     assert out.startswith("psi ")
+    levels = [line.split() for line in out.splitlines()
+              if line.startswith("level ")]
+    assert [lv[:3] for lv in levels] == [["level", "1", "nodes"]]
     header = mesh_csv.read_text().splitlines()[0]
     assert header == "node_x,node_y,f"
 

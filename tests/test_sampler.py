@@ -112,6 +112,24 @@ def test_estimate_logZ_exact_baseline(s332_21):
     assert abs(est.value - math.log(5)) < 1.0
 
 
+def test_estimate_logZ_exact_baseline_matches_enumeration():
+    shape = thick_hook_shape(2, 2, 2)
+    est = estimate_logZ(shape, particles=4, seed=1, baseline="exact",
+                        schedule=[0.0, 1.0], sweeps_per_level=2)
+    assert abs(est.log_count - math.log(len(enumerate_H(shape)))) < 1e-12
+
+
+def test_estimate_logZ_exact_baseline_beyond_enumeration():
+    # about 1.5e12 tilings: the count comes from the determinant engine
+    shape = thick_hook_shape(6, 6, 6)
+    est = estimate_logZ(shape, particles=2, seed=2, baseline="exact",
+                        schedule=[0.0, 1.0], sweeps_per_level=1)
+    exact = partition_function(shape, uniform_weights()).value
+    assert exact > math.log(1e12)
+    assert est.log_count == exact
+    assert math.isfinite(est.value)
+
+
 def test_estimate_logZ_schedule_validation(s332_21):
     with pytest.raises(ValueError):
         estimate_logZ(s332_21, schedule=[0.5, 1.0], particles=4, seed=0)

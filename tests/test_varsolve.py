@@ -18,7 +18,18 @@ from skewtab import (
     thick_ribbon_profile,
     unit_hexagon_functional,
 )
-from skewtab.varsolve import MeshProfile, _build_mesh, _interp_init, evaluate_psi
+from skewtab.varsolve import (
+    MeshProfile,
+    _build_mesh,
+    _columns,
+    _derivative,
+    _groups,
+    _interp_init,
+    _sign_kernel,
+    evaluate_psi,
+)
+
+from _naive import node_derivative
 
 
 HEX_PSI = 4.5 * math.log(3.0) - 6.0 * math.log(2.0)
@@ -167,3 +178,51 @@ def test_evaluate_psi_on_flat_data():
     base = evaluate_psi(mesh, F)
     solved = maximize(F, mesh_n=16, tol=1e-3)
     assert solved.psi_value > base
+
+
+@pytest.mark.parametrize("functional", [
+    unit_hexagon_functional(), build_functional(thick_hook_profile(1.0, 1.0))],
+    ids=["hexagon", "thick-hook"])
+def test_node_kernel_against_oracle(functional):
+    mesh = maximize(functional, mesh_n=16, tol=1e-3)
+    rho_tri = (functional.rho(mesh.cent[:, 0], mesh.cent[:, 1])
+               if functional.rho is not None else np.zeros(len(mesh.tris)))
+    rng = np.random.default_rng(5)
+    values = signs = 0
+    for grp in _groups(mesh, rho_tri):
+        fall, rise, lo, hi = _columns(grp, mesh.f, mesh.ell)
+        assert (lo < hi).all()
+        x = rng.uniform(lo, hi)
+        got = _derivative(grp, fall, rise, x, mesh.ell)
+        mid = 0.5 * (lo + hi)
+        sign = _sign_kernel(grp, fall, rise, mid, mesh.ell)(x - mid)
+        # the oracle clips each slope to [1e-12, 1 - 1e-12] and forms the
+        # third as 1 - s - t, so it is accurate only away from frozen slopes
+        a = (fall - x) / mesh.ell
+        b = (rise + x) / mesh.ell
+        slopes = np.where(grp.valid, np.stack([a, b, 1.0 - a - b]), 0.5)
+        inner = ((slopes > 1e-3) & (slopes < 1.0 - 1e-3)).all(axis=(0, 1))
+        for v, xv, g, sg, ok in zip(grp.nodes, x, got, sign, inner):
+            want = node_derivative(mesh, rho_tri, v, xv)
+            if ok:
+                assert abs(g - want) <= 1e-12 * abs(want), (v, g, want)
+                values += 1
+            if abs(want) > 1e-9:
+                assert np.sign(sg) == np.sign(want), (v, sg, want)
+                signs += 1
+    assert values > 0.5 * mesh.free.sum()
+    assert signs > 0.9 * mesh.free.sum()
+
+
+def test_levels_stop_at_first_converged_sweep():
+    tol = 1e-4
+    mesh = maximize(unit_hexagon_functional(), mesh_n=16, tol=tol)
+    assert len(mesh.levels) == 3
+    last = mesh.levels[-1]
+    assert (last.nodes, last.sweeps) == (mesh.free.sum(), mesh.sweeps)
+    assert (last.kkt_residual, last.psi) == (mesh.kkt_residual, mesh.psi_value)
+    for level in mesh.levels:
+        assert level.converged and level.residuals[-1] <= tol
+        if level.sweeps > 1:
+            assert level.residuals[-2] > tol
+        assert level.seconds > 0.0
