@@ -23,7 +23,7 @@ def main():
 
     sides = range(8, 17, 2)
     vals = finite_n_constant(thick_hook_shape_of_size,
-                             [3 * k * k for k in sides], threads=2)
+                             [3 * k * k for k in sides])
     for k, v in zip(sides, vals):
         print(f"  side {k:2d} (N={3 * k * k:4d})  c_N = {v:+.6f}")
 
@@ -32,7 +32,7 @@ def main():
     print(f"  solver      {res.value:+.6f}  (band [-0.3237, -0.0621])")
     steps = range(4, 11, 2)
     vals = finite_n_constant(thick_ribbon_shape_of_size,
-                             [k * (3 * k - 1) // 2 for k in steps], threads=2)
+                             [k * (3 * k - 1) // 2 for k in steps])
     for k, v in zip(steps, vals):
         print(f"  step {k:2d} (N={k * (3 * k - 1) // 2:4d})  c_N = {v:+.6f}")
 

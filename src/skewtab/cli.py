@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -147,6 +146,8 @@ def _weights_for(shape, name: str):
 def _cmd_sample(args, run: _Run) -> int:
     shape = load_shape(args.shape)
     run.seeds.append(args.seed)
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     w = _weights_for(shape, args.weights)
     samples = sample(shape, w, burn_in=args.burn, n_samples=args.samples,
                      thin=args.thin, seed=args.seed)
@@ -226,7 +227,6 @@ def _cmd_repro(args, run: _Run) -> int:
     targets = ["hexagon", "thick-hook", "ribbon"] if args.target == "all" \
         else [args.target]
     failures = 0
-    threads = args.threads or int(os.environ.get("SKEWTAB_THREADS", "1"))
     for name in targets:
         if name == "hexagon":
             mesh = maximize(unit_hexagon_functional(), mesh_n=args.mesh,
@@ -248,7 +248,7 @@ def _cmd_repro(args, run: _Run) -> int:
                   f"{'PASS' if ok else 'FAIL'}")
             sides = list(range(12, 21))
             vals = finite_n_constant(thick_hook_shape_of_size,
-                                     [3 * k * k for k in sides], threads)
+                                     [3 * k * k for k in sides])
             basis = np.array([[math.log(k) / k, 1.0 / k, 1.0] for k in sides])
             coef, *_ = np.linalg.lstsq(basis, np.array(vals), rcond=None)
             err2 = abs(float(coef[2]) - target)
@@ -265,8 +265,7 @@ def _cmd_repro(args, run: _Run) -> int:
                   f"band [{lo}, {hi}] {'PASS' if ok else 'FAIL'}")
             sides = list(range(4, 13))
             vals = finite_n_constant(thick_ribbon_shape_of_size,
-                                     [k * (3 * k - 1) // 2 for k in sides],
-                                     threads)
+                                     [k * (3 * k - 1) // 2 for k in sides])
             basis = np.array([[1.0 / k, 1.0 / k ** 2, 1.0] for k in sides])
             coef, *_ = np.linalg.lstsq(basis, np.array(vals), rcond=None)
             ok2 = lo <= float(coef[2]) <= hi
@@ -294,8 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--no-manifest", action="store_true",
                         default=argparse.SUPPRESS,
                         help="skip writing the run manifest")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker processes (also honors SKEWTAB_THREADS)")
 
     ap = argparse.ArgumentParser(
         prog="skewtab",
@@ -373,13 +370,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     args.manifest = getattr(args, "manifest", "skewtab_run.json")
     args.no_manifest = getattr(args, "no_manifest", False)
-    args.threads = getattr(args, "threads", None)
-    if args.threads is not None:
-        if args.threads < 1:
-            print(json.dumps({"error": "--threads must be positive"}),
-                  file=sys.stderr)
-            return 2
-        os.environ["SKEWTAB_THREADS"] = str(args.threads)
     run = _Run(args)
     try:
         code = args.func(args, run)

@@ -1,16 +1,19 @@
 """Single-site Metropolis dynamics over a region's height functions.
 
-The chain proposes, at a uniformly random free vertex, the other legal
-height value (each free vertex has at most two), and accepts with the
-Metropolis rule min(1, exp(delta log weight)).  The proposal is its own
-inverse, so detailed balance holds for any weight field.
+One proposal loop, `_mix`, serves every chain in this module.  It
+proposes, at a uniformly random free vertex, the other legal height value
+(each free vertex has at most two), and accepts with the Metropolis rule
+min(1, exp(beta * delta log weight - kappa * delta height)).  The proposal
+is its own inverse, so detailed balance holds for any weight field.
 
-`estimate_logZ` wires the same kernel into a two leg annealed importance
-sampler.  Leg one starts from the pointwise lowest height function, whose
-pinning potential makes the start distribution effectively a point mass,
-and relaxes the pin along a ladder of decreasing strengths kappa; leg two
-turns on the weight field along an inverse temperature schedule.  Jackknife
-resampling over particles gives the standard error.
+`sample` runs the loop at beta = 1, kappa = 0 for burn-in and thinning.
+`estimate_logZ` runs it inside a two leg annealed importance sampler.  Leg
+one starts from the pointwise lowest height function, whose pinning
+potential kappa * (sum of heights) makes the start distribution
+effectively a point mass, and relaxes the pin along a ladder of decreasing
+strengths kappa; leg two turns on the weight field along an inverse
+temperature schedule beta.  Jackknife resampling over particles gives the
+standard error.
 """
 from __future__ import annotations
 
@@ -24,59 +27,9 @@ from .nhlf import (WeightField, partition_function, tiling_weight,
 from .tiling import (HeightFunction, Tiling, _as_region, _flip_interval,
                      heights_to_tiling, minimal_extension)
 
-REVALIDATE_EVERY = 1_000_000
-
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
-
-
-class ChainState:
-    """Mutable Metropolis state: heights, cached log weight, counters."""
-
-    __slots__ = ("region", "weights", "h", "logw", "rng", "seed",
-                 "step_count", "free", "_next_check")
-
-    def __init__(self, region, weights: WeightField, h: dict, seed: int):
-        self.region = region
-        self.weights = weights
-        self.h = dict(h)
-        self.rng = _rng(seed)
-        self.seed = seed
-        self.step_count = 0
-        self.free = region.free
-        self.logw = self._full_logw()
-        self._next_check = REVALIDATE_EVERY
-
-    @classmethod
-    def start(cls, shape_or_region, weights: WeightField | None = None,
-              seed: int = 0) -> "ChainState":
-        """Fresh chain at the pointwise lowest height function."""
-        region = _as_region(shape_or_region)
-        if weights is None:
-            weights = uniform_weights()
-        h = minimal_extension(region.fixed, region).h
-        if not region.mask_ok(h):
-            raise ValueError("lowest extension leaves the support mask")
-        return cls(region, weights, h, seed)
-
-    def _full_logw(self) -> float:
-        return tiling_weight(HeightFunction(self.region, self.h,
-                                            validate=False), self.weights)
-
-    def revalidate(self) -> float:
-        """Recompute the cached log weight; returns the drift it absorbed."""
-        fresh = self._full_logw()
-        drift = fresh - self.logw
-        self.logw = fresh
-        return drift
-
-    def height_function(self) -> HeightFunction:
-        return HeightFunction(self.region, self.h, validate=False)
-
-    def __repr__(self) -> str:
-        return (f"ChainState(seed={self.seed}, steps={self.step_count}, "
-                f"logw={self.logw:.6g})")
 
 
 def _delta_logw(region, hd: dict, v, new: int, w: WeightField) -> float:
@@ -99,32 +52,30 @@ def _delta_logw(region, hd: dict, v, new: int, w: WeightField) -> float:
     return delta
 
 
-def glauber_step(state: ChainState, w: WeightField | None = None) -> ChainState:
-    """One Metropolis proposal at a uniform free vertex; mutates the state.
+def _mix(region, hd: dict, rng: np.random.Generator, w: WeightField,
+         beta: float, kappa: float, nsteps: int) -> None:
+    """Run nsteps Metropolis proposals on the heights hd, in place.
 
-    Passing a field other than the state's own is allowed but makes the
-    cached log weight track the passed field from here on.
+    The log acceptance of a proposal is beta times its weight change minus
+    kappa times its height change.  Each proposal draws one integer (the
+    vertex), and one uniform only when the log acceptance is below 0; a
+    region without free vertices draws nothing.
     """
-    if w is None:
-        w = state.weights
-    free = state.free
-    state.step_count += 1
+    free = region.free
     if not free:
-        return state
-    v = free[int(state.rng.integers(len(free)))]
-    hd = state.h
-    lo, hi = _flip_interval(state.region, hd, v)
-    if hi <= lo:
-        return state
-    new = lo + hi - hd[v]
-    delta = _delta_logw(state.region, hd, v, new, w)
-    if delta >= 0 or state.rng.random() < math.exp(delta):
-        hd[v] = new
-        state.logw += delta
-    if state.step_count >= state._next_check:
-        state._next_check += REVALIDATE_EVERY
-        state.revalidate()
-    return state
+        return
+    n = len(free)
+    for _ in range(nsteps):
+        v = free[int(rng.integers(n))]
+        lo, hi = _flip_interval(region, hd, v)
+        if hi <= lo:
+            continue
+        new = lo + hi - hd[v]
+        d = beta * _delta_logw(region, hd, v, new, w) if beta else 0.0
+        if kappa:
+            d -= kappa * (new - hd[v])
+        if d >= 0 or rng.random() < math.exp(d):
+            hd[v] = new
 
 
 def sample(shape, w: WeightField | None = None, burn_in: int | None = None,
@@ -132,9 +83,10 @@ def sample(shape, w: WeightField | None = None, burn_in: int | None = None,
            seed: int = 0) -> list[Tiling]:
     """Draw tilings from the weight field's Gibbs measure.
 
-    Defaults: burn_in = 20 * (number of vertices)^2 proposals, thinning of
-    one sweep (one proposal per free vertex) between draws.  Fixed seed,
-    fixed output.
+    The chain starts at the pointwise lowest height function.  Defaults:
+    burn_in = 20 * (number of vertices)^2 proposals, thinning of one sweep
+    (one proposal per free vertex) between draws.  Fixed seed, fixed
+    output.
     """
     region = _as_region(shape)
     if w is None:
@@ -145,14 +97,16 @@ def sample(shape, w: WeightField | None = None, burn_in: int | None = None,
         thin = max(1, len(region.free))
     if burn_in < 0 or thin < 1 or n_samples < 0:
         raise ValueError("burn_in >= 0, thin >= 1 and n_samples >= 0 required")
-    state = ChainState.start(region, w, seed)
-    for _ in range(burn_in):
-        glauber_step(state)
+    hd = minimal_extension(region.fixed, region).h
+    if not region.mask_ok(hd):
+        raise ValueError("lowest extension leaves the support mask")
+    rng = _rng(seed)
+    _mix(region, hd, rng, w, 1.0, 0.0, burn_in)
     out = []
     for _ in range(n_samples):
-        for _ in range(thin):
-            glauber_step(state)
-        out.append(heights_to_tiling(state.height_function()))
+        _mix(region, hd, rng, w, 1.0, 0.0, thin)
+        out.append(heights_to_tiling(HeightFunction(region, hd,
+                                                    validate=False)))
     return out
 
 
@@ -243,6 +197,8 @@ def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
         raise ValueError(f"unknown baseline {baseline!r}")
     if particles < 2:
         raise ValueError("need at least 2 particles for a standard error")
+    if sweeps_per_level < 1 or kappa_segments < 1:
+        raise ValueError("sweeps_per_level and kappa_segments must be >= 1")
     free = region.free
     hmin = minimal_extension(region.fixed, region).h
     if not free:
@@ -265,45 +221,27 @@ def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
     def pin(hd):
         return sum(hd[v] - hmin[v] for v in free)
 
-    def run_particle(pseed: int) -> float:
-        state = ChainState(region, w, hmin, pseed)
-        hd = state.h
+    def run_particle(rng: np.random.Generator) -> float:
+        hd = dict(hmin)
         lw = 0.0
-
-        def mix(beta: float, kappa: float, nsteps: int = steps):
-            rng = state.rng
-            for _ in range(nsteps):
-                v = free[int(rng.integers(len(free)))]
-                lo, hi = _flip_interval(region, hd, v)
-                if hi <= lo:
-                    continue
-                new = lo + hi - hd[v]
-                d = 0.0
-                if beta:
-                    d = beta * _delta_logw(region, hd, v, new, w)
-                if kappa:
-                    d -= kappa * (new - hd[v])
-                if d >= 0 or rng.random() < math.exp(d):
-                    hd[v] = new
-
         if baseline == "exact":
             # no pinning ladder: burn in to the uniform measure directly
-            mix(0.0, 0.0, 20 * len(region.vertices) ** 2)
+            _mix(region, hd, rng, w, 0.0, 0.0, 20 * len(region.vertices) ** 2)
         # leg one: release the pin (target at kappa_max is the start point)
         for k0, k1 in zip(kappas, kappas[1:]):
-            mix(0.0, k0)
+            _mix(region, hd, rng, w, 0.0, k0, steps)
             lw += (k0 - k1) * pin(hd)
         if len(kappas) > 1:
-            mix(0.0, kappas[-1])
+            _mix(region, hd, rng, w, 0.0, kappas[-1], steps)
         # leg two: turn on the weights
         for b0, b1 in zip(sched, sched[1:]):
-            mix(b0, 0.0)
+            _mix(region, hd, rng, w, b0, 0.0, steps)
             lw += (b1 - b0) * tiling_weight(
                 HeightFunction(region, hd, validate=False), w)
         return lw
 
     base_rng = _rng(seed)
-    lws = np.array([run_particle(int(base_rng.integers(2 ** 63)))
+    lws = np.array([run_particle(_rng(int(base_rng.integers(2 ** 63))))
                     for _ in range(particles)])
     m = lws.max()
     total = float(m + math.log(np.exp(lws - m).mean()))

@@ -26,10 +26,8 @@ of log hbar over psi's full hypograph.
 from __future__ import annotations
 
 import math
-import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -734,29 +732,18 @@ def constant(profile: StableProfile, ell: float | None = None,
     return ConstantResult(psi - k - 1.0, psi, k, budget=budget, mesh=mesh)
 
 
-def _finite_n_point(args) -> float:
-    family, n = args
-    shape = family(n)
-    if shape.size != n:
-        raise ValueError(f"family produced {shape.size} cells for size {n}")
-    return (math.log(count_nhlf(shape)) - 0.5 * n * math.log(n)) / n
-
-
-def finite_n_constant(shape_family: Callable, sizes, threads: int | None = None
-                      ) -> list[float]:
+def finite_n_constant(shape_family: Callable, sizes) -> list[float]:
     """Exact finite size constants (log f_N - 0.5 N log N) / N along a family.
 
-    shape_family maps a size N to a SkewShape of exactly that size.  With
-    threads > 1 the counts run in a process pool (the family must be
-    picklable).
+    shape_family maps a size N to a SkewShape of exactly that size.
     """
     sizes = [int(n) for n in sizes]
     if any(n < 1 for n in sizes):
         raise ValueError("sizes must be positive")
-    if threads is None:
-        threads = int(os.environ.get("SKEWTAB_THREADS", "1"))
-    jobs = [(shape_family, n) for n in sizes]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_finite_n_point, jobs))
-    return [_finite_n_point(j) for j in jobs]
+    out = []
+    for n in sizes:
+        shape = shape_family(n)
+        if shape.size != n:
+            raise ValueError(f"family produced {shape.size} cells for size {n}")
+        out.append((math.log(count_nhlf(shape)) - 0.5 * n * math.log(n)) / n)
+    return out

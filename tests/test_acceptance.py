@@ -73,7 +73,7 @@ def ribbon_result():
 def thick_hook_finite():
     sides = list(range(12, 21))
     vals = finite_n_constant(thick_hook_shape_of_size,
-                             [3 * k * k for k in sides], threads=2)
+                             [3 * k * k for k in sides])
     return sides, vals
 
 
@@ -81,7 +81,7 @@ def thick_hook_finite():
 def ribbon_finite():
     sides = list(range(4, 13))
     vals = finite_n_constant(thick_ribbon_shape_of_size,
-                             [k * (3 * k - 1) // 2 for k in sides], threads=2)
+                             [k * (3 * k - 1) // 2 for k in sides])
     return sides, vals
 
 

@@ -195,8 +195,8 @@ def test_solve_small_profile(capsys, data_dir, tmp_path):
     assert header == "node_x,node_y,f"
 
 
-def test_threads_flag_validation(capsys, data_dir):
-    code, _, err = run(capsys, "--threads", "0", "--no-manifest", "count",
-                       "--shape", str(data_dir / "s332_21.json"))
+def test_sample_needs_a_sample(capsys, data_dir):
+    code, _, err = run(capsys, "--no-manifest", "sample", "--shape",
+                       str(data_dir / "s332_21.json"), "--samples", "0")
     assert code == 2
     assert "error" in json.loads(err.strip())

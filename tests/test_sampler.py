@@ -12,9 +12,10 @@ from skewtab import (
     hook_weights,
     partition_function,
     sample,
+    tiling_weight,
     uniform_weights,
 )
-from skewtab.sampler import ChainState, _delta_logw, glauber_step
+from skewtab.sampler import _delta_logw
 from skewtab.shapes import thick_hook_shape
 from skewtab.tiling import build_region, enumerate_H, flip
 
@@ -45,10 +46,16 @@ def test_detailed_balance_exact_log_domain(s332_21):
 def test_delta_logw_matches_full_recompute():
     shape = thick_hook_shape(2, 2, 2)
     w = hook_weights(shape, scale=shape.size)
-    st = ChainState.start(shape, w, seed=21)
-    for _ in range(3000):
-        glauber_step(st)
-    assert abs(st.revalidate()) < 1e-9
+    flips = 0
+    for h in enumerate_H(shape):
+        for v in h.region.free:
+            out = flip(h, v)
+            if out is None:
+                continue
+            full = tiling_weight(out, w) - tiling_weight(h, w)
+            assert abs(_delta_logw(h.region, h.h, v, out[v], w) - full) < 1e-12
+            flips += 1
+    assert flips > 0
 
 
 def test_sample_reproducible(s332_21):
@@ -135,8 +142,14 @@ def test_estimate_logZ_schedule_validation(s332_21):
         estimate_logZ(s332_21, schedule=[0.5, 1.0], particles=4, seed=0)
     with pytest.raises(ValueError):
         estimate_logZ(s332_21, schedule=[0.0, 0.6, 0.5], particles=4, seed=0)
+    for bad in ({"sweeps_per_level": 0}, {"sweeps_per_level": -3},
+                {"kappa_segments": 0}):
+        with pytest.raises(ValueError):
+            estimate_logZ(thick_hook_shape(2, 2, 2), particles=4, **bad)
 
 
 def test_no_free_vertices_degenerate():
     est = estimate_logZ(SkewShape([3, 2], []), particles=8, seed=0)
     assert est.value == 0.0 and est.stderr == 0.0
+    tilings = sample(SkewShape([3, 2], []), n_samples=3)
+    assert len(tilings) == 3 and tilings[0] == tilings[1] == tilings[2]

@@ -157,13 +157,6 @@ def test_finite_n_constant_values():
         finite_n_constant(thick_hook_shape_of_size, [0])
 
 
-def test_finite_n_constant_parallel_matches_serial():
-    ns = [3 * k * k for k in (2, 3, 4, 5)]
-    a = finite_n_constant(thick_hook_shape_of_size, ns, threads=1)
-    b = finite_n_constant(thick_hook_shape_of_size, ns, threads=3)
-    assert a == b
-
-
 def test_eps_validation():
     with pytest.raises(ValueError):
         build_functional(thick_hook_profile(1.0, 1.0), eps=0.0)
