@@ -6,6 +6,24 @@ proposes, at a uniformly random free vertex, the other legal height value
 min(1, exp(beta * delta log weight - kappa * delta height)).  The proposal
 is its own inverse, so detailed balance holds for any weight field.
 
+The loop runs on integers.  The region's move table (`Region.moves`)
+gives each free vertex its index and those of its six neighbours in one
+height list, and the mask bits of v and v + e3.  In a valid state every
+neighbour differs from h(v) by 0 or 1, so the legal interval reduces to
+equality tests: v can rise only if h(v - e3) = h(v), and fall only
+otherwise.  A flip toggles only the horizontal lozenges at v and v + e3,
+so a rise changes the log weight by logw(v + e3) - logw(v) and a fall by
+the negative; the two acceptance probabilities of every row are computed
+once per call.  Randomness is drawn in blocks: for each chunk of
+m = min(remaining, CHUNK) proposals, m row indices
+(`rng.integers(n, size=m)`) and then m uniforms (`rng.random(m)`), and a
+proposal is accepted when its uniform lies below its acceptance
+probability.  The same draws give the same chain as the dict-keyed loop
+on `_flip_interval` and `_delta_logw` (kept as `mix_reference` in the
+test oracles).  The block draws changed every seeded output of `sample`
+and `estimate_logZ` when they replaced one scalar draw per proposal; the
+chain's law did not change.
+
 `sample` runs the loop at beta = 1, kappa = 0 for burn-in and thinning.
 `estimate_logZ` runs it inside a two leg annealed importance sampler.  Leg
 one starts from the pointwise lowest height function, whose pinning
@@ -13,7 +31,7 @@ potential kappa * (sum of heights) makes the start distribution
 effectively a point mass, and relaxes the pin along a ladder of decreasing
 strengths kappa; leg two turns on the weight field along an inverse
 temperature schedule beta.  Jackknife resampling over particles gives the
-standard error.
+standard error, and the estimate carries the run's acceptance rate.
 """
 from __future__ import annotations
 
@@ -24,8 +42,10 @@ import numpy as np
 
 from .nhlf import (WeightField, partition_function, tiling_weight,
                    uniform_weights)
-from .tiling import (HeightFunction, Tiling, _as_region, _flip_interval,
-                     heights_to_tiling, minimal_extension)
+from .tiling import (HeightFunction, Tiling, _as_region, heights_to_tiling,
+                     minimal_extension)
+
+CHUNK = 4096  # proposals per block of drawn randomness
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -53,29 +73,60 @@ def _delta_logw(region, hd: dict, v, new: int, w: WeightField) -> float:
 
 
 def _mix(region, hd: dict, rng: np.random.Generator, w: WeightField,
-         beta: float, kappa: float, nsteps: int) -> None:
+         beta: float, kappa: float, nsteps: int) -> int:
     """Run nsteps Metropolis proposals on the heights hd, in place.
 
     The log acceptance of a proposal is beta times its weight change minus
-    kappa times its height change.  Each proposal draws one integer (the
-    vertex), and one uniform only when the log acceptance is below 0; a
-    region without free vertices draws nothing.
+    kappa times its height change.  Randomness is drawn in chunks of
+    m = min(remaining, CHUNK): m rows of the move table, then m uniforms;
+    a region without free vertices draws nothing.  Returns the number of
+    accepted flips.
     """
     free = region.free
     if not free:
-        return
-    n = len(free)
-    for _ in range(nsteps):
-        v = free[int(rng.integers(n))]
-        lo, hi = _flip_interval(region, hd, v)
-        if hi <= lo:
-            continue
-        new = lo + hi - hd[v]
-        d = beta * _delta_logw(region, hd, v, new, w) if beta else 0.0
-        if kappa:
-            d -= kappa * (new - hd[v])
-        if d >= 0 or rng.random() < math.exp(d):
-            hd[v] = new
+        return 0
+    table = region.moves()
+    rows = table.rows
+    h = [hd[u] for u in table.order]
+    # acceptance probability of a rise and of a fall, per row: a rise
+    # unflattens the cell at v and flattens the one at v + e3
+    if beta:
+        logs = w.cell_logs
+        gain = [beta * (logs.get((i + 1, j + 1), 0.0) - logs.get((i, j), 0.0))
+                for i, j in free]
+        rise = [math.exp(min(0.0, g - kappa)) for g in gain]
+        fall = [math.exp(min(0.0, kappa - g)) for g in gain]
+    else:
+        rise = [math.exp(min(0.0, -kappa))] * len(free)
+        fall = [math.exp(min(0.0, kappa))] * len(free)
+    accepted = 0
+    left = nsteps
+    while left > 0:
+        m = min(left, CHUNK)
+        left -= m
+        picks = rng.integers(len(free), size=m).tolist()
+        us = rng.random(m).tolist()
+        for r, u in zip(picks, us):
+            k, a, b, c, x, y, z, mv, mq = rows[r]
+            old = h[k]
+            hz = h[z]
+            if h[c] == old:  # only a rise can be legal
+                if (h[a] != old or h[b] != old or h[x] == old
+                        or h[y] == old or hz - mq == old):
+                    continue
+                if u < rise[r]:
+                    h[k] = old + 1
+                    accepted += 1
+            else:  # only a fall can be legal
+                if (mv or hz != old or h[a] == old or h[b] == old
+                        or h[x] != old or h[y] != old):
+                    continue
+                if u < fall[r]:
+                    h[k] = old - 1
+                    accepted += 1
+    for v, row in zip(free, rows):
+        hd[v] = h[row[0]]
+    return accepted
 
 
 def sample(shape, w: WeightField | None = None, burn_in: int | None = None,
@@ -157,6 +208,7 @@ class LogZEstimate:
     baseline: str
     log_count: float | None = None
     kappa_levels: tuple = field(default=(), repr=False)
+    acceptance: float = 0.0  # accepted / proposed flips over the whole run
 
     def __float__(self) -> float:
         return self.value
@@ -166,6 +218,8 @@ def _check_schedule(schedule) -> list[float]:
     s = [float(b) for b in schedule]
     if not s:
         raise ValueError("schedule must not be empty")
+    if not all(math.isfinite(b) for b in s):
+        raise ValueError(f"schedule entries must be finite, got {s}")
     if abs(s[0]) > 1e-12:
         raise ValueError(f"schedule must start at 0, got {s[0]}")
     for a, b in zip(s, s[1:]):
@@ -221,21 +275,27 @@ def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
     def pin(hd):
         return sum(hd[v] - hmin[v] for v in free)
 
+    moves = [0, 0]  # accepted, proposed
+
+    def mix(hd, rng, beta, kappa, nsteps):
+        moves[0] += _mix(region, hd, rng, w, beta, kappa, nsteps)
+        moves[1] += nsteps
+
     def run_particle(rng: np.random.Generator) -> float:
         hd = dict(hmin)
         lw = 0.0
         if baseline == "exact":
             # no pinning ladder: burn in to the uniform measure directly
-            _mix(region, hd, rng, w, 0.0, 0.0, 20 * len(region.vertices) ** 2)
+            mix(hd, rng, 0.0, 0.0, 20 * len(region.vertices) ** 2)
         # leg one: release the pin (target at kappa_max is the start point)
         for k0, k1 in zip(kappas, kappas[1:]):
-            _mix(region, hd, rng, w, 0.0, k0, steps)
+            mix(hd, rng, 0.0, k0, steps)
             lw += (k0 - k1) * pin(hd)
         if len(kappas) > 1:
-            _mix(region, hd, rng, w, 0.0, kappas[-1], steps)
+            mix(hd, rng, 0.0, kappas[-1], steps)
         # leg two: turn on the weights
         for b0, b1 in zip(sched, sched[1:]):
-            _mix(region, hd, rng, w, b0, 0.0, steps)
+            mix(hd, rng, b0, 0.0, steps)
             lw += (b1 - b0) * tiling_weight(
                 HeightFunction(region, hd, validate=False), w)
         return lw
@@ -255,4 +315,5 @@ def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
     stderr = float(math.sqrt(max((particles - 1) * jack.var(), 0.0)))
     value = total + (log_count if log_count is not None else 0.0)
     return LogZEstimate(value, stderr, particles, tuple(sched), baseline,
-                        log_count=log_count, kappa_levels=tuple(kappas))
+                        log_count=log_count, kappa_levels=tuple(kappas),
+                        acceptance=moves[0] / moves[1] if moves[1] else 0.0)

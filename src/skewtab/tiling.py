@@ -53,11 +53,33 @@ class Lozenge(NamedTuple):
     y: int
 
 
+class MoveTable(NamedTuple):
+    """Integer form of a region's single-site moves.
+
+    Row r belongs to free[r] and reads (k, a, b, c, x, y, z, m_v, m_q):
+    k is the vertex's index into `order` (the sorted vertices), a, b, c
+    index its -e1, -e2, -e3 neighbours and x, y, z its +e1, +e2, +e3
+    neighbours, and m_v, m_q are 1 when v and v + e3 are masked.  Every
+    free vertex sits inside a chain, so its -e3 and +e3 neighbours exist;
+    a missing -e1 or -e2 neighbour is replaced by the -e3 one and a
+    missing +e1 or +e2 neighbour by the +e3 one, which bound nothing the
+    e3 neighbours do not already bound.  So with heights h,
+
+        lo = max(h[a], h[b], h[c] + m_v, h[x] - 1, h[y] - 1, h[z] - 1)
+        hi = min(h[a] + 1, h[b] + 1, h[c] + 1, h[x], h[y], h[z] - m_q)
+
+    is `_flip_interval` without a membership test.
+    """
+
+    order: tuple[Vertex, ...]
+    rows: tuple[tuple[int, ...], ...]
+
+
 class Region:
     """Vertex set, pinned boundary and mask for one skew shape."""
 
     __slots__ = ("shape", "vertices", "fixed", "free", "masked", "chains",
-                 "depth", "_up", "_down")
+                 "depth", "_up", "_down", "_moves")
 
     def __init__(self, shape, vertices, fixed, free, masked, chains, depth):
         self.shape = shape
@@ -69,6 +91,7 @@ class Region:
         self.depth = depth
         self._up = None
         self._down = None
+        self._moves = None
 
     def up_triangles(self) -> tuple[Vertex, ...]:
         """Roots p of upward triangles {p, p+e1, p+e3} inside the region."""
@@ -89,6 +112,23 @@ class Region:
                 if (q[0], q[1] + 1) in vs and (q[0] + 1, q[1] + 1) in vs
             )
         return self._down
+
+    def moves(self) -> MoveTable:
+        """The move table of the free vertices, built on first use."""
+        if self._moves is None:
+            order = tuple(sorted(self.vertices))
+            at = {v: k for k, v in enumerate(order)}
+            rows = []
+            for v in self.free:
+                i, j = v
+                q = (i + 1, j + 1)
+                c, z = at[(i - 1, j - 1)], at[q]
+                rows.append((at[v], at.get((i - 1, j), c),
+                             at.get((i, j - 1), c), c, at.get((i + 1, j), z),
+                             at.get((i, j + 1), z), z,
+                             int(v in self.masked), int(q in self.masked)))
+            self._moves = MoveTable(order, tuple(rows))
+        return self._moves
 
     def mask_ok(self, h: dict) -> bool:
         """True if every masked e3 edge gains 1 under h."""
@@ -431,7 +471,7 @@ def heights_to_tiling(h: HeightFunction) -> Tiling:
     lozenges = []
     for p in region.up_triangles():
         typ, anchor = _decode_up(p, hd)
-        lozenges.append(Lozenge(typ, anchor[0], anchor[1]))
+        lozenges.append((typ, anchor[0], anchor[1]))
         i, j = p
         q = (i, j) if typ == 3 else ((i + 1, j) if typ == 1 else (i, j - 1))
         if q in claimed:
@@ -445,7 +485,7 @@ def heights_to_tiling(h: HeightFunction) -> Tiling:
             "inconsistent heights: some down triangles are left uncovered "
             "(do the heights agree with the pinned boundary?)"
         )
-    return Tiling(sorted(lozenges), region)
+    return Tiling(lozenges, region)
 
 
 def type_counts(h: HeightFunction) -> tuple[int, int, int]:

@@ -396,29 +396,38 @@ class _Group:
 
 
 def _groups(mesh: MeshProfile, rho_tri: np.ndarray) -> list[_Group]:
-    incid: list[list[tuple[int, int]]] = [[] for _ in range(len(mesh.xy))]
-    for t_idx, tri in enumerate(mesh.tris):
-        for slot, v in enumerate(tri):
-            incid[v].append((t_idx, slot))
+    tris = mesh.tris
+    # every (vertex, triangle, slot) incidence, grouped by vertex with the
+    # triangles in mesh order; a node keeps its first six
+    vert = tris.ravel()
+    by_vertex = np.argsort(vert, kind="stable")
+    vert = vert[by_vertex]
+    tri_of, slot = np.divmod(by_vertex, 3)
+    first = np.searchsorted(vert, np.arange(len(mesh.xy)))
+    row = np.arange(len(vert)) - first[vert]
     color = (mesh.ij[:, 0] + mesh.ij[:, 1]) % 3
     out = []
     for c in range(3):
         nodes = np.nonzero(mesh.free & (color == c))[0]
+        col_of = np.full(len(mesh.xy), -1)
+        col_of[nodes] = np.arange(len(nodes))
+        sel = (row < 6) & (col_of[vert] >= 0)
+        r, col, t, i = row[sel], col_of[vert[sel]], tri_of[sel], slot[sel]
         fall_at = np.tile(nodes.astype(np.int32), (6, 1))
         rise_at = fall_at.copy()
+        fall_at[r, col] = tris[t, (i + 1) % 3]
+        rise_at[r, col] = tris[t, (i - 1) % 3]
         fall_off = np.zeros(fall_at.shape)
         rise_off = np.zeros(fall_at.shape)
+        fall_off[r, col] = mesh.ell * (i == 2)
+        rise_off[r, col] = mesh.ell * (i == 0)
         valid = np.zeros(fall_at.shape, dtype=bool)
+        valid[r, col] = True
+        terms = np.zeros(fall_at.shape)
+        terms[r, col] = rho_tri[t] * (i - 1)
         rho_sum = np.zeros(len(nodes))
-        for col, v in enumerate(nodes):
-            for row, (t_idx, slot) in enumerate(incid[v][:6]):
-                tri = mesh.tris[t_idx]
-                fall_at[row, col] = tri[(slot + 1) % 3]
-                rise_at[row, col] = tri[(slot - 1) % 3]
-                fall_off[row, col] = mesh.ell * (slot == 2)
-                rise_off[row, col] = mesh.ell * (slot == 0)
-                valid[row, col] = True
-                rho_sum[col] += rho_tri[t_idx] * (slot - 1)
+        for k in range(6):  # column by column, as a running sum
+            rho_sum += terms[k]
         out.append(_Group(nodes, fall_at, fall_off, rise_at, rise_off, valid,
                           rho_sum))
     return out

@@ -8,7 +8,10 @@ weights over every enumerated tiling, the exponential baseline that the
 package's determinant engine for tiling sums replaces.  `dsig` and
 `node_derivative` differentiate the variational functional one triangle
 at a time through the entropy gradient, with a log per slope: the route
-the solver's log-free node kernel replaces.
+the solver's log-free node kernel replaces; `groups_reference` builds
+its incidence columns node by node.  `mix_reference` is the
+dict-keyed Metropolis loop on `_flip_interval` and `_delta_logw` that the
+sampler's move-table loop replaces, fed the same chunked draws.
 """
 import math
 from fractions import Fraction
@@ -16,7 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from skewtab.tiling import iter_flat_cells
+from skewtab.sampler import CHUNK, _delta_logw
+from skewtab.tiling import _flip_interval, iter_flat_cells
+from skewtab.varsolve import _Group
 
 
 def naive_count(outer, inner=()) -> int:
@@ -131,3 +136,60 @@ def node_derivative(mesh, rho_tri, v, x) -> float:
         ds, dt = dsig(s, t)
         total += ds * sc + dt * tc - rho_tri[k] * (sc + tc)
     return 0.5 * ell * total
+
+
+def groups_reference(mesh, rho_tri) -> list:
+    """varsolve._groups by a Python loop over triangles and nodes."""
+    incid: list[list[tuple[int, int]]] = [[] for _ in range(len(mesh.xy))]
+    for t_idx, tri in enumerate(mesh.tris):
+        for slot, v in enumerate(tri):
+            incid[v].append((t_idx, slot))
+    color = (mesh.ij[:, 0] + mesh.ij[:, 1]) % 3
+    out = []
+    for c in range(3):
+        nodes = np.nonzero(mesh.free & (color == c))[0]
+        fall_at = np.tile(nodes.astype(np.int32), (6, 1))
+        rise_at = fall_at.copy()
+        fall_off = np.zeros(fall_at.shape)
+        rise_off = np.zeros(fall_at.shape)
+        valid = np.zeros(fall_at.shape, dtype=bool)
+        rho_sum = np.zeros(len(nodes))
+        for col, v in enumerate(nodes):
+            for row, (t_idx, slot) in enumerate(incid[v][:6]):
+                tri = mesh.tris[t_idx]
+                fall_at[row, col] = tri[(slot + 1) % 3]
+                rise_at[row, col] = tri[(slot - 1) % 3]
+                fall_off[row, col] = mesh.ell * (slot == 2)
+                rise_off[row, col] = mesh.ell * (slot == 0)
+                valid[row, col] = True
+                rho_sum[col] += rho_tri[t_idx] * (slot - 1)
+        out.append(_Group(nodes, fall_at, fall_off, rise_at, rise_off, valid,
+                          rho_sum))
+    return out
+
+
+def mix_reference(region, hd, rng, w, beta, kappa, nsteps) -> int:
+    """sampler._mix by tuple-keyed lookups: same draws, same chain."""
+    free = region.free
+    if not free:
+        return 0
+    accepted = 0
+    left = nsteps
+    while left > 0:
+        m = min(left, CHUNK)
+        left -= m
+        picks = rng.integers(len(free), size=m).tolist()
+        us = rng.random(m).tolist()
+        for r, u in zip(picks, us):
+            v = free[r]
+            lo, hi = _flip_interval(region, hd, v)
+            if hi <= lo:
+                continue
+            new = lo + hi - hd[v]
+            d = beta * _delta_logw(region, hd, v, new, w) if beta else 0.0
+            if kappa:
+                d -= kappa * (new - hd[v])
+            if d >= 0 or u < math.exp(d):
+                hd[v] = new
+                accepted += 1
+    return accepted

@@ -15,9 +15,113 @@ from skewtab import (
     tiling_weight,
     uniform_weights,
 )
-from skewtab.sampler import _delta_logw
+from skewtab.sampler import CHUNK, _delta_logw, _mix, _rng
 from skewtab.shapes import thick_hook_shape
-from skewtab.tiling import build_region, enumerate_H, flip
+from skewtab.tiling import (Region, _flip_interval, build_region, enumerate_H,
+                            extend, flip, minimal_extension)
+
+from _naive import mix_reference
+
+
+def _table_interval(row, h):
+    """(lo, hi) of a move-table row, as documented on MoveTable."""
+    k, a, b, c, x, y, z, mv, mq = row
+    return (max(h[a], h[b], h[c] + mv, h[x] - 1, h[y] - 1, h[z] - 1),
+            min(h[a] + 1, h[b] + 1, h[c] + 1, h[x], h[y], h[z] - mq))
+
+
+def _trimmed(region):
+    """The region without its two outermost chains, masked only at the top
+    masked vertex of each chain.
+
+    No region of a skew shape looks like this: free vertices next to the
+    dropped chains lose -e1, -e2 or +e1 neighbours, and a masked vertex
+    can sit above an unmasked one.
+    """
+    drop = set(region.chains[min(region.chains)])
+    drop |= set(region.chains[max(region.chains)])
+    assert not drop & set(region.free)
+    chains = {d: c for d, c in region.chains.items()
+              if not drop.issuperset(c)}
+    fixed = {v: x for v, x in region.fixed.items() if v not in drop}
+    masked = {next(v for v in c if v in region.masked)
+              for c in chains.values() if region.masked.intersection(c)}
+    return Region(region.shape, region.vertices - drop, fixed, region.free,
+                  frozenset(masked), chains, region.depth)
+
+
+def _lone_chain():
+    """One chain of six vertices from height 0 to 3, masked at (2, 2) only.
+
+    A fall at (2, 2) from 1 to 0 is barred by its own mask bit alone when
+    h(3, 3) = 1, and there is no e1 or e2 neighbour anywhere.
+    """
+    chain = tuple((t, t) for t in range(6))
+    return Region(SkewShape([1], []), frozenset(chain),
+                  {chain[0]: 0, chain[-1]: 3}, chain[1:-1],
+                  frozenset([(2, 2)]), {0: chain}, 3)
+
+
+def _kernel_regions():
+    """th(2,2,2), 3,3,2/2,1, a lone chain and 30 seeded random shapes,
+    every third of them trimmed."""
+    regions = [build_region(thick_hook_shape(2, 2, 2)),
+               build_region(SkewShape([3, 3, 2], [2, 1])), _lone_chain()]
+    rng = random.Random(7)
+    while len(regions) < 33:
+        lam = sorted((rng.randint(1, 7) for _ in range(rng.randint(2, 7))),
+                     reverse=True)
+        mu = sorted((rng.randint(0, v) for v in lam), reverse=True)
+        try:
+            sh = SkewShape(lam, mu)
+        except ValueError:
+            continue
+        reg = build_region(sh)
+        if not sh.inner or not 3 <= len(reg.free) <= 40:
+            continue
+        regions.append(_trimmed(reg) if len(regions) % 3 == 1 else reg)
+    return regions
+
+
+def test_move_table_interval_matches_flip_interval():
+    reg = build_region(thick_hook_shape(2, 2, 2))
+    table = reg.moves()
+    assert [table.order[row[0]] for row in table.rows] == list(reg.free)
+    states = enumerate_H(reg.shape)
+    assert len(states) == 20
+    for hf in states:
+        h = [hf[u] for u in table.order]
+        for v, row in zip(reg.free, table.rows):
+            assert _table_interval(row, h) == _flip_interval(reg, hf.h, v)
+
+
+def test_mix_matches_dict_reference():
+    """Same chunked draws, same chain, state for state, across a chunk edge."""
+    regions = _kernel_regions()
+    assert sum(1 for r in regions if r.masked) >= 20
+    missing = moved = 0
+    for reg in regions:
+        w = hook_weights(reg.shape, scale=reg.shape.size)
+        vs = reg.vertices
+        missing += any(p not in vs for i, j in reg.free
+                       for p in ((i - 1, j), (i, j - 1), (i + 1, j), (i, j + 1)))
+        for seed, (beta, kappa) in enumerate([(1.0, 0.0), (0.0, 3.0),
+                                              (0.4, 0.0), (0.7, 1.5)]):
+            fast = minimal_extension(reg.fixed, reg).h
+            if not reg.mask_ok(fast):
+                fast = extend(reg.fixed, reg).h
+            slow = dict(fast)
+            n = CHUNK + 5
+            acc = _mix(reg, fast, _rng(seed), w, beta, kappa, n)
+            assert acc == mix_reference(reg, slow, _rng(seed), w, beta,
+                                        kappa, n)
+            assert fast == slow, (reg, beta, kappa)
+            moved += acc > 0
+            table = reg.moves()
+            h = [fast[u] for u in table.order]
+            for v, row in zip(reg.free, table.rows):
+                assert _table_interval(row, h) == _flip_interval(reg, fast, v)
+    assert missing >= 5 and moved >= 120
 
 
 def test_detailed_balance_exact_log_domain(s332_21):
@@ -142,14 +246,23 @@ def test_estimate_logZ_schedule_validation(s332_21):
         estimate_logZ(s332_21, schedule=[0.5, 1.0], particles=4, seed=0)
     with pytest.raises(ValueError):
         estimate_logZ(s332_21, schedule=[0.0, 0.6, 0.5], particles=4, seed=0)
+    for bad in ([0.0, float("nan"), 1.0], [0.0, 0.5, float("inf")],
+                [float("nan"), 1.0]):
+        with pytest.raises(ValueError):
+            estimate_logZ(s332_21, schedule=bad, particles=4)
     for bad in ({"sweeps_per_level": 0}, {"sweeps_per_level": -3},
                 {"kappa_segments": 0}):
         with pytest.raises(ValueError):
             estimate_logZ(thick_hook_shape(2, 2, 2), particles=4, **bad)
 
 
+def test_estimate_logZ_acceptance(s332_21):
+    est = estimate_logZ(s332_21, particles=4, seed=0)
+    assert 0.0 < est.acceptance <= 1.0
+
+
 def test_no_free_vertices_degenerate():
     est = estimate_logZ(SkewShape([3, 2], []), particles=8, seed=0)
-    assert est.value == 0.0 and est.stderr == 0.0
+    assert est.value == 0.0 and est.stderr == 0.0 and est.acceptance == 0.0
     tilings = sample(SkewShape([3, 2], []), n_samples=3)
     assert len(tilings) == 3 and tilings[0] == tilings[1] == tilings[2]

@@ -29,7 +29,7 @@ from skewtab.varsolve import (
     evaluate_psi,
 )
 
-from _naive import node_derivative
+from _naive import groups_reference, node_derivative
 
 
 HEX_PSI = 4.5 * math.log(3.0) - 6.0 * math.log(2.0)
@@ -173,9 +173,28 @@ def test_evaluate_psi_on_flat_data():
     assert solved.psi_value > base
 
 
-@pytest.mark.parametrize("functional", [
+MESH16_PROBLEMS = pytest.mark.parametrize("functional", [
     unit_hexagon_functional(), build_functional(thick_hook_profile(1.0, 1.0))],
     ids=["hexagon", "thick-hook"])
+
+
+@MESH16_PROBLEMS
+def test_groups_match_loop(functional):
+    mesh = _build_mesh(functional.polygon, functional.bbox / 16,
+                       functional.gamma)
+    rho_tri = (functional.rho(mesh.cent[:, 0], mesh.cent[:, 1])
+               if functional.rho is not None else np.zeros(len(mesh.tris)))
+    got, want = _groups(mesh, rho_tri), groups_reference(mesh, rho_tri)
+    assert len(got) == len(want) == 3
+    for g, r in zip(got, want):
+        assert len(g.nodes) > 0 and g.valid.any()
+        for name in ("nodes", "fall_at", "fall_off", "rise_at", "rise_off",
+                     "valid", "rho_sum"):
+            a, b = getattr(g, name), getattr(r, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@MESH16_PROBLEMS
 def test_node_kernel_against_oracle(functional):
     mesh = maximize(functional, mesh_n=16, tol=1e-3)
     rho_tri = (functional.rho(mesh.cent[:, 0], mesh.cent[:, 1])
