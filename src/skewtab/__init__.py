@@ -10,7 +10,6 @@ from .shapes import (
     SkewShape,
     StableProfile,
     hook_table,
-    scaled_hook,
     square_profile,
     stable_family,
     thick_hook_profile,
@@ -39,13 +38,11 @@ from .tiling import (
     flip,
     heights_to_tiling,
     minimal_extension,
-    skew_boundary,
     type_counts,
 )
 from .nhlf import (
     PartitionFunction,
     WeightField,
-    cap_gap,
     cap_gaps,
     capped_weights,
     count_nhlf,

@@ -240,6 +240,3 @@ def cap_gaps(shape, N: int, eps_list: Iterable[float]) -> list[float]:
     return [_log_ratio(partition_function(region, w).z, z) / N
             for w in capped]
 
-
-def cap_gap(shape, N: int, eps: float) -> float:
-    return cap_gaps(shape, N, [eps])[0]

@@ -3,8 +3,8 @@
 One proposal loop, `_mix`, serves every chain in this module.  It
 proposes, at a uniformly random free vertex, the other legal height value
 (each free vertex has at most two), and accepts with the Metropolis rule
-min(1, exp(beta * delta log weight - kappa * delta height)).  The proposal
-is its own inverse, so detailed balance holds for any weight field.
+min(1, exp(beta * delta log weight)).  The proposal is its own inverse,
+so detailed balance holds for any weight field.
 
 The loop runs on integers.  The region's move table (`Region.moves`)
 gives each free vertex its index and those of its six neighbours in one
@@ -20,23 +20,25 @@ m = min(remaining, CHUNK) proposals, m row indices
 proposal is accepted when its uniform lies below its acceptance
 probability.  The same draws give the same chain as the dict-keyed loop
 on `_flip_interval` and `_delta_logw` (kept as `mix_reference` in the
-test oracles).  The block draws changed every seeded output of `sample`
-and `estimate_logZ` when they replaced one scalar draw per proposal; the
-chain's law did not change.
+test oracles).
 
-`sample` runs the loop at beta = 1, kappa = 0 for burn-in and thinning.
-`estimate_logZ` runs it inside a two leg annealed importance sampler.  Leg
-one starts from the pointwise lowest height function, whose pinning
-potential kappa * (sum of heights) makes the start distribution
-effectively a point mass, and relaxes the pin along a ladder of decreasing
-strengths kappa; leg two turns on the weight field along an inverse
+Both public chains start at the pointwise lowest height function and
+burn in for `_burn_in(region)` = 20 * (number of vertices)^2 proposals.
+`sample` runs the loop at beta = 1 for burn-in and thinning.
+`estimate_logZ` is an annealed importance sampler (Neal, Stat. Comput.
+11, 2001) whose base measure is the uniform one, with its log state count
+taken exactly from the determinant engine.  One beta = 0 chain supplies
+the particle starts, one every sweeps_per_level sweeps after its burn-in,
+so each start is marginally uniform and each importance weight unbiased;
+each particle then anneals on its own generator along the inverse
 temperature schedule beta.  Jackknife resampling over particles gives the
 standard error, and the estimate carries the run's acceptance rate.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,15 +74,29 @@ def _delta_logw(region, hd: dict, v, new: int, w: WeightField) -> float:
     return delta
 
 
+def _burn_in(region) -> int:
+    """Burn-in of every chain started at the lowest height function."""
+    return 20 * len(region.vertices) ** 2
+
+
+def _count(name: str, value, least: int) -> int:
+    """value as an int, rejecting non-integers (bools too) and values
+    below least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _mix(region, hd: dict, rng: np.random.Generator, w: WeightField,
-         beta: float, kappa: float, nsteps: int) -> int:
+         beta: float, nsteps: int) -> int:
     """Run nsteps Metropolis proposals on the heights hd, in place.
 
-    The log acceptance of a proposal is beta times its weight change minus
-    kappa times its height change.  Randomness is drawn in chunks of
-    m = min(remaining, CHUNK): m rows of the move table, then m uniforms;
-    a region without free vertices draws nothing.  Returns the number of
-    accepted flips.
+    The log acceptance of a proposal is beta times its weight change.
+    Randomness is drawn in chunks of m = min(remaining, CHUNK): m rows of
+    the move table, then m uniforms; a region without free vertices draws
+    nothing.  Returns the number of accepted flips.
     """
     free = region.free
     if not free:
@@ -94,11 +110,10 @@ def _mix(region, hd: dict, rng: np.random.Generator, w: WeightField,
         logs = w.cell_logs
         gain = [beta * (logs.get((i + 1, j + 1), 0.0) - logs.get((i, j), 0.0))
                 for i, j in free]
-        rise = [math.exp(min(0.0, g - kappa)) for g in gain]
-        fall = [math.exp(min(0.0, kappa - g)) for g in gain]
+        rise = [math.exp(min(0.0, g)) for g in gain]
+        fall = [math.exp(min(0.0, -g)) for g in gain]
     else:
-        rise = [math.exp(min(0.0, -kappa))] * len(free)
-        fall = [math.exp(min(0.0, kappa))] * len(free)
+        rise = fall = [1.0] * len(free)
     accepted = 0
     left = nsteps
     while left > 0:
@@ -136,26 +151,27 @@ def sample(shape, w: WeightField | None = None, burn_in: int | None = None,
 
     The chain starts at the pointwise lowest height function.  Defaults:
     burn_in = 20 * (number of vertices)^2 proposals, thinning of one sweep
-    (one proposal per free vertex) between draws.  Fixed seed, fixed
-    output.
+    (one proposal per free vertex) between draws.  Counts must be integers.
+    Fixed seed, fixed output.
     """
     region = _as_region(shape)
     if w is None:
         w = uniform_weights()
     if burn_in is None:
-        burn_in = 20 * len(region.vertices) ** 2
+        burn_in = _burn_in(region)
     if thin is None:
         thin = max(1, len(region.free))
-    if burn_in < 0 or thin < 1 or n_samples < 0:
-        raise ValueError("burn_in >= 0, thin >= 1 and n_samples >= 0 required")
+    burn_in = _count("burn_in", burn_in, 0)
+    thin = _count("thin", thin, 1)
+    n_samples = _count("n_samples", n_samples, 0)
     hd = minimal_extension(region.fixed, region).h
     if not region.mask_ok(hd):
         raise ValueError("lowest extension leaves the support mask")
     rng = _rng(seed)
-    _mix(region, hd, rng, w, 1.0, 0.0, burn_in)
+    _mix(region, hd, rng, w, 1.0, burn_in)
     out = []
     for _ in range(n_samples):
-        _mix(region, hd, rng, w, 1.0, 0.0, thin)
+        _mix(region, hd, rng, w, 1.0, thin)
         out.append(heights_to_tiling(HeightFunction(region, hd,
                                                     validate=False)))
     return out
@@ -205,9 +221,7 @@ class LogZEstimate:
     stderr: float
     particles: int
     schedule: tuple
-    baseline: str
-    log_count: float | None = None
-    kappa_levels: tuple = field(default=(), repr=False)
+    log_count: float  # exact log of the number of tilings
     acceptance: float = 0.0  # accepted / proposed flips over the whole run
 
     def __float__(self) -> float:
@@ -232,77 +246,56 @@ def _check_schedule(schedule) -> list[float]:
 
 def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
                   sweeps_per_level: int = 12, particles: int = 64,
-                  seed: int = 0, baseline: str = "mcmc",
-                  kappa_segments: int = 24) -> LogZEstimate:
+                  seed: int = 0) -> LogZEstimate:
     """Annealed importance sampling estimate of log Z with standard error.
 
-    baseline = "mcmc" reaches the uniform measure through a pinning ladder
-    estimated by the same annealing run; baseline = "exact" substitutes the
-    exact state count from the determinant engine, which enumerates
-    nothing and so needs no guard.  A schedule
-    stopping short of 1 estimates the partially tempered partition function.
+    The anneal runs from the uniform measure, whose log normalizer is the
+    exact state count from the determinant engine (it enumerates nothing,
+    so it needs no guard), to the weight field's Gibbs measure.  One
+    beta = 0 chain, burned in for `sample`'s default burn-in, hands out a
+    particle start every sweeps_per_level sweeps; each particle then
+    anneals on its own generator with sweeps_per_level sweeps per schedule
+    level.  A
+    schedule stopping short of 1 estimates the partially tempered
+    partition function.  Counts must be integers.
     """
     region = _as_region(shape)
     if w is None:
         w = uniform_weights()
     sched = _check_schedule(schedule if schedule is not None
                             else np.linspace(0.0, 1.0, 17))
-    if baseline not in ("mcmc", "exact"):
-        raise ValueError(f"unknown baseline {baseline!r}")
-    if particles < 2:
-        raise ValueError("need at least 2 particles for a standard error")
-    if sweeps_per_level < 1 or kappa_segments < 1:
-        raise ValueError("sweeps_per_level and kappa_segments must be >= 1")
+    particles = _count("particles", particles, 2)
+    sweeps_per_level = _count("sweeps_per_level", sweeps_per_level, 1)
     free = region.free
-    hmin = minimal_extension(region.fixed, region).h
+    hd = minimal_extension(region.fixed, region).h
     if not free:
         value = sched[-1] * tiling_weight(
-            HeightFunction(region, hmin, validate=False), w)
-        return LogZEstimate(value, 0.0, particles, tuple(sched), baseline,
+            HeightFunction(region, hd, validate=False), w)
+        return LogZEstimate(value, 0.0, particles, tuple(sched),
                             log_count=0.0)
 
-    log_count = None
-    if baseline == "exact":
-        log_count = partition_function(region, uniform_weights()).value
-        kappas = [0.0]
-    else:
-        kappa_max = len(free) * math.log(region.depth + 1) + 40.0
-        kappas = [kappa_max * (1.0 - t / kappa_segments) ** 2
-                  for t in range(kappa_segments + 1)]
-
+    log_count = partition_function(region, uniform_weights()).value
     steps = sweeps_per_level * len(free)
-
-    def pin(hd):
-        return sum(hd[v] - hmin[v] for v in free)
-
     moves = [0, 0]  # accepted, proposed
 
-    def mix(hd, rng, beta, kappa, nsteps):
-        moves[0] += _mix(region, hd, rng, w, beta, kappa, nsteps)
+    def mix(h, rng, beta, nsteps):
+        moves[0] += _mix(region, h, rng, w, beta, nsteps)
         moves[1] += nsteps
 
-    def run_particle(rng: np.random.Generator) -> float:
-        hd = dict(hmin)
+    rng = _rng(seed)
+    mix(hd, rng, 0.0, _burn_in(region))
+    lws = []
+    for _ in range(particles):
+        mix(hd, rng, 0.0, steps)
+        h = dict(hd)
+        prng = _rng(int(rng.integers(2 ** 63)))
         lw = 0.0
-        if baseline == "exact":
-            # no pinning ladder: burn in to the uniform measure directly
-            mix(hd, rng, 0.0, 0.0, 20 * len(region.vertices) ** 2)
-        # leg one: release the pin (target at kappa_max is the start point)
-        for k0, k1 in zip(kappas, kappas[1:]):
-            mix(hd, rng, 0.0, k0, steps)
-            lw += (k0 - k1) * pin(hd)
-        if len(kappas) > 1:
-            mix(hd, rng, 0.0, kappas[-1], steps)
-        # leg two: turn on the weights
         for b0, b1 in zip(sched, sched[1:]):
-            mix(hd, rng, b0, 0.0, steps)
+            mix(h, prng, b0, steps)
             lw += (b1 - b0) * tiling_weight(
-                HeightFunction(region, hd, validate=False), w)
-        return lw
-
-    base_rng = _rng(seed)
-    lws = np.array([run_particle(_rng(int(base_rng.integers(2 ** 63))))
-                    for _ in range(particles)])
+                HeightFunction(region, h, validate=False), w)
+        lws.append(lw)
+    lws = np.array(lws)
     m = lws.max()
     total = float(m + math.log(np.exp(lws - m).mean()))
     # delete-one jackknife over particles
@@ -313,7 +306,6 @@ def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
         jack.append(mr + math.log(np.exp(rest - mr).mean()))
     jack = np.array(jack)
     stderr = float(math.sqrt(max((particles - 1) * jack.var(), 0.0)))
-    value = total + (log_count if log_count is not None else 0.0)
-    return LogZEstimate(value, stderr, particles, tuple(sched), baseline,
-                        log_count=log_count, kappa_levels=tuple(kappas),
-                        acceptance=moves[0] / moves[1] if moves[1] else 0.0)
+    return LogZEstimate(total + log_count, stderr, particles, tuple(sched),
+                        log_count=log_count,
+                        acceptance=moves[0] / moves[1])

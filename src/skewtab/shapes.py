@@ -199,24 +199,6 @@ def hook_table(lam) -> HookTable:
     return HookTable(lam, values)
 
 
-def scaled_hook(lam, x: float, y: float, N: int) -> float:
-    """Hook length over sqrt(N) at the cell containing the scaled point.
-
-    The point (x, y) with x, y > 0 lands in cell (ceil(x*sqrt(N)),
-    ceil(y*sqrt(N))); points mapping outside the diagram raise ValueError.
-    """
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if x <= 0 or y <= 0:
-        raise ValueError("scaled coordinates must be positive")
-    r = math.sqrt(N)
-    cell = (math.ceil(x * r), math.ceil(y * r))
-    table = hook_table(lam)
-    if cell not in table:
-        raise ValueError(f"point ({x}, {y}) maps to cell {cell} outside the diagram")
-    return table[cell] / r
-
-
 def _check_curve(points, name: str) -> tuple[tuple[float, float], ...]:
     pts = tuple((float(x), float(y)) for x, y in points)
     for i, (x, y) in enumerate(pts):
@@ -332,20 +314,6 @@ class StableProfile:
     @property
     def phi_top(self) -> float:
         return self.phi_at(0.0)
-
-    def psi_inverse(self, q: float) -> float:
-        """sup of x with psi(x) >= q (the column profile of the hypograph)."""
-        if q > self.height:
-            return 0.0
-        best = 0.0
-        for (x0, y0), (x1, y1) in zip(self.psi, self.psi[1:]):
-            if y1 >= q:
-                best = x1
-            elif y0 >= q and y0 > y1:
-                best = x0 + (x1 - x0) * (y0 - q) / (y0 - y1)
-        if self.psi[-1][1] >= q:
-            best = self.psi[-1][0]
-        return best
 
     def area(self) -> float:
         return _curve_area(self.psi) - _curve_area(self.phi)

@@ -292,51 +292,6 @@ class Tiling:
         return f"Tiling({self.counts()} of types 1/2/3)"
 
 
-class BoundaryCurve:
-    """The pinned boundary cycle of a region: ((vertex, height), ...)."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points):
-        self.points = tuple((tuple(v), int(hv)) for v, hv in points)
-
-    def as_dict(self) -> dict[Vertex, int]:
-        return {v: hv for v, hv in self.points}
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __repr__(self) -> str:
-        return f"BoundaryCurve({len(self.points)} points)"
-
-
-def skew_boundary(shape: SkewShape) -> BoundaryCurve:
-    """Pinned boundary heights of the shape's region, as one closed cycle.
-
-    The cycle walks the chain heads (top staircase), descends the lowest
-    diagonal, walks the chain tails (bottom staircase) and climbs back up
-    the highest diagonal.  For the empty inner shape this degenerates to
-    the single pinned vertex.
-    """
-    region = _as_region(shape)
-    deltas = sorted(region.chains)
-    lo, hi = deltas[0], deltas[-1]
-    seq: list[Vertex] = []
-    for d in range(hi, -1, -1):
-        seq.append((0, d))
-    for d in range(-1, lo - 1, -1):
-        seq.append((-d, 0))
-    seq.extend(region.chains[lo][1:])
-    for d in range(lo + 1, hi + 1):
-        seq.append(region.chains[d][-1])
-    seq.extend(reversed(region.chains[hi][1:-1]))
-    uniq = list(dict.fromkeys(seq))
-    return BoundaryCurve((v, region.fixed[v]) for v in uniq)
-
-
 def _cone_max(dz0, dz1):
     return np.maximum(np.maximum(dz0, dz1), 0)
 
@@ -583,8 +538,3 @@ def enumerate_H(shape, guard: int = ENUM_GUARD) -> list[HeightFunction]:
         for h in iter_height_maps(region, guard)
     ]
 
-
-def count_heights(shape, guard: int | None = None) -> int:
-    """Number of height functions (tilings) without materializing them."""
-    region = _as_region(shape)
-    return sum(1 for _ in iter_height_maps(region, guard))

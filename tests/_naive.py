@@ -168,7 +168,7 @@ def groups_reference(mesh, rho_tri) -> list:
     return out
 
 
-def mix_reference(region, hd, rng, w, beta, kappa, nsteps) -> int:
+def mix_reference(region, hd, rng, w, beta, nsteps) -> int:
     """sampler._mix by tuple-keyed lookups: same draws, same chain."""
     free = region.free
     if not free:
@@ -187,8 +187,6 @@ def mix_reference(region, hd, rng, w, beta, kappa, nsteps) -> int:
                 continue
             new = lo + hi - hd[v]
             d = beta * _delta_logw(region, hd, v, new, w) if beta else 0.0
-            if kappa:
-                d -= kappa * (new - hd[v])
             if d >= 0 or u < math.exp(d):
                 hd[v] = new
                 accepted += 1

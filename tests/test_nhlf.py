@@ -19,7 +19,7 @@ from skewtab import (
     tiling_weight,
     uniform_weights,
 )
-from skewtab.nhlf import _det, _log_ratio, _tiling_sum, cap_gap, cap_gaps
+from skewtab.nhlf import _det, _log_ratio, _tiling_sum, cap_gaps
 from skewtab.shapes import hook_table
 from skewtab.tiling import enumerate_H, iter_flat_cells, build_region
 
@@ -131,9 +131,9 @@ def test_cap_gap_properties(s332_21):
     assert gaps[2] <= gaps[1] <= gaps[0]
     for eps, g in zip([0.5, 0.25, 0.1], gaps):
         assert g <= eps * eps * (1 - math.log(eps)) + 1e-12
-    assert cap_gap(s332_21, n, 0.25) == gaps[1]
+    assert cap_gaps(s332_21, n, [0.25])[0] == gaps[1]
     # eps = 1 caps everything below sqrt(N), still bounded
-    assert cap_gap(s332_21, n, 1.0) <= 1.0 * (1 - 0.0) + 1e-12
+    assert cap_gaps(s332_21, n, [1.0])[0] <= 1.0 * (1 - 0.0) + 1e-12
 
 
 def _random_weights(sh, rng):
@@ -224,7 +224,7 @@ def test_cap_gap_resolves_tiny_ratios():
     eps = math.exp(floor)
     for _ in range(4):
         eps = math.nextafter(eps, 1.0)
-    gap = cap_gap(sh, n, eps)
+    gap = cap_gaps(sh, n, [eps])[0]
     z = partition_function(sh, hook_weights(sh, scale=n)).z
     zc = partition_function(sh, capped_weights(sh, n, eps)).z
     assert zc > z

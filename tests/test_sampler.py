@@ -105,17 +105,15 @@ def test_mix_matches_dict_reference():
         vs = reg.vertices
         missing += any(p not in vs for i, j in reg.free
                        for p in ((i - 1, j), (i, j - 1), (i + 1, j), (i, j + 1)))
-        for seed, (beta, kappa) in enumerate([(1.0, 0.0), (0.0, 3.0),
-                                              (0.4, 0.0), (0.7, 1.5)]):
+        for seed, beta in enumerate([1.0, 0.0, 0.4, 2.5]):
             fast = minimal_extension(reg.fixed, reg).h
             if not reg.mask_ok(fast):
                 fast = extend(reg.fixed, reg).h
             slow = dict(fast)
             n = CHUNK + 5
-            acc = _mix(reg, fast, _rng(seed), w, beta, kappa, n)
-            assert acc == mix_reference(reg, slow, _rng(seed), w, beta,
-                                        kappa, n)
-            assert fast == slow, (reg, beta, kappa)
+            acc = _mix(reg, fast, _rng(seed), w, beta, n)
+            assert acc == mix_reference(reg, slow, _rng(seed), w, beta, n)
+            assert fast == slow, (reg, beta)
             moved += acc > 0
             table = reg.moves()
             h = [fast[u] for u in table.order]
@@ -217,24 +215,23 @@ def test_estimate_logZ_weighted():
 
 
 def test_estimate_logZ_exact_baseline(s332_21):
-    est = estimate_logZ(s332_21, particles=32, seed=3, baseline="exact")
-    assert est.log_count is not None
+    est = estimate_logZ(s332_21, particles=32, seed=3)
     assert abs(est.log_count - math.log(5)) < 1e-12
     assert abs(est.value - math.log(5)) < 1.0
 
 
 def test_estimate_logZ_exact_baseline_matches_enumeration():
     shape = thick_hook_shape(2, 2, 2)
-    est = estimate_logZ(shape, particles=4, seed=1, baseline="exact",
-                        schedule=[0.0, 1.0], sweeps_per_level=2)
+    est = estimate_logZ(shape, particles=4, seed=1, schedule=[0.0, 1.0],
+                        sweeps_per_level=2)
     assert abs(est.log_count - math.log(len(enumerate_H(shape)))) < 1e-12
 
 
 def test_estimate_logZ_exact_baseline_beyond_enumeration():
     # about 1.5e12 tilings: the count comes from the determinant engine
     shape = thick_hook_shape(6, 6, 6)
-    est = estimate_logZ(shape, particles=2, seed=2, baseline="exact",
-                        schedule=[0.0, 1.0], sweeps_per_level=1)
+    est = estimate_logZ(shape, particles=2, seed=2, schedule=[0.0, 1.0],
+                        sweeps_per_level=1)
     exact = partition_function(shape, uniform_weights()).value
     assert exact > math.log(1e12)
     assert est.log_count == exact
@@ -251,9 +248,37 @@ def test_estimate_logZ_schedule_validation(s332_21):
         with pytest.raises(ValueError):
             estimate_logZ(s332_21, schedule=bad, particles=4)
     for bad in ({"sweeps_per_level": 0}, {"sweeps_per_level": -3},
-                {"kappa_segments": 0}):
+                {"sweeps_per_level": 1.5}, {"sweeps_per_level": True},
+                {"particles": 2.5}, {"particles": 1}):
+        kwargs = {"particles": 4, **bad}
         with pytest.raises(ValueError):
-            estimate_logZ(thick_hook_shape(2, 2, 2), particles=4, **bad)
+            estimate_logZ(thick_hook_shape(2, 2, 2), **kwargs)
+    with pytest.raises(ValueError):
+        estimate_logZ(s332_21, particles=2.5)
+
+
+def test_sample_count_validation(s332_21):
+    for bad in ({"burn_in": -1}, {"burn_in": 2.5}, {"thin": 0},
+                {"thin": 1.5}, {"n_samples": -1}, {"n_samples": 2.5},
+                {"n_samples": True}):
+        with pytest.raises(ValueError):
+            sample(s332_21, **bad)
+    assert len(sample(s332_21, burn_in=np.int64(3), n_samples=2)) == 2
+
+
+def test_estimate_logZ_coverage():
+    """Twenty fixed seeds on hook-weighted th(4,4,4), 16 particles: the
+    error is within two standard errors on at least 15 and not biased low
+    on average."""
+    shape = thick_hook_shape(4, 4, 4)
+    region = build_region(shape)
+    w = hook_weights(shape)
+    exact = partition_function(region, w).value
+    zs = [(est.value - exact) / est.stderr
+          for est in (estimate_logZ(region, w, particles=16, seed=seed)
+                      for seed in range(1000, 1020))]
+    assert sum(abs(z) < 2 for z in zs) >= 15, zs
+    assert sum(zs) / len(zs) > -1.5, zs
 
 
 def test_estimate_logZ_acceptance(s332_21):

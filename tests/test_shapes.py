@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from skewtab import Partition, SkewShape, StableProfile, hook_table, scaled_hook
+from skewtab import Partition, SkewShape, StableProfile, hook_table
 from skewtab.shapes import (
     square_profile,
     stable_family,
@@ -56,18 +56,6 @@ def test_hook_table_332():
     assert ht.product() == 5 * 4 * 2 * 4 * 3 * 1 * 2 * 1
 
 
-def test_scaled_hook_matches_table():
-    lam = Partition([3, 3, 2])
-    ht = hook_table(lam)
-    n = lam.size
-    r = math.sqrt(n)
-    for (x, y), h in ht.items():
-        # midpoint of the cell lands back on it after scaling
-        assert scaled_hook(lam, (x - 0.5) / r, (y - 0.5) / r, n) == h / r
-    with pytest.raises(ValueError):
-        scaled_hook(lam, 0.0, 0.5, n)
-
-
 def test_profile_normalization():
     p = StableProfile([(0.0, 2.0), (2.0, 2.0)])  # area 4 square
     assert abs(p.area() - 1.0) < 1e-12
@@ -86,8 +74,6 @@ def test_profile_accessors():
     assert p.phi_at(r + 1e-9) == 0.0
     assert abs(p.phi_top - r) < 1e-12
     assert abs(p.phi_width - r) < 1e-12
-    assert abs(p.psi_inverse(r) - 2 * r) < 1e-12
-    assert abs(p.psi_inverse(2 * r + 1e-9)) < 1e-12
 
 
 def test_stable_family_square():

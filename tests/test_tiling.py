@@ -13,10 +13,9 @@ from skewtab import (
     flip,
     heights_to_tiling,
     minimal_extension,
-    skew_boundary,
     type_counts,
 )
-from skewtab.tiling import count_heights, iter_flat_cells
+from skewtab.tiling import iter_flat_cells
 
 
 def region_332_21():
@@ -39,7 +38,7 @@ def test_region_empty_inner_degenerate():
     reg = build_region(SkewShape([3, 2], []))
     assert len(reg.vertices) == 1
     assert not reg.free
-    assert count_heights(reg.shape) == 1
+    assert len(enumerate_H(reg.shape)) == 1
 
 
 def test_enumerate_heights_332_21():
@@ -162,13 +161,6 @@ def test_extension_rejects_contradiction():
     bad[(1, 1)] = 5  # too high for its neighbors
     with pytest.raises(ValueError):
         extend(bad, reg)
-
-
-def test_boundary_curve():
-    bc = skew_boundary(SkewShape([3, 3, 2], [2, 1]))
-    d = bc.as_dict()
-    reg = region_332_21()
-    assert d == reg.fixed  # boundary data is exactly the pinned set
 
 
 def test_enumeration_guard():
