@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and argument checks."""
+
+import numbers
 
 
 class ResourceGuardError(RuntimeError):
@@ -17,3 +19,13 @@ class ResourceGuardError(RuntimeError):
         if self.suggestion:
             return f"{base} ({self.suggestion})"
         return base
+
+
+def check_count(name: str, value, least: int) -> int:
+    """value as an int, rejecting non-integers (bools too) and values
+    below least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)

@@ -37,11 +37,11 @@ standard error, and the estimate carries the run's acceptance rate.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_count
 from .nhlf import (WeightField, partition_function, tiling_weight,
                    uniform_weights)
 from .tiling import (HeightFunction, Tiling, _as_region, heights_to_tiling,
@@ -77,16 +77,6 @@ def _delta_logw(region, hd: dict, v, new: int, w: WeightField) -> float:
 def _burn_in(region) -> int:
     """Burn-in of every chain started at the lowest height function."""
     return 20 * len(region.vertices) ** 2
-
-
-def _count(name: str, value, least: int) -> int:
-    """value as an int, rejecting non-integers (bools too) and values
-    below least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return int(value)
 
 
 def _mix(region, hd: dict, rng: np.random.Generator, w: WeightField,
@@ -161,9 +151,9 @@ def sample(shape, w: WeightField | None = None, burn_in: int | None = None,
         burn_in = _burn_in(region)
     if thin is None:
         thin = max(1, len(region.free))
-    burn_in = _count("burn_in", burn_in, 0)
-    thin = _count("thin", thin, 1)
-    n_samples = _count("n_samples", n_samples, 0)
+    burn_in = check_count("burn_in", burn_in, 0)
+    thin = check_count("thin", thin, 1)
+    n_samples = check_count("n_samples", n_samples, 0)
     hd = minimal_extension(region.fixed, region).h
     if not region.mask_ok(hd):
         raise ValueError("lowest extension leaves the support mask")
@@ -264,8 +254,8 @@ def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
         w = uniform_weights()
     sched = _check_schedule(schedule if schedule is not None
                             else np.linspace(0.0, 1.0, 17))
-    particles = _count("particles", particles, 2)
-    sweeps_per_level = _count("sweeps_per_level", sweeps_per_level, 1)
+    particles = check_count("particles", particles, 2)
+    sweeps_per_level = check_count("sweeps_per_level", sweeps_per_level, 1)
     free = region.free
     hd = minimal_extension(region.fixed, region).h
     if not free:

@@ -35,12 +35,14 @@ import numpy as np
 from scipy import integrate
 
 from .entropy import lobachevsky
+from .errors import check_count
 from .nhlf import count_nhlf
 from .shapes import StableProfile
 
 DEFAULT_MESH = 64
 DEFAULT_EPS = 0.05
 DEFAULT_TOL = 1e-4
+MAX_SWEEPS = 4000  # sweep budget of the finest level; coarser levels get half
 _PI = math.pi
 
 
@@ -177,10 +179,6 @@ class Functional:
     polygon: list
     gamma: Callable
     rho: Callable | None
-    eps: float
-    depth: float
-    tag: str
-    profile: StableProfile | None = None
 
     @property
     def bbox(self) -> float:
@@ -205,8 +203,7 @@ def build_functional(profile: StableProfile, eps: float = DEFAULT_EPS) -> Functi
     def rho(x, y):
         return np.maximum(np.log(np.maximum(hb(x, y), 1e-300)), log_eps)
 
-    return Functional(poly, _gamma_factory(depth), rho, eps, depth,
-                      f"profile(eps={eps:g})", profile)
+    return Functional(poly, _gamma_factory(depth), rho)
 
 
 def unit_hexagon_functional() -> Functional:
@@ -216,7 +213,7 @@ def unit_hexagon_functional() -> Functional:
     which `exact.macmahon` approximates from below at finite n.
     """
     poly = [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0), (1.0, 2.0), (2.0, 2.0), (2.0, 1.0)]
-    return Functional(poly, _gamma_factory(1.0), None, 1.0, 1.0, "unit-hexagon")
+    return Functional(poly, _gamma_factory(1.0), None)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +280,9 @@ class MeshProfile:
 
     __slots__ = ("xy", "ij", "tris", "up", "cent", "free", "f", "ell",
                  "psi_value", "kkt_residual", "sweeps", "converged",
-                 "refine_gap", "restart_spread", "restart_l2", "levels", "tag")
+                 "refine_gap", "levels")
 
-    def __init__(self, xy, ij, tris, up, cent, free, f, ell, tag=""):
+    def __init__(self, xy, ij, tris, up, cent, free, f, ell):
         self.xy = xy
         self.ij = ij
         self.tris = tris
@@ -299,10 +296,7 @@ class MeshProfile:
         self.sweeps = 0
         self.converged = False
         self.refine_gap = math.nan
-        self.restart_spread = 0.0
-        self.restart_l2 = 0.0
         self.levels: list[LevelTrace] = []
-        self.tag = tag
 
     def slopes(self) -> tuple[np.ndarray, np.ndarray]:
         f = self.f
@@ -312,26 +306,28 @@ class MeshProfile:
         return s, t
 
 
-def _build_mesh(poly, ell: float, gamma: Callable, tag: str = "") -> MeshProfile:
+def _grid_triangles(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """Triangles of the nx by ny cell grid, and which of them are up.
+
+    Node (i, j) has id i (ny + 1) + j.  Cells run i-major; each gives its
+    up triangle (v, v+ex, v+ex+ey) and then its down one (v, v+ey, v+ex+ey).
+    """
+    ex = ny + 1
+    v = (np.arange(nx, dtype=np.int64)[:, None] * ex
+         + np.arange(ny, dtype=np.int64)).ravel()
+    tris = np.stack([np.column_stack([v, v + ex, v + ex + 1]),
+                     np.column_stack([v, v + 1, v + ex + 1])],
+                    axis=1).reshape(-1, 3)
+    return tris, np.tile([True, False], nx * ny)
+
+
+def _build_mesh(poly, ell: float, gamma: Callable) -> MeshProfile:
     P = np.asarray(poly, dtype=float)
     nx = int(math.ceil(P[:, 0].max() / ell - 1e-9))
     ny = int(math.ceil(P[:, 1].max() / ell - 1e-9))
     ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="ij")
     ij_all = np.column_stack([ii.ravel(), jj.ravel()])
-
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    ups = []
-    for i in range(nx):
-        for j in range(ny):
-            tris.append((nid(i, j), nid(i + 1, j), nid(i + 1, j + 1)))
-            ups.append(True)
-            tris.append((nid(i, j), nid(i, j + 1), nid(i + 1, j + 1)))
-            ups.append(False)
-    tris = np.array(tris, dtype=np.int64)
-    ups = np.array(ups, dtype=bool)
+    tris, ups = _grid_triangles(nx, ny)
     xy_all = ij_all * ell
     cent = (xy_all[tris[:, 0]] + xy_all[tris[:, 1]] + xy_all[tris[:, 2]]) / 3.0
     keep = _contains(cent, P)
@@ -348,7 +344,7 @@ def _build_mesh(poly, ell: float, gamma: Callable, tag: str = "") -> MeshProfile
     dist = _seg_dist(xy, P)
     free = inside & (dist > 1e-9)
     f = np.asarray(gamma(xy[:, 0], xy[:, 1]), dtype=float).copy()
-    return MeshProfile(xy, ij, tris, ups, cent, free, f, ell, tag)
+    return MeshProfile(xy, ij, tris, ups, cent, free, f, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +548,8 @@ def _solve_mesh(mesh: MeshProfile, functional: Functional, tol: float,
     return residuals
 
 
-def _interp_init(coarse: MeshProfile, fine: MeshProfile, gamma) -> None:
-    """Seed fine free nodes from the coarse solution, gamma as the fallback."""
+def _interp_init(coarse: MeshProfile, fine: MeshProfile) -> None:
+    """Seed fine free nodes from the coarse solution; the rest keep gamma."""
     table = {(int(i), int(j)): v
              for (i, j), v in zip(coarse.ij, coarse.f)}
     ratio = coarse.ell
@@ -581,68 +577,51 @@ def _interp_init(coarse: MeshProfile, fine: MeshProfile, gamma) -> None:
             fine.f[idx] = a + fj * (d - a) + fi * (c - d)
 
 
-def maximize(functional: Functional, gamma: Callable | None = None,
-             ell: float | None = None, tol: float = DEFAULT_TOL,
-             mesh_n: int = DEFAULT_MESH, restarts: int = 1, seed: int = 0,
-             multigrid: bool = True, max_sweeps: int = 4000) -> MeshProfile:
+def _check_solve(tol: float, mesh_n: int) -> int:
+    """mesh_n as an int, after checking it is an integer >= 1 and tol finite > 0."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    return check_count("mesh_n", mesh_n, 1)
+
+
+def maximize(functional: Functional, tol: float = DEFAULT_TOL,
+             mesh_n: int = DEFAULT_MESH) -> MeshProfile:
     """Maximize the functional over mesh height profiles pinned to gamma.
 
-    Runs coarse to fine over three mesh levels (unless multigrid is off),
-    then repeats from perturbed starts if restarts > 1, keeping the best.
-    The returned mesh carries the value, the projected gradient residual,
-    the refinement gap between the last two levels and, in `levels`, one
-    LevelTrace per mesh level of its own run.
+    The mesh pitch is bbox / mesh_n.  From mesh_n = 16 up the solve runs
+    coarse to fine over three levels, mesh_n / 4, mesh_n / 2 and mesh_n
+    (at least 8 and 12), each started from the last; below 16 it is one
+    level started from gamma.  The discrete functional is strictly concave
+    in the free heights (the entropy is strictly concave and the weight
+    term linear), so its maximizer is unique and no other start can find a
+    better one.  The returned mesh carries the value, the projected
+    gradient residual, the refinement gap between the last two levels and,
+    in `levels`, one LevelTrace per mesh level.
     """
-    if gamma is None:
-        gamma = functional.gamma
-    if ell is None:
-        ell = functional.bbox / mesh_n
-    else:
-        mesh_n = max(4, round(functional.bbox / ell))
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    rng = np.random.default_rng(seed)
+    mesh_n = _check_solve(tol, mesh_n)
     levels = [mesh_n]
-    if multigrid and mesh_n >= 16:
+    if mesh_n >= 16:
         levels = [max(8, mesh_n // 4), max(12, mesh_n // 2), mesh_n]
-    best: MeshProfile | None = None
-    finals: list[MeshProfile] = []
-    for r in range(restarts):
-        coarse: MeshProfile | None = None
-        gap = math.nan
-        trace = []
-        for li, n in enumerate(levels):
-            start = time.perf_counter()
-            mesh = _build_mesh(functional.polygon, functional.bbox / n, gamma,
-                               functional.tag)
-            if coarse is not None:
-                _interp_init(coarse, mesh, gamma)
-            if r > 0 and li == 0:
-                noise = 0.25 * functional.depth
-                mesh.f[mesh.free] += rng.uniform(-noise, noise,
-                                                 mesh.free.sum())
-            budget = max_sweeps if li == len(levels) - 1 else max_sweeps // 2
-            residuals = _solve_mesh(mesh, functional, tol, budget)
-            trace.append(LevelTrace(
-                int(mesh.free.sum()), tuple(residuals), mesh.psi_value,
-                time.perf_counter() - start, mesh.converged))
-            if coarse is not None:
-                gap = abs(mesh.psi_value - coarse.psi_value)
-            coarse = mesh
-        coarse.refine_gap = gap
-        coarse.levels = trace
-        finals.append(coarse)
-        if best is None or coarse.psi_value > best.psi_value:
-            best = coarse
-    if len(finals) > 1:
-        vals = [m.psi_value for m in finals]
-        best.restart_spread = max(vals) - min(vals)
-        l2 = 0.0
-        for m in finals[1:]:
-            if len(m.f) == len(finals[0].f):
-                l2 = max(l2, float(np.sqrt(np.mean((m.f - finals[0].f) ** 2))))
-        best.restart_l2 = l2
-    return best
+    coarse: MeshProfile | None = None
+    gap = math.nan
+    trace = []
+    for li, n in enumerate(levels):
+        start = time.perf_counter()
+        mesh = _build_mesh(functional.polygon, functional.bbox / n,
+                           functional.gamma)
+        if coarse is not None:
+            _interp_init(coarse, mesh)
+        budget = MAX_SWEEPS if li == len(levels) - 1 else MAX_SWEEPS // 2
+        residuals = _solve_mesh(mesh, functional, tol, budget)
+        trace.append(LevelTrace(
+            int(mesh.free.sum()), tuple(residuals), mesh.psi_value,
+            time.perf_counter() - start, mesh.converged))
+        if coarse is not None:
+            gap = abs(mesh.psi_value - coarse.psi_value)
+        coarse = mesh
+    coarse.refine_gap = gap
+    coarse.levels = trace
+    return coarse
 
 
 # ---------------------------------------------------------------------------
@@ -714,23 +693,23 @@ class ConstantResult:
         return self.value
 
 
-def constant(profile: StableProfile, ell: float | None = None,
-             eps: float = DEFAULT_EPS, tol: float = DEFAULT_TOL,
-             mesh_n: int = DEFAULT_MESH, restarts: int = 1,
-             seed: int = 0) -> ConstantResult:
+def constant(profile: StableProfile, eps: float = DEFAULT_EPS,
+             tol: float = DEFAULT_TOL,
+             mesh_n: int = DEFAULT_MESH) -> ConstantResult:
     """Growth constant of the family: Psi_max - k(psi) - 1.
 
     The constant c is normalized by log f_N ~ 0.5 N log N + c N along the
-    family.  Straight profiles (empty phi) have a fully pinned height
-    profile, so Psi_max = 0 there and no solve is run.
+    family.  eps caps the hook weight below at log eps; tol and mesh_n go
+    to `maximize`.  Straight profiles (empty phi) have a fully pinned
+    height profile, so Psi_max = 0 there and no solve is run.
     """
+    _check_solve(tol, mesh_n)
     k = k_psi(profile)
     if not profile.phi:
         return ConstantResult(-1.0 - k, 0.0, k,
                               budget={"quadrature": 1e-9, "optimizer": 0.0})
     functional = build_functional(profile, eps)
-    mesh = maximize(functional, ell=ell, tol=tol, mesh_n=mesh_n,
-                    restarts=restarts, seed=seed)
+    mesh = maximize(functional, tol=tol, mesh_n=mesh_n)
     psi = mesh.psi_value
     budget = {
         "quadrature": 1e-9,

@@ -9,7 +9,8 @@ package's determinant engine for tiling sums replaces.  `dsig` and
 `node_derivative` differentiate the variational functional one triangle
 at a time through the entropy gradient, with a log per slope: the route
 the solver's log-free node kernel replaces; `groups_reference` builds
-its incidence columns node by node.  `mix_reference` is the
+its incidence columns node by node, and `grid_triangles_reference`
+lists the mesh triangles cell by cell.  `mix_reference` is the
 dict-keyed Metropolis loop on `_flip_interval` and `_delta_logw` that the
 sampler's move-table loop replaces, fed the same chunked draws.
 """
@@ -136,6 +137,22 @@ def node_derivative(mesh, rho_tri, v, x) -> float:
         ds, dt = dsig(s, t)
         total += ds * sc + dt * tc - rho_tri[k] * (sc + tc)
     return 0.5 * ell * total
+
+
+def grid_triangles_reference(nx: int, ny: int):
+    """varsolve._grid_triangles by a Python loop over the cells."""
+    def nid(i, j):
+        return i * (ny + 1) + j
+
+    tris = []
+    ups = []
+    for i in range(nx):
+        for j in range(ny):
+            tris.append((nid(i, j), nid(i + 1, j), nid(i + 1, j + 1)))
+            ups.append(True)
+            tris.append((nid(i, j), nid(i, j + 1), nid(i + 1, j + 1)))
+            ups.append(False)
+    return np.array(tris, dtype=np.int64), np.array(ups, dtype=bool)
 
 
 def groups_reference(mesh, rho_tri) -> list:

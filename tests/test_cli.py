@@ -195,6 +195,26 @@ def test_solve_small_profile(capsys, data_dir, tmp_path):
     assert header == "node_x,node_y,f"
 
 
+def test_bad_mesh_or_tol_exits_2(capsys, data_dir):
+    hook = str(data_dir / "thick_hook_profile.json")
+    for argv in (["solve", "--profile", "hexagon", "--mesh", "0"],
+                 ["solve", "--profile", "hexagon", "--tol", "0"],
+                 ["constant", "--profile", hook, "--mesh", "-4"],
+                 ["repro", "--target", "hexagon", "--mesh", "0"]):
+        code, out, err = run(capsys, "--no-manifest", *argv)
+        assert code == 2 and not out, argv
+        assert "error" in json.loads(err.strip()), argv
+
+
+def test_solver_verbs_take_no_seed(capsys):
+    for argv in (["solve", "--profile", "hexagon", "--seed", "1"],
+                 ["constant", "--profile", "x.json", "--restarts", "2"],
+                 ["repro", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--no-manifest", *argv])
+        assert exc.value.code == 2, argv
+
+
 def test_sample_needs_a_sample(capsys, data_dir):
     code, _, err = run(capsys, "--no-manifest", "sample", "--shape",
                        str(data_dir / "s332_21.json"), "--samples", "0")

@@ -19,17 +19,20 @@ from skewtab import (
     unit_hexagon_functional,
 )
 from skewtab.varsolve import (
+    MAX_SWEEPS,
     MeshProfile,
     _build_mesh,
     _columns,
     _derivative,
+    _grid_triangles,
     _groups,
     _interp_init,
     _sign_kernel,
+    _solve_mesh,
     evaluate_psi,
 )
 
-from _naive import groups_reference, node_derivative
+from _naive import grid_triangles_reference, groups_reference, node_derivative
 
 
 HEX_PSI = 4.5 * math.log(3.0) - 6.0 * math.log(2.0)
@@ -106,7 +109,7 @@ def test_interp_preserves_coarse_nodes():
     coarse = _build_mesh(F.polygon, F.bbox / 8, F.gamma)
     coarse.f[coarse.free] += 0.01  # make it distinguishable from gamma
     fine = _build_mesh(F.polygon, F.bbox / 16, F.gamma)
-    _interp_init(coarse, fine, F.gamma)
+    _interp_init(coarse, fine)
     table = {(i, j): v for (i, j), v in zip(coarse.ij, coarse.f)}
     hits = 0
     for (i, j), v, free in zip(fine.ij, fine.f, fine.free):
@@ -123,12 +126,28 @@ def test_solver_small_hexagon_converges():
     assert abs(mesh.psi_value - HEX_PSI) < 0.05
 
 
-def test_maximize_restart_stability():
-    F = build_functional(thick_hook_profile(1.0, 1.0))
-    mesh = maximize(F, mesh_n=16, tol=1e-3, restarts=3, seed=11)
-    assert mesh.restart_spread <= 1e-3
-    with pytest.raises(ValueError):
-        maximize(F, mesh_n=16, restarts=0)
+def test_grid_triangles_match_loop():
+    for nx, ny in [(1, 1), (3, 5), (5, 3), (12, 12), (16, 16), (64, 64)]:
+        tris, up = _grid_triangles(nx, ny)
+        want_tris, want_up = grid_triangles_reference(nx, ny)
+        assert tris.dtype == want_tris.dtype and up.dtype == want_up.dtype
+        assert np.array_equal(tris, want_tris) and np.array_equal(up, want_up)
+
+
+def test_maximize_rejects_bad_mesh_and_tol():
+    F = unit_hexagon_functional()
+    for mesh_n in (0, -4, 16.5, True, "16"):
+        with pytest.raises(ValueError, match="mesh_n"):
+            maximize(F, mesh_n=mesh_n)
+    for tol in (0.0, -1e-4, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            maximize(F, tol=tol)
+    for profile in (thick_hook_profile(1.0, 1.0), square_profile()):
+        with pytest.raises(ValueError, match="mesh_n"):
+            constant(profile, mesh_n=-4)
+        with pytest.raises(ValueError, match="tol"):
+            constant(profile, tol=0.0)
+    assert maximize(F, mesh_n=np.int64(4), tol=1e-3).converged
 
 
 def test_constant_square_closed_form():
@@ -238,3 +257,23 @@ def test_levels_stop_at_first_converged_sweep():
         if level.sweeps > 1:
             assert level.residuals[-2] > tol
         assert level.seconds > 0.0
+
+
+@MESH16_PROBLEMS
+def test_solve_mesh_independent_of_start(functional):
+    # the functional is strictly concave in the free heights, so a start
+    # perturbed by a quarter of the depth climbs to the same maximizer
+    tol = 1e-4
+    base = _build_mesh(functional.polygon, functional.bbox / 16,
+                       functional.gamma)
+    depth = float(base.f.max())  # gamma is min(x, y) capped at the depth
+    _solve_mesh(base, functional, tol, MAX_SWEEPS)
+    mesh = _build_mesh(functional.polygon, functional.bbox / 16,
+                       functional.gamma)
+    noise = np.random.default_rng(11).uniform(-0.25 * depth, 0.25 * depth,
+                                              mesh.free.sum())
+    mesh.f[mesh.free] += noise
+    _solve_mesh(mesh, functional, tol, MAX_SWEEPS)
+    assert base.converged and mesh.converged
+    assert abs(mesh.psi_value - base.psi_value) <= 1e-6
+    assert np.abs(mesh.f - base.f).max() <= 1e-4
