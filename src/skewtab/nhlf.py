@@ -5,8 +5,10 @@ equals N! divided by the outer hook product, times the sum over all
 tilings of the product of hook lengths at cells carrying a horizontal
 lozenge.  One engine, `_tiling_sum`, evaluates every such sum exactly and
 in polynomial time as a Lindström–Gessel–Viennot determinant of lattice
-path sums.  `count_nhlf` feeds it integer hooks; `partition_function` and
-`cap_gaps` feed it the log weight fields as exact rationals.
+path sums, in integer arithmetic with one exact division at the end.
+`count_nhlf` feeds it integer hooks; `partition_function` and `cap_gaps`
+feed it each log weight x as the exact rational 1 / exp(-x), so that every
+node weight 1/w is a dyadic rational.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
-from .exact import _divide_exactly
+from .exact import _bareiss_det, _divide_exactly
 from .shapes import Cell, SkewShape, hook_table
 from .tiling import Region, Tiling, _as_region
 
@@ -84,28 +86,6 @@ def tiling_weight(h, w: WeightField) -> float:
     return total
 
 
-def _det(m: list[list]) -> Fraction:
-    """Determinant of a square matrix of rationals; consumes the matrix."""
-    det = Fraction(1)
-    n = len(m)
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        row = m[k]
-        det *= row[k]
-        for other in m[k + 1:]:
-            if other[k]:
-                f = Fraction(other[k], row[k])
-                for j in range(k + 1, n):
-                    if row[j]:
-                        other[j] -= f * row[j]
-    return det
-
-
 def _tiling_sum(region: Region,
                 cell_weight: Callable[[Cell], int | Fraction]) -> Fraction:
     """Exact sum over the region's tilings of the product of positive cell
@@ -125,23 +105,31 @@ def _tiling_sum(region: Region,
     the sum is prod(w over the unmasked steps of chains with k_d > 0) times
     det[path sums from sources to sinks] (Lindström–Gessel–Viennot; see
     Morales–Pak–Panova, arXiv:1512.08348, section 3).
+
+    The arithmetic is in ints: chain c scales its node weights 1/w, w = p/q
+    an int or Fraction, by L_c = lcm(p) to the ints L_c q / p.  Each source
+    carries its path sums over one denominator, times L_c per chain and
+    reduced by a gcd; each row is cleared by the lcm of its denominators
+    for the fraction-free Bareiss determinant.
     """
     depth = region.depth
     outer = region.shape.outer
     ds = sorted(region.chains)
-    prefactor = Fraction(1)
-    ks, free, node_w = [], [], []
+    pnum = pden = 1
+    ks, free, node_w, scale = [], [], [], []
     for d in ds:
         chain = region.chains[d]
         k = len(chain) - 1 - depth
         # chains with k_d = 0 are pinned ramps: no flat cell, no free level
-        ws = [Fraction(cell_weight(c)) for c in chain[1:] if c in outer] \
-            if k else []
-        for w in ws:
-            prefactor *= w
+        ws = [cell_weight(c) for c in chain[1:] if c in outer] if k else []
+        lc = math.lcm(*(w.numerator for w in ws))
+        pnum *= math.prod(w.numerator for w in ws)
+        pden *= math.prod(w.denominator for w in ws)
         ks.append(k)
         free.append(len(ws) - k)
-        node_w.append([None] + [1 / w for w in ws])
+        scale.append(lc)
+        node_w.append([None] + [lc // w.numerator * w.denominator
+                                for w in ws])
 
     sources, sinks = [], []
     for level in range(1, depth + 1):
@@ -157,22 +145,34 @@ def _tiling_sum(region: Region,
         sinks_on.setdefault(c, []).append((j, t))
 
     n = len(sources)
-    m = [[0] * n for _ in range(n)]
+    m = [[(0, 1)] * n for _ in range(n)]
     for i, (c, t) in enumerate(sources):
-        sums = {t: Fraction(1)}  # weighted path count by step, on chain c
+        sums, q = {t: 1}, 1  # weighted path count by step on chain c, over q
         while sums:
             moves = (-1, 0) if ds[c] >= 0 else (0, 1)
             c += 1
             for j, s in sinks_on.get(c, ()):
-                m[i][j] = sum(sums.get(s - dt, 0) for dt in moves)
+                v = sum(sums.get(s - dt, 0) for dt in moves)
+                g = math.gcd(v, q)
+                m[i][j] = (v // g, q // g)
             top, wts = ks[c] + free[c], node_w[c]
-            nxt: dict[int, Fraction] = {}
+            nxt: dict[int, int] = {}
             for s, val in sums.items():
                 for dt in moves:
                     if 1 <= s + dt <= top:
                         nxt[s + dt] = nxt.get(s + dt, 0) + val
             sums = {s: val * wts[s] for s, val in nxt.items()}
-    return prefactor * _det(m)
+            q *= scale[c]
+            g = math.gcd(q, *sums.values())
+            if g > 1:
+                q //= g
+                sums = {s: val // g for s, val in sums.items()}
+    rows, clear = [], 1
+    for row in m:
+        lr = math.lcm(*(b for _, b in row))
+        clear *= lr
+        rows.append([a * (lr // b) for a, b in row])
+    return Fraction(pnum * _bareiss_det(rows), pden * clear)
 
 
 class PartitionFunction(NamedTuple):
@@ -182,18 +182,26 @@ class PartitionFunction(NamedTuple):
 
     @property
     def value(self) -> float:
-        return math.log(self.z.numerator) - math.log(self.z.denominator)
+        # log(num) - log(den) cancels badly; 2^shift leaves a ratio near 1
+        num, den = self.z.numerator, self.z.denominator
+        shift = num.bit_length() - den.bit_length()
+        ratio = num / (den << shift) if shift >= 0 else (num << -shift) / den
+        return math.log(ratio) + shift * math.log(2)
 
 
 def partition_function(shape, w: WeightField) -> PartitionFunction:
     """Exact partition function of the weight field over the shape's tilings.
 
-    Each cell weighs the float exp(log weight), taken as the exact rational
-    it is, so nothing is rounded after the weights themselves.
+    A cell of log weight x weighs 1 / exp(-x), with the float exp(-x) taken
+    as the exact dyadic rational it is: within an ulp or so of exp(x), and
+    monotone in x, so equal logs give equal weights and capping can only
+    raise them.  The sum over tilings is then exact, so nothing is rounded
+    after the weights themselves.
     """
     logs = w.cell_logs
     return PartitionFunction(_tiling_sum(
-        _as_region(shape), lambda c: Fraction(math.exp(logs.get(c, 0.0)))))
+        _as_region(shape),
+        lambda c: 1 / Fraction(math.exp(-logs.get(c, 0.0)))))
 
 
 def count_nhlf(shape) -> int:

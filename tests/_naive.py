@@ -13,6 +13,10 @@ its incidence columns node by node, and `grid_triangles_reference`
 lists the mesh triangles cell by cell.  `mix_reference` is the
 dict-keyed Metropolis loop on `_flip_interval` and `_delta_logw` that the
 sampler's move-table loop replaces, fed the same chunked draws.
+`tiling_sum_reference` is the LGV tiling sum with every path sum and
+elimination step in `Fraction`s, on `det_reference`'s rational Gaussian
+elimination: the route the integer engine and its Bareiss determinant
+replace.
 """
 import math
 from fractions import Fraction
@@ -208,3 +212,75 @@ def mix_reference(region, hd, rng, w, beta, nsteps) -> int:
                 hd[v] = new
                 accepted += 1
     return accepted
+
+
+def det_reference(m: list[list]) -> Fraction:
+    """Determinant of a square matrix of rationals; consumes the matrix."""
+    det = Fraction(1)
+    n = len(m)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        row = m[k]
+        det *= row[k]
+        for other in m[k + 1:]:
+            if other[k]:
+                f = Fraction(other[k], row[k])
+                for j in range(k + 1, n):
+                    if row[j]:
+                        other[j] -= f * row[j]
+    return det
+
+
+def tiling_sum_reference(region, cell_weight) -> Fraction:
+    """nhlf._tiling_sum with Fraction path sums, node weight 1 / w."""
+    depth = region.depth
+    outer = region.shape.outer
+    ds = sorted(region.chains)
+    prefactor = Fraction(1)
+    ks, free, node_w = [], [], []
+    for d in ds:
+        chain = region.chains[d]
+        k = len(chain) - 1 - depth
+        ws = [Fraction(cell_weight(c)) for c in chain[1:] if c in outer] \
+            if k else []
+        for w in ws:
+            prefactor *= w
+        ks.append(k)
+        free.append(len(ws) - k)
+        node_w.append([None] + [1 / w for w in ws])
+
+    sources, sinks = [], []
+    for level in range(1, depth + 1):
+        for c in range(1, len(ds)):
+            inside = level <= free[c]
+            if inside != (level <= free[c - 1]):
+                if inside:
+                    sources.append((c - 1, ks[c - 1] + level))
+                else:
+                    sinks.append((c, ks[c] + level))
+    sinks_on: dict[int, list] = {}
+    for j, (c, t) in enumerate(sinks):
+        sinks_on.setdefault(c, []).append((j, t))
+
+    n = len(sources)
+    m = [[0] * n for _ in range(n)]
+    for i, (c, t) in enumerate(sources):
+        sums = {t: Fraction(1)}
+        while sums:
+            moves = (-1, 0) if ds[c] >= 0 else (0, 1)
+            c += 1
+            for j, s in sinks_on.get(c, ()):
+                m[i][j] = sum(sums.get(s - dt, 0) for dt in moves)
+            top, wts = ks[c] + free[c], node_w[c]
+            nxt: dict[int, Fraction] = {}
+            for s, val in sums.items():
+                for dt in moves:
+                    if 1 <= s + dt <= top:
+                        nxt[s + dt] = nxt.get(s + dt, 0) + val
+            sums = {s: val * wts[s] for s, val in nxt.items()}
+    return prefactor * det_reference(m)

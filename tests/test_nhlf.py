@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from _naive import LogSum, enumerated_log_z, enumerated_sum, naive_count
+from _naive import (
+    LogSum,
+    det_reference,
+    enumerated_log_z,
+    enumerated_sum,
+    naive_count,
+    tiling_sum_reference,
+)
 from test_acceptance import _all_partitions_up_to, _subpartitions
 from skewtab import (
     SkewShape,
@@ -19,7 +26,8 @@ from skewtab import (
     tiling_weight,
     uniform_weights,
 )
-from skewtab.nhlf import _det, _log_ratio, _tiling_sum, cap_gaps
+from skewtab.exact import _bareiss_det
+from skewtab.nhlf import _log_ratio, _tiling_sum, cap_gaps
 from skewtab.shapes import hook_table
 from skewtab.tiling import enumerate_H, iter_flat_cells, build_region
 
@@ -136,8 +144,8 @@ def test_cap_gap_properties(s332_21):
     assert cap_gaps(s332_21, n, [1.0])[0] <= 1.0 * (1 - 0.0) + 1e-12
 
 
-def _random_weights(sh, rng):
-    return {c: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+def _random_weights(sh, rng, top=9):
+    return {c: Fraction(rng.randint(1, top), rng.randint(1, top))
             for c in sh.outer.cells()}
 
 
@@ -235,6 +243,72 @@ def test_cap_gap_resolves_tiny_ratios():
 
 
 def test_det_with_row_swap():
-    assert _det([[0, 1], [1, 0]]) == -1
-    assert _det([[0, 2, 1], [3, 0, 0], [0, 1, 1]]) == -3
-    assert _det([[1, 2], [2, 4]]) == 0
+    assert _bareiss_det([[0, 1], [1, 0]]) == -1
+    assert _bareiss_det([[0, 2, 1], [3, 0, 0], [0, 1, 1]]) == -3
+    assert _bareiss_det([[1, 2], [2, 4]]) == 0
+    # the first zero pivot appears at step 1, after one elimination step
+    assert _bareiss_det([[1, 1, 1], [1, 1, 2], [1, 2, 1]]) == -1
+    assert _bareiss_det([]) == 1
+    assert _bareiss_det([[-7]]) == -7
+
+
+def test_bareiss_det_matches_rational_elimination():
+    rng = random.Random(12)
+    singular = 0
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        zeros = rng.random()  # sparse matrices hit zero pivots
+        m = [[0 if rng.random() < zeros else rng.randint(-5, 5)
+              for _ in range(n)] for _ in range(n)]
+        if n >= 3 and rng.random() < 0.3:
+            a, b, c = rng.sample(range(n), 3)
+            m[c] = [x - 2 * y for x, y in zip(m[a], m[b])]
+        det = _bareiss_det(m)
+        assert det == det_reference([[Fraction(x) for x in row]
+                                     for row in m]), m
+        singular += det == 0
+    assert singular >= 60
+
+
+def test_tiling_sum_matches_fraction_engine():
+    # the integer engine against the Fraction path sums it replaced, far
+    # past enumeration: random shapes with random rational weights, then
+    # thick hooks and ribbons with integer hooks
+    rng = random.Random(13)
+    done = 0
+    while done < 40:
+        lam = sorted((rng.randint(1, 10) for _ in range(rng.randint(3, 10))),
+                     reverse=True)
+        mu = sorted((rng.randint(0, v) for v in lam), reverse=True)
+        try:
+            sh = SkewShape(lam, mu)
+        except ValueError:
+            continue
+        region = build_region(sh)
+        if len(region.free) < 30:
+            continue
+        w = _random_weights(sh, rng, top=10 ** 6)
+        assert _tiling_sum(region, w.__getitem__) \
+            == tiling_sum_reference(region, w.__getitem__), (lam, mu)
+        done += 1
+    shapes = [thick_hook_shape(k, k, k) for k in range(4, 9)]
+    for sh in shapes + [thick_ribbon_shape(10), thick_ribbon_shape(16)]:
+        region = build_region(sh)
+        hooks = hook_table(sh.outer).__getitem__
+        assert _tiling_sum(region, hooks) \
+            == tiling_sum_reference(region, hooks), sh
+
+
+def test_partition_function_matches_fraction_engine():
+    # reciprocal-dyadic weights move log Z by rounding only, and `value`
+    # keeps log z to an ulp although z's numerator and denominator are long
+    for k in range(4, 9):
+        sh = thick_hook_shape(k, k, k)
+        logs = hook_weights(sh, scale=sh.size).cell_logs
+        ref = tiling_sum_reference(
+            build_region(sh), lambda c: Fraction(math.exp(logs.get(c, 0.0))))
+        ref_log = math.log(ref.numerator) - math.log(ref.denominator)
+        pf = partition_function(sh, hook_weights(sh, scale=sh.size))
+        assert abs(pf.value - ref_log) <= 1e-12 * abs(ref_log), k
+        assert abs(pf.value - math.log(float(pf.z))) \
+            <= 2 * math.ulp(pf.value), k
