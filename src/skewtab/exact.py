@@ -1,14 +1,13 @@
 """Exact counting of standard fillings by independent routes.
 
 count_hlf        product formula for straight shapes
-count_brute_force  transfer-matrix enumeration of row fill states
+count_brute_force  layered DP over packed row fill states
 count_determinant  integer determinant of inverse-factorial type
 count_thick_hook   closed superfactorial form for rectangle-minus-rectangle
 macmahon           boxed plane partition product
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 
 from .errors import ResourceGuardError
@@ -38,11 +37,14 @@ def count_hlf(lam) -> int:
 
 
 def count_brute_force(shape: SkewShape, limit: int = BRUTE_FORCE_LIMIT) -> int:
-    """Count standard fillings by dynamic programming over row fill states.
+    """Count standard fillings by a layered DP over packed row fill states.
 
-    A state records how far each row is filled; entries are added one at a
-    time in increasing label order.  Exact but exponential, so shapes with
-    more than `limit` cells are refused.
+    A state records how far each row is filled, B bits per row in one int
+    (B the bit length of the longest row).  Layer t maps each state with t
+    entries placed to its number of fillings; entries are added one at a
+    time in increasing label order, and a row takes its next cell only once
+    the cell above it is filled.  Exact but exponential, so shapes with more
+    than `limit` cells are refused.
     """
     if shape.size > limit:
         raise ResourceGuardError(
@@ -50,28 +52,27 @@ def count_brute_force(shape: SkewShape, limit: int = BRUTE_FORCE_LIMIT) -> int:
             "use count_determinant or count_nhlf",
         )
     lam = shape.outer.parts
-    mu = tuple(shape.inner.row(x) for x in range(1, len(lam) + 1))
-    full = tuple(lam)
-
-    @lru_cache(maxsize=None)
-    def ways(state: tuple[int, ...]) -> int:
-        if state == full:
-            return 1
-        total = 0
-        for i, c in enumerate(state):
-            if c >= lam[i]:
-                continue
-            y = c + 1
-            # the cell above must already be filled past column y
-            if i > 0 and y > mu[i - 1] and y > state[i - 1]:
-                continue
-            nxt = state[:i] + (c + 1,) + state[i + 1 :]
-            total += ways(nxt)
-        return total
-
-    result = ways(mu)
-    ways.cache_clear()
-    return result
+    mu = [shape.inner.row(x) for x in range(1, len(lam) + 1)]
+    bits = max(lam, default=0).bit_length()
+    mask = (1 << bits) - 1
+    # (shift, lam_i, mu_{i-1}, shift of row i-1, one cell of row i); row 1
+    # takes lam_1 as mu_0, so its test always passes
+    rows = [(i * bits, lam[i], mu[i - 1] if i else lam[0],
+             (i - 1) * bits if i else 0, 1 << i * bits)
+            for i in range(len(lam)) if mu[i] < lam[i]]
+    layer = {sum(m << i * bits for i, m in enumerate(mu)): 1}
+    for _ in range(shape.size):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for state, ways in layer.items():
+            for shift, end, mu_above, shift_above, one in rows:
+                c = state >> shift & mask
+                if c < end and (c < mu_above or c < state >> shift_above & mask):
+                    t = state + one
+                    nxt[t] = get(t, 0) + ways
+        layer = nxt
+    (total,) = layer.values()
+    return total
 
 
 def _bareiss_det(m: list[list[int]]) -> int:

@@ -7,7 +7,6 @@ belongs to the partition lam iff y <= lam_x.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Callable, Iterable, Iterator
 
 Cell = tuple[int, int]
@@ -93,7 +92,12 @@ class SkewShape:
     """The cells of an outer partition not covered by a nested inner one.
 
     Construction checks nesting and 4-adjacency connectivity of the cell
-    set.  The empty shape (outer == inner) is allowed.
+    set.  Row x holds the columns (mu_x, lam_x], so the cells are connected
+    iff the nonempty rows are consecutive and mu_x < lam_{x+1} for each
+    consecutive pair of them.  One test covers both: mu_x < lam_y for each
+    nonempty row x and the next nonempty row y, since an empty row between
+    them would give mu_x >= lam_y.  The empty shape (outer == inner) is
+    allowed.
     """
 
     __slots__ = ("outer", "inner")
@@ -125,18 +129,9 @@ class SkewShape:
         return out
 
     def _connected(self) -> bool:
-        cells = set(self.cells())
-        if len(cells) <= 1:
-            return True
-        seen = {next(iter(cells))}
-        queue = deque(seen)
-        while queue:
-            x, y = queue.popleft()
-            for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                if nb in cells and nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        return len(seen) == len(cells)
+        lam, mu = self.outer.row, self.inner.row
+        rows = [x for x in range(1, len(self.outer) + 1) if mu(x) < lam(x)]
+        return all(mu(x) < lam(y) for x, y in zip(rows, rows[1:]))
 
     def __eq__(self, other) -> bool:
         return (

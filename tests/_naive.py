@@ -3,13 +3,15 @@
 `naive_count` counts standard fillings of a skew diagram by peeling
 removable corners in decreasing entry order, memoized on the remaining
 outer rows: deliberately a different algorithm from anything in the
-package, so agreement is meaningful.  `enumerated_sum` and `LogSum` sum
-weights over every enumerated tiling, the exponential baseline that the
-package's determinant engine for tiling sums replaces.  `dsig` and
-`node_derivative` differentiate the variational functional one triangle
-at a time through the entropy gradient, with a log per slope: the route
-the solver's log-free node kernel replaces; `groups_reference` builds
-its incidence columns node by node, and `grid_triangles_reference`
+package, so agreement is meaningful.  `connected_reference` tests a skew
+shape's cells for 4-connectivity by breadth-first search, the route the
+closed row-interval rule in `SkewShape` replaces.  `enumerated_sum` and
+`LogSum` sum weights over every enumerated tiling, the exponential
+baseline that the package's determinant engine for tiling sums replaces.
+`dsig` and `node_derivative` differentiate the variational functional one
+triangle at a time through the entropy gradient, with a log per slope:
+the route the solver's log-free node kernel replaces; `groups_reference`
+builds its incidence columns node by node, and `grid_triangles_reference`
 lists the mesh triangles cell by cell.  `mix_reference` is the
 dict-keyed Metropolis loop on `_flip_interval` and `_delta_logw` that the
 sampler's move-table loop replaces, fed the same chunked draws.
@@ -19,6 +21,7 @@ elimination: the route the integer engine and its Bareiss determinant
 replace.
 """
 import math
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
@@ -46,6 +49,22 @@ def naive_count(outer, inner=()) -> int:
     result = ways(outer)
     ways.cache_clear()
     return result
+
+
+def connected_reference(shape) -> bool:
+    """True iff the shape's cells are 4-connected, by breadth-first search."""
+    cells = set(shape.cells())
+    if len(cells) <= 1:
+        return True
+    seen = {next(iter(cells))}
+    queue = deque(seen)
+    while queue:
+        x, y = queue.popleft()
+        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return len(seen) == len(cells)
 
 
 class LogSum:

@@ -95,6 +95,26 @@ def test_guard_exits_3(capsys, tmp_path):
     assert "error" in json.loads(err.strip())
 
 
+def test_brute_force_guard_exits_3(capsys, tmp_path):
+    p = tmp_path / "cells26.json"
+    p.write_text('{"outer": [6, 5, 5, 5, 5]}')
+    code, out, err = run(capsys, "--no-manifest", "count", "--shape", str(p),
+                         "--method", "brute")
+    assert code == 3 and not out
+    assert json.loads(err.strip()) == {"error": (
+        "brute force refused for 26 cells (limit 25) "
+        "(use count_determinant or count_nhlf)")}
+
+
+def test_disconnected_shape_exits_2(capsys, tmp_path):
+    p = tmp_path / "split.json"
+    # the middle row is fully covered, so rows 1 and 3 do not touch
+    p.write_text('{"outer": [3, 2, 2], "inner": [2, 2]}')
+    code, out, err = run(capsys, "--no-manifest", "count", "--shape", str(p))
+    assert code == 2 and not out
+    assert "disconnected" in json.loads(err.strip())["error"]
+
+
 def test_enumerate_golden(capsys, data_dir, tmp_path):
     out_file = tmp_path / "tilings.json"
     code, out, _ = run(capsys, "--no-manifest", "enumerate",

@@ -42,6 +42,43 @@ def test_brute_force_against_naive():
         done += 1
 
 
+def test_brute_force_packed_states():
+    # 300 seeded c01-style shapes against the corner-peeling count
+    rng = random.Random(20261018)
+    done = 0
+    while done < 300:
+        lam = sorted((rng.randint(1, 10) for _ in range(rng.randint(1, 10))),
+                     reverse=True)
+        mu = sorted((rng.randint(0, v) for v in lam), reverse=True)
+        try:
+            sh = SkewShape(lam, mu)
+        except ValueError:
+            continue
+        if sh.size > 20:
+            continue
+        assert count_brute_force(sh) == naive_count(lam, tuple(mu)), (lam, mu)
+        done += 1
+    edges = [
+        ((), ()),                   # no rows: zero bits per row
+        ((3, 2), (3, 2)),           # mu = lam: no cells
+        ((4, 3, 3), (4, 1)),        # top row fully covered
+        ((9,), ()),
+        ((1,) * 9, ()),
+    ]
+    # a full row of 7, 8, 15 or 16 cells fills its 3-, 4-, 4- or 5-bit field
+    edges += [((w, w, 1), (w - 2,)) for w in (7, 8, 15, 16)]
+    for lam, mu in edges:
+        assert count_brute_force(SkewShape(lam, mu)) == naive_count(lam, mu)
+    # 24-cell width-2 ribbon: its count does not fit in 64 bits
+    ribbon = SkewShape(range(13, 1, -1), range(11, 0, -1))
+    assert ribbon.size == 24
+    f = count_brute_force(ribbon)
+    assert f == count_determinant(ribbon) == 15514534163557086905 > 2 ** 63
+    at_limit = SkewShape([8, 7, 6, 5, 4], [3, 2])
+    assert at_limit.size == 25
+    assert count_brute_force(at_limit) == count_determinant(at_limit)
+
+
 def test_determinant_against_brute():
     rng = random.Random(13)
     done = 0

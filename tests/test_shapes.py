@@ -1,7 +1,10 @@
 import math
+import random
 
 import pytest
 
+from _naive import connected_reference
+from test_acceptance import _all_partitions_up_to, _subpartitions
 from skewtab import Partition, SkewShape, StableProfile, hook_table
 from skewtab.shapes import (
     square_profile,
@@ -44,6 +47,27 @@ def test_skew_shape_validation():
         SkewShape([2, 2], [3])  # inner not contained
     with pytest.raises(ValueError):
         SkewShape([3, 1], [2])  # cells split into two components
+
+
+def test_connected_matches_bfs():
+    # every mu inside lam with |lam| <= 10, then 500 seeded c01-style pairs
+    pairs = [((), ())] + [(lam, mu) for lam in _all_partitions_up_to(10)
+                          for mu in _subpartitions(lam)]
+    assert len(pairs) == 2888
+    rng = random.Random(20261018)
+    for _ in range(500):
+        lam = sorted((rng.randint(1, 10) for _ in range(rng.randint(1, 10))),
+                     reverse=True)
+        pairs.append((lam, sorted((rng.randint(0, v) for v in lam),
+                                  reverse=True)))
+    split = 0
+    for lam, mu in pairs:
+        sh = object.__new__(SkewShape)  # skip the constructor's own check
+        sh.outer, sh.inner = Partition(lam), Partition(mu)
+        expected = connected_reference(sh)
+        assert sh._connected() == expected, (lam, mu)
+        split += not expected
+    assert split > 500
 
 
 def test_hook_table_332():
