@@ -172,7 +172,8 @@ def _cmd_solve(args, run: _Run) -> int:
     print(f"kkt_residual {_G(mesh.kkt_residual)}")
     print(f"refine_gap {_G(mesh.refine_gap)}")
     for i, level in enumerate(mesh.levels, 1):
-        print(f"level {i} nodes {level.nodes} sweeps {level.sweeps} "
+        print(f"level {i} nodes {level.nodes} jammed {level.jammed} "
+              f"sweeps {level.sweeps} "
               f"kkt_residual {_G(level.kkt_residual)} psi {_G(level.psi)} "
               f"seconds {level.seconds:.3g}")
     if args.out:

@@ -215,7 +215,7 @@ class HeightFunction:
     Validation checks vertex coverage, the 0/1 edge rule and agreement
     with the region's pinned boundary.  Whether the support mask holds
     (no horizontal lozenge on cells outside the outer shape) is a
-    separate question answered by `in_support`.
+    separate question answered by `Region.mask_ok`.
     """
 
     __slots__ = ("region", "h")
@@ -240,9 +240,6 @@ class HeightFunction:
 
     def copy(self) -> "HeightFunction":
         return HeightFunction(self.region, self.h, validate=False)
-
-    def in_support(self) -> bool:
-        return self.region.mask_ok(self.h)
 
     def __eq__(self, other) -> bool:
         return (

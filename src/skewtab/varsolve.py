@@ -27,12 +27,10 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .entropy import lobachevsky
 from .errors import check_count
@@ -256,6 +254,7 @@ class LevelTrace:
     """Convergence record of one mesh level of a solve."""
 
     nodes: int  # free nodes
+    jammed: int  # free nodes with no room to move after the last sweep
     residuals: tuple  # projected gradient residual after each sweep
     psi: float
     seconds: float
@@ -483,6 +482,11 @@ def _sign_kernel(grp: _Group, fall, rise, mid, ell: float) -> Callable:
     return sign
 
 
+def _half_room(lo, hi, ell: float):
+    """Half of each feasible interval, less 1e-9 ell; below 0 the node is jammed."""
+    return 0.5 * (hi - lo) - 1e-9 * ell
+
+
 def _update_group(grp: _Group, f: np.ndarray, ell: float, tol: float) -> None:
     """Move every node of the group to the maximizer on its interval.
 
@@ -494,8 +498,8 @@ def _update_group(grp: _Group, f: np.ndarray, ell: float, tol: float) -> None:
     fall, rise, lo, hi = _columns(grp, f, ell)
     mid = 0.5 * (lo + hi)
     sign = _sign_kernel(grp, fall, rise, mid, ell)
-    half = 0.5 * (hi - lo) - 1e-9 * ell
-    empty = half < 0  # no room: the node sits at the centre
+    half = _half_room(lo, hi, ell)
+    empty = half < 0  # jammed: the node sits at the centre
     at_left = ~empty & (sign(-half) <= 0)
     at_right = ~empty & ~at_left & (sign(half) >= 0)
     d = np.where(at_left, -half, np.where(at_right, half, 0.0))
@@ -524,11 +528,22 @@ def _kkt(groups: list[_Group], f: np.ndarray, ell: float) -> float:
     return worst
 
 
+def _jammed(groups: list[_Group], f: np.ndarray, ell: float) -> int:
+    """Free nodes that `_update_group` would leave where they are."""
+    count = 0
+    for grp in groups:
+        if len(grp.nodes):
+            _, _, lo, hi = _columns(grp, f, ell)
+            count += int((_half_room(lo, hi, ell) < 0).sum())
+    return count
+
+
 def _solve_mesh(mesh: MeshProfile, functional: Functional, tol: float,
-                max_sweeps: int) -> list[float]:
+                max_sweeps: int) -> tuple[list[float], int]:
     """Sweep the three colors until the residual is at most tol.
 
-    Returns the residual after each sweep.
+    Returns the residual after each sweep and the number of jammed free
+    nodes after the last one.
     """
     rho_tri = (functional.rho(mesh.cent[:, 0], mesh.cent[:, 1])
                if functional.rho is not None else np.zeros(len(mesh.tris)))
@@ -545,36 +560,39 @@ def _solve_mesh(mesh: MeshProfile, functional: Functional, tol: float,
         mesh.kkt_residual = residuals[-1]
         mesh.converged = residuals[-1] <= tol
     mesh.psi_value = evaluate_psi(mesh, functional)
-    return residuals
+    return residuals, _jammed(groups, mesh.f, mesh.ell)
 
 
 def _interp_init(coarse: MeshProfile, fine: MeshProfile) -> None:
-    """Seed fine free nodes from the coarse solution; the rest keep gamma."""
-    table = {(int(i), int(j)): v
-             for (i, j), v in zip(coarse.ij, coarse.f)}
-    ratio = coarse.ell
-    for idx in np.nonzero(fine.free)[0]:
-        x, y = fine.xy[idx]
-        xi = x / ratio
-        yj = y / ratio
-        i = int(math.floor(xi + 1e-12))
-        j = int(math.floor(yj + 1e-12))
-        fi = xi - i
-        fj = yj - j
-        a = table.get((i, j))
-        b = table.get((i + 1, j))
-        c = table.get((i + 1, j + 1))
-        d = table.get((i, j + 1))
-        if fj <= fi:
-            vals = (a, b, c)
-            if any(v is None for v in vals):
-                continue
-            fine.f[idx] = a + fi * (b - a) + fj * (c - b)
-        else:
-            vals = (a, d, c)
-            if any(v is None for v in vals):
-                continue
-            fine.f[idx] = a + fj * (d - a) + fi * (c - d)
+    """Seed fine free nodes from the coarse solution; the rest keep gamma.
+
+    A node takes the linear interpolant of the coarse triangle it lies in,
+    the up one (i, j), (i+1, j), (i+1, j+1) when fj <= fi, else the down
+    one; a node whose triangle misses a coarse node keeps its value.
+    """
+    idx = np.nonzero(fine.free)[0]
+    xi = fine.xy[idx, 0] / coarse.ell
+    yj = fine.xy[idx, 1] / coarse.ell
+    i = np.floor(xi + 1e-12).astype(np.int64)
+    j = np.floor(yj + 1e-12).astype(np.int64)
+    fi = xi - i
+    fj = yj - j
+    ci, cj = coarse.ij.T
+    shape = (max(ci.max(), i.max(initial=0) + 1) + 1,
+             max(cj.max(), j.max(initial=0) + 1) + 1)
+    known = np.zeros(shape, dtype=bool)
+    grid = np.zeros(shape)
+    known[ci, cj] = True
+    grid[ci, cj] = coarse.f
+    up = fj <= fi
+    # the triangle's third corner: (i+1, j) when up, else (i, j+1)
+    ki = i + up
+    kj = j + ~up
+    ok = known[i, j] & known[ki, kj] & known[i + 1, j + 1]
+    a, k, c = grid[i, j], grid[ki, kj], grid[i + 1, j + 1]
+    val = np.where(up, a + fi * (k - a) + fj * (c - k),
+                   a + fj * (k - a) + fi * (c - k))
+    fine.f[idx[ok]] = val[ok]
 
 
 def _check_solve(tol: float, mesh_n: int) -> int:
@@ -612,9 +630,9 @@ def maximize(functional: Functional, tol: float = DEFAULT_TOL,
         if coarse is not None:
             _interp_init(coarse, mesh)
         budget = MAX_SWEEPS if li == len(levels) - 1 else MAX_SWEEPS // 2
-        residuals = _solve_mesh(mesh, functional, tol, budget)
+        residuals, jammed = _solve_mesh(mesh, functional, tol, budget)
         trace.append(LevelTrace(
-            int(mesh.free.sum()), tuple(residuals), mesh.psi_value,
+            int(mesh.free.sum()), jammed, tuple(residuals), mesh.psi_value,
             time.perf_counter() - start, mesh.converged))
         if coarse is not None:
             gap = abs(mesh.psi_value - coarse.psi_value)
@@ -628,11 +646,35 @@ def maximize(functional: Functional, tol: float = DEFAULT_TOL,
 # the constant
 
 
-def k_psi(profile: StableProfile) -> float:
-    """Integral of log hbar over the full hypograph of psi.
+def _anti_ulogu(u: float) -> float:
+    """H(u) = u^2 (log u - 3/2) / 2, an antiderivative of u (log u - 1); H(0) = 0."""
+    return 0.5 * u * u * (math.log(u) - 1.5) if u >= 1e-300 else 0.0
 
-    The inner y integral is exact on each linear piece of psi^{-1}; the
-    outer integral runs adaptive quadrature per psi segment.
+
+def _mean_ulogu(ua: float, ub: float) -> float:
+    """Mean of g(u) = u (log u - 1) over u between ua and ub (0 where u <= 0).
+
+    It is (H(ub) - H(ua)) / (ub - ua).  When the two ends nearly agree
+    that difference cancels, so the midpoint series g(c) + g''(c) d^2 / 24
+    takes over; its first omitted term is d^4 / (960 c^3).
+    """
+    c = 0.5 * (ua + ub)
+    d = ub - ua
+    if c > 0.0 and abs(d) <= 1e-3 * c:
+        return c * (math.log(c) - 1.0) + d * d / (24.0 * c)
+    if d == 0.0:
+        return 0.0
+    return (_anti_ulogu(ub) - _anti_ulogu(ua)) / d
+
+
+def k_psi(profile: StableProfile) -> float:
+    """Integral of log hbar over the full hypograph of psi, in closed form.
+
+    On each linear piece of psi^{-1} the inner y integral is
+    [(u / b)(log u - 1)] with u = psi^{-1}(y) - x + psi(x) - y linear in y
+    and b its slope.  Splitting each psi segment where psi(x) crosses a
+    piece's ends makes every bound of that bracket linear in x, and a
+    u (log u - 1) term with u linear in x integrates exactly.
     """
     pts = list(profile.psi)
     pieces = []  # (y_lo, y_hi, alpha, beta): psi^{-1}(y) = alpha + beta y
@@ -648,34 +690,37 @@ def k_psi(profile: StableProfile) -> float:
             alpha = x0 - beta * y0
             pieces.append((y1, y0, alpha, beta))
 
-    def anti(aa, bb, y):
-        u = aa + bb * y
-        if u < 1e-300:
-            return 0.0
-        return (u / bb) * (math.log(u) - 1.0)
-
-    def inner(x):
-        px = profile.psi_at(x)
-        if px <= 0:
-            return 0.0
-        total = 0.0
-        for ylo, yhi, alpha, beta in pieces:
-            y0 = max(ylo, 0.0)
-            y1 = min(yhi, px)
-            if y1 <= y0:
-                continue
-            aa = alpha - x + px
-            bb = beta - 1.0
-            total += anti(aa, bb, y1) - anti(aa, bb, y0)
-        return total
-
     total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for (x0, _), (x1, _) in zip(pts, pts[1:]):
-            if x1 > x0 + 1e-15:
-                total += integrate.quad(inner, x0, x1, epsabs=1e-12,
-                                        epsrel=1e-12, limit=500)[0]
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if x1 <= x0 + 1e-15:
+            continue
+        m = (y1 - y0) / (x1 - x0)
+        cuts = {x0, x1}
+        if m < 0.0:
+            for ylo, yhi, _, _ in pieces:
+                for v in (ylo, yhi):
+                    xc = x0 + (v - y0) / m
+                    if x0 < xc < x1:
+                        cuts.add(xc)
+        cuts = sorted(cuts)
+        for xa, xb in zip(cuts, cuts[1:]):
+            pa = y0 + m * (xa - x0)
+            pb = y0 + m * (xb - x0)
+            pm = y0 + m * (0.5 * (xa + xb) - x0)
+            for ylo, yhi, alpha, beta in pieces:
+                lo = max(ylo, 0.0)
+                if min(yhi, pm) <= lo:
+                    continue
+                bb = beta - 1.0
+                # u = alpha - x + psi(x) + bb y at the bracket's bounds
+                bot = (alpha - xa + pa + bb * lo, alpha - xb + pb + bb * lo)
+                if yhi <= pm:
+                    top = (alpha - xa + pa + bb * yhi,
+                           alpha - xb + pb + bb * yhi)
+                else:  # y = psi(x): u = psi^{-1}(psi(x)) - x
+                    top = (alpha - xa + beta * pa, alpha - xb + beta * pb)
+                total += (xb - xa) * (_mean_ulogu(*top)
+                                      - _mean_ulogu(*bot)) / bb
     return total
 
 

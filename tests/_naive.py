@@ -12,7 +12,10 @@ baseline that the package's determinant engine for tiling sums replaces.
 triangle at a time through the entropy gradient, with a log per slope:
 the route the solver's log-free node kernel replaces; `groups_reference`
 builds its incidence columns node by node, and `grid_triangles_reference`
-lists the mesh triangles cell by cell.  `mix_reference` is the
+lists the mesh triangles cell by cell; `interp_init_reference` seeds a fine
+mesh from a coarse one node by node.  `k_psi_reference` integrates
+log hbar over psi's hypograph by adaptive quadrature in x, the route the
+closed form in `varsolve.k_psi` replaces.  `mix_reference` is the
 dict-keyed Metropolis loop on `_flip_interval` and `_delta_logw` that the
 sampler's move-table loop replaces, fed the same chunked draws.
 `tiling_sum_reference` is the LGV tiling sum with every path sum and
@@ -21,11 +24,13 @@ elimination: the route the integer engine and its Bareiss determinant
 replace.
 """
 import math
+import warnings
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy import integrate
 
 from skewtab.sampler import CHUNK, _delta_logw
 from skewtab.tiling import _flip_interval, iter_flat_cells
@@ -206,6 +211,86 @@ def groups_reference(mesh, rho_tri) -> list:
         out.append(_Group(nodes, fall_at, fall_off, rise_at, rise_off, valid,
                           rho_sum))
     return out
+
+
+def interp_init_reference(coarse, fine) -> None:
+    """varsolve._interp_init by a Python loop over the fine free nodes."""
+    table = {(int(i), int(j)): v
+             for (i, j), v in zip(coarse.ij, coarse.f)}
+    ratio = coarse.ell
+    for idx in np.nonzero(fine.free)[0]:
+        x, y = fine.xy[idx]
+        xi = x / ratio
+        yj = y / ratio
+        i = int(math.floor(xi + 1e-12))
+        j = int(math.floor(yj + 1e-12))
+        fi = xi - i
+        fj = yj - j
+        a = table.get((i, j))
+        b = table.get((i + 1, j))
+        c = table.get((i + 1, j + 1))
+        d = table.get((i, j + 1))
+        if fj <= fi:
+            vals = (a, b, c)
+            if any(v is None for v in vals):
+                continue
+            fine.f[idx] = a + fi * (b - a) + fj * (c - b)
+        else:
+            vals = (a, d, c)
+            if any(v is None for v in vals):
+                continue
+            fine.f[idx] = a + fj * (d - a) + fi * (c - d)
+
+
+def k_psi_reference(profile) -> float:
+    """Integral of log hbar over the full hypograph of psi.
+
+    The inner y integral is exact on each linear piece of psi^{-1}; the
+    outer integral runs adaptive quadrature per psi segment.
+    """
+    pts = list(profile.psi)
+    pieces = []  # (y_lo, y_hi, alpha, beta): psi^{-1}(y) = alpha + beta y
+    if pts[-1][1] > 0:
+        pieces.append((0.0, pts[-1][1], pts[-1][0], 0.0))
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if y1 >= y0 - 1e-15:
+            continue  # flat piece: no inverse mass
+        if x1 == x0:
+            pieces.append((y1, y0, x0, 0.0))
+        else:
+            beta = (x1 - x0) / (y1 - y0)
+            alpha = x0 - beta * y0
+            pieces.append((y1, y0, alpha, beta))
+
+    def anti(aa, bb, y):
+        u = aa + bb * y
+        if u < 1e-300:
+            return 0.0
+        return (u / bb) * (math.log(u) - 1.0)
+
+    def inner(x):
+        px = profile.psi_at(x)
+        if px <= 0:
+            return 0.0
+        total = 0.0
+        for ylo, yhi, alpha, beta in pieces:
+            y0 = max(ylo, 0.0)
+            y1 = min(yhi, px)
+            if y1 <= y0:
+                continue
+            aa = alpha - x + px
+            bb = beta - 1.0
+            total += anti(aa, bb, y1) - anti(aa, bb, y0)
+        return total
+
+    total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        for (x0, _), (x1, _) in zip(pts, pts[1:]):
+            if x1 > x0 + 1e-15:
+                total += integrate.quad(inner, x0, x1, epsabs=1e-12,
+                                        epsrel=1e-12, limit=500)[0]
+    return total
 
 
 def mix_reference(region, hd, rng, w, beta, nsteps) -> int:

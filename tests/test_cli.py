@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, skewtab, skewtab.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_count_methods(capsys, data_dir):
@@ -211,6 +224,7 @@ def test_solve_small_profile(capsys, data_dir, tmp_path):
     levels = [line.split() for line in out.splitlines()
               if line.startswith("level ")]
     assert [lv[:3] for lv in levels] == [["level", "1", "nodes"]]
+    assert [lv[4] for lv in levels] == ["jammed"]
     header = mesh_csv.read_text().splitlines()[0]
     assert header == "node_x,node_y,f"
 

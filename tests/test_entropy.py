@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from skewtab import lobachevsky, sigma, sigma_gradient
+from skewtab.entropy import _COEF
 
 
 def _oracle(theta: float) -> float:
@@ -102,3 +103,12 @@ def test_gradient_matches_finite_difference():
 def test_gradient_is_stationary_at_peak():
     gs, gt = sigma_gradient(1 / 3, 1 / 3)
     assert abs(gs) < 1e-12 and abs(gt) < 1e-12
+
+
+def test_series_coefficients_within_one_ulp():
+    # zeta(2m) / (m (2m+1) pi^(2m)), each rounded once from the exact value
+    assert len(_COEF) == 32
+    with mpmath.workdps(40):
+        for m, c in enumerate(_COEF, 1):
+            want = mpmath.zeta(2 * m) / (m * (2 * m + 1) * mpmath.pi ** (2 * m))
+            assert abs(mpmath.mpf(float(c)) - want) <= math.ulp(c), m

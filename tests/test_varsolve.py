@@ -1,9 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from skewtab import (
+    StableProfile,
     build_functional,
     constant,
     finite_n_constant,
@@ -32,7 +34,13 @@ from skewtab.varsolve import (
     evaluate_psi,
 )
 
-from _naive import grid_triangles_reference, groups_reference, node_derivative
+from _naive import (
+    grid_triangles_reference,
+    groups_reference,
+    interp_init_reference,
+    k_psi_reference,
+    node_derivative,
+)
 
 
 HEX_PSI = 4.5 * math.log(3.0) - 6.0 * math.log(2.0)
@@ -89,6 +97,43 @@ def test_k_psi_closed_forms():
     assert abs(k_psi(square_profile()) - K_SQUARE) < 1e-9
 
 
+def _random_psi(rng: random.Random) -> StableProfile:
+    """A nonincreasing piecewise linear psi with slopes, flats and drops."""
+    while True:
+        x, y = 0.0, rng.uniform(0.5, 3.0)
+        pts = [(x, y)]
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.random()
+            if kind < 0.25:  # vertical drop
+                y = rng.uniform(0.0, y)
+            elif kind < 0.5:  # flat
+                x += rng.uniform(0.1, 1.5)
+            else:
+                x += rng.uniform(0.1, 1.5)
+                y = rng.uniform(0.0, y)
+            pts.append((x, y))
+        if rng.random() < 0.4:
+            pts.append((x + rng.uniform(0.1, 1.0), 0.0))
+        flats = any(b[1] == a[1] and b[0] > a[0] for a, b in zip(pts, pts[1:]))
+        drops = any(b[0] == a[0] for a, b in zip(pts, pts[1:]))
+        if x > 0.0 and (flats or drops):
+            return StableProfile(pts)
+
+
+def test_k_psi_matches_quadrature():
+    profiles = [thick_hook_profile(a, b) for a, b in
+                [(1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (0.1, 3.0), (3.0, 3.0)]]
+    profiles += [thick_ribbon_profile(), square_profile()]
+    # a short slope or flat: its sub-intervals take the midpoint series
+    profiles += [StableProfile([(0, 2), (1, 1), (1.001, y), (2, 0)])
+                 for y in (1 - 0.001 / 3, 1)]
+    rng = random.Random(15)
+    profiles += [_random_psi(rng) for _ in range(40)]
+    for profile in profiles:
+        assert abs(k_psi(profile) - k_psi_reference(profile)) <= 1e-12, \
+            profile.psi
+
+
 def test_mesh_build_hexagon():
     F = unit_hexagon_functional()
     mesh = _build_mesh(F.polygon, F.bbox / 12, F.gamma)
@@ -117,6 +162,28 @@ def test_interp_preserves_coarse_nodes():
             assert abs(v - table[(i // 2, j // 2)]) < 1e-12
             hits += 1
     assert hits > 5
+
+
+@pytest.mark.parametrize("functional", [
+    unit_hexagon_functional(), build_functional(thick_hook_profile(1.0, 1.0)),
+    build_functional(thick_ribbon_profile())],
+    ids=["hexagon", "thick-hook", "ribbon"])
+def test_interp_init_matches_loop(functional):
+    rng = np.random.default_rng(7)
+    # nested pairs of the mesh 64 solve, and the unnested 8 -> 12 of mesh 24
+    for n_coarse, n_fine in [(16, 32), (32, 64), (8, 12)]:
+        coarse = _build_mesh(functional.polygon, functional.bbox / n_coarse,
+                             functional.gamma)
+        coarse.f[coarse.free] += rng.uniform(-0.05, 0.05, coarse.free.sum())
+        got = _build_mesh(functional.polygon, functional.bbox / n_fine,
+                          functional.gamma)
+        want = _build_mesh(functional.polygon, functional.bbox / n_fine,
+                           functional.gamma)
+        _interp_init(coarse, got)
+        interp_init_reference(coarse, want)
+        assert np.array_equal(got.f, want.f), (n_coarse, n_fine)
+        gamma = functional.gamma(got.xy[:, 0], got.xy[:, 1])
+        assert (got.f != gamma).sum() > 0.5 * got.free.sum()
 
 
 def test_solver_small_hexagon_converges():
@@ -277,3 +344,19 @@ def test_solve_mesh_independent_of_start(functional):
     assert base.converged and mesh.converged
     assert abs(mesh.psi_value - base.psi_value) <= 1e-6
     assert np.abs(mesh.f - base.f).max() <= 1e-4
+
+
+def test_level_jammed_recounts_from_columns():
+    # at the mesh 64 default the thick hook's final level has jammed nodes:
+    # slopes saturated at 0 or 1 leave them an empty feasible interval
+    functional = build_functional(thick_hook_profile(1.0, 1.0))
+    mesh = maximize(functional)
+    rho_tri = functional.rho(mesh.cent[:, 0], mesh.cent[:, 1])
+    jammed = 0
+    for grp in _groups(mesh, rho_tri):
+        _, _, lo, hi = _columns(grp, mesh.f, mesh.ell)
+        jammed += int((0.5 * (hi - lo) - 1e-9 * mesh.ell < 0).sum())
+    last = mesh.levels[-1]
+    assert (last.jammed, last.nodes) == (jammed, 2977)
+    assert jammed == 110
+    assert all(0 <= level.jammed <= level.nodes for level in mesh.levels)
