@@ -18,7 +18,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .exact import _bareiss_det, _divide_exactly
 from .shapes import Cell, SkewShape, hook_table
-from .tiling import Region, Tiling, _as_region
+from .tiling import Region, Tiling, _as_region, heights_to_tiling
 
 
 class WeightField:
@@ -68,21 +68,14 @@ def capped_weights(shape: SkewShape, N: int, eps: float) -> WeightField:
     return w
 
 
-def tiling_weight(h, w: WeightField) -> float:
-    """Total log weight of a tiling, given as a Tiling or a height function."""
+def tiling_weight(t, w: WeightField) -> float:
+    """Total log weight of a Tiling or height function, in chain order."""
+    if not isinstance(t, Tiling):
+        t = heights_to_tiling(t)
     logs = w.cell_logs
-    if isinstance(h, Tiling):
-        return sum(logs.get((l.x, l.y), 0.0) for l in h.lozenges
-                   if l.type == 3)
-    hd = h.h
     total = 0.0
-    for chain in h.region.chains.values():
-        prev = hd[chain[0]]
-        for v in chain[1:]:
-            cur = hd[v]
-            if cur == prev:
-                total += logs.get(v, 0.0)
-            prev = cur
+    for v in t.region.moves().flat_cells(t.heights):
+        total += logs.get(v, 0.0)
     return total
 
 

@@ -1,30 +1,31 @@
 """Single-site Metropolis dynamics over a region's height functions.
 
-One proposal loop, `_mix`, serves every chain in this module.  It
+One Metropolis kernel, `_kernel`, serves every chain in this module.  It
 proposes, at a uniformly random free vertex, the other legal height value
 (each free vertex has at most two), and accepts with the Metropolis rule
 min(1, exp(beta * delta log weight)).  The proposal is its own inverse,
 so detailed balance holds for any weight field.
 
-The loop runs on integers.  The region's move table (`Region.moves`)
-gives each free vertex its index and those of its six neighbours in one
-height list, and the mask bits of v and v + e3.  In a valid state every
-neighbour differs from h(v) by 0 or 1, so the legal interval reduces to
-equality tests: v can rise only if h(v - e3) = h(v), and fall only
-otherwise.  A flip toggles only the horizontal lozenges at v and v + e3,
-so a rise changes the log weight by logw(v + e3) - logw(v) and a fall by
-the negative; the two acceptance probabilities of every row are computed
-once per call.  Randomness is drawn in blocks: for each chunk of
-m = min(remaining, CHUNK) proposals, m row indices
-(`rng.integers(n, size=m)`) and then m uniforms (`rng.random(m)`), and a
-proposal is accepted when its uniform lies below its acceptance
-probability.  The same draws give the same chain as the dict-keyed loop
-on `_flip_interval` and `_delta_logw` (kept as `mix_reference` in the
-test oracles).
+A chain's state is one int list from start to finish, the height vector
+in `Region.moves().order`; the move table gives each free vertex its
+index, those of its six neighbours and the mask bits of v and v + e3.
+In a valid state every neighbour differs from h(v) by 0 or 1, so the
+legal interval reduces to equality tests: v can rise only if
+h(v - e3) = h(v), and fall only otherwise.  A flip toggles only the
+horizontal lozenges at v and v + e3, so a rise changes the log weight by
+logw(v + e3) - logw(v) and a fall by the negative; the two acceptance
+probabilities of every row are computed once per (region, w, beta).
+Randomness is drawn in blocks: for each chunk of m = min(remaining,
+CHUNK) proposals, m row indices (`rng.integers(n, size=m)`) and then m
+uniforms (`rng.random(m)`), and a proposal is accepted when its uniform
+lies below its acceptance probability.  The same draws give the same
+chain as the dict-keyed loop on `_flip_interval` and `_delta_logw` (kept
+as `mix_reference` in the test oracles).
 
 Both public chains start at the pointwise lowest height function and
 burn in for `_burn_in(region)` = 20 * (number of vertices)^2 proposals.
-`sample` runs the loop at beta = 1 for burn-in and thinning.
+`sample` runs the kernel at beta = 1 for burn-in and thinning and hands
+out `Tiling`s of the chain's height vector.
 `estimate_logZ` is an annealed importance sampler (Neal, Stat. Comput.
 11, 2001) whose base measure is the uniform one, with its log state count
 taken exactly from the determinant engine.  One beta = 0 chain supplies
@@ -44,8 +45,7 @@ import numpy as np
 from .errors import check_count
 from .nhlf import (WeightField, partition_function, tiling_weight,
                    uniform_weights)
-from .tiling import (HeightFunction, Tiling, _as_region, heights_to_tiling,
-                     minimal_extension)
+from .tiling import Tiling, _as_region, _extension
 
 CHUNK = 4096  # proposals per block of drawn randomness
 
@@ -79,21 +79,20 @@ def _burn_in(region) -> int:
     return 20 * len(region.vertices) ** 2
 
 
-def _mix(region, hd: dict, rng: np.random.Generator, w: WeightField,
-         beta: float, nsteps: int) -> int:
-    """Run nsteps Metropolis proposals on the heights hd, in place.
+def _lowest(region) -> list[int]:
+    """The pointwise lowest height vector, checked against the mask."""
+    h = _extension(region.fixed, region, maximal=False)
+    if region.masked.intersection(region.moves().flat_cells(h)):
+        raise ValueError("lowest extension leaves the support mask")
+    return h
 
-    The log acceptance of a proposal is beta times its weight change.
-    Randomness is drawn in chunks of m = min(remaining, CHUNK): m rows of
-    the move table, then m uniforms; a region without free vertices draws
-    nothing.  Returns the number of accepted flips.
-    """
+
+def _kernel(region, w: WeightField, beta: float):
+    """The kernel of one (region, w, beta): run(h, rng, nsteps) makes
+    nsteps proposals on the height vector h in place and returns the
+    number accepted.  A region without free vertices draws nothing."""
     free = region.free
-    if not free:
-        return 0
-    table = region.moves()
-    rows = table.rows
-    h = [hd[u] for u in table.order]
+    rows = region.moves().rows
     # acceptance probability of a rise and of a fall, per row: a rise
     # unflattens the cell at v and flattens the one at v + e3
     if beta:
@@ -104,34 +103,38 @@ def _mix(region, hd: dict, rng: np.random.Generator, w: WeightField,
         fall = [math.exp(min(0.0, -g)) for g in gain]
     else:
         rise = fall = [1.0] * len(free)
-    accepted = 0
-    left = nsteps
-    while left > 0:
-        m = min(left, CHUNK)
-        left -= m
-        picks = rng.integers(len(free), size=m).tolist()
-        us = rng.random(m).tolist()
-        for r, u in zip(picks, us):
-            k, a, b, c, x, y, z, mv, mq = rows[r]
-            old = h[k]
-            hz = h[z]
-            if h[c] == old:  # only a rise can be legal
-                if (h[a] != old or h[b] != old or h[x] == old
-                        or h[y] == old or hz - mq == old):
-                    continue
-                if u < rise[r]:
-                    h[k] = old + 1
-                    accepted += 1
-            else:  # only a fall can be legal
-                if (mv or hz != old or h[a] == old or h[b] == old
-                        or h[x] != old or h[y] != old):
-                    continue
-                if u < fall[r]:
-                    h[k] = old - 1
-                    accepted += 1
-    for v, row in zip(free, rows):
-        hd[v] = h[row[0]]
-    return accepted
+
+    def run(h: list, rng: np.random.Generator, nsteps: int) -> int:
+        if not free:
+            return 0
+        accepted = 0
+        left = nsteps
+        while left > 0:
+            m = min(left, CHUNK)
+            left -= m
+            picks = rng.integers(len(free), size=m).tolist()
+            us = rng.random(m).tolist()
+            for r, u in zip(picks, us):
+                k, a, b, c, x, y, z, mv, mq = rows[r]
+                old = h[k]
+                hz = h[z]
+                if h[c] == old:  # only a rise can be legal
+                    if (h[a] != old or h[b] != old or h[x] == old
+                            or h[y] == old or hz - mq == old):
+                        continue
+                    if u < rise[r]:
+                        h[k] = old + 1
+                        accepted += 1
+                else:  # only a fall can be legal
+                    if (mv or hz != old or h[a] == old or h[b] == old
+                            or h[x] != old or h[y] != old):
+                        continue
+                    if u < fall[r]:
+                        h[k] = old - 1
+                        accepted += 1
+        return accepted
+
+    return run
 
 
 def sample(shape, w: WeightField | None = None, burn_in: int | None = None,
@@ -154,16 +157,14 @@ def sample(shape, w: WeightField | None = None, burn_in: int | None = None,
     burn_in = check_count("burn_in", burn_in, 0)
     thin = check_count("thin", thin, 1)
     n_samples = check_count("n_samples", n_samples, 0)
-    hd = minimal_extension(region.fixed, region).h
-    if not region.mask_ok(hd):
-        raise ValueError("lowest extension leaves the support mask")
+    h = _lowest(region)
+    run = _kernel(region, w, 1.0)
     rng = _rng(seed)
-    _mix(region, hd, rng, w, 1.0, burn_in)
+    run(h, rng, burn_in)
     out = []
     for _ in range(n_samples):
-        _mix(region, hd, rng, w, 1.0, thin)
-        out.append(heights_to_tiling(HeightFunction(region, hd,
-                                                    validate=False)))
+        run(h, rng, thin)
+        out.append(Tiling(region, h))
     return out
 
 
@@ -188,19 +189,15 @@ def density(samples: list[Tiling]) -> DensityField:
     region = samples[0].region
     if region is None or any(t.region is not region for t in samples):
         raise ValueError("samples must share one region")
-    ups = region.up_triangles()
-    index = {p: k for k, p in enumerate(ups)}
-    counts = np.zeros((len(ups), 3))
-    for t in samples:
-        for l in t.lozenges:
-            if l.type == 3:
-                p = (l.x - 1, l.y - 1)
-            elif l.type == 1:
-                p = (l.x, l.y)
-            else:
-                p = (l.x, l.y + 1)
-            counts[index[p], l.type - 1] += 1
-    return DensityField(region, ups, counts / len(samples), len(samples))
+    n = len(samples)
+    heights = np.array([t.heights for t in samples])
+    cols = np.array([row[:3] for row in region.moves().ups()],
+                    dtype=np.intp).reshape(-1, 3)
+    p, p1, p3 = (heights[:, cols[:, i]] for i in range(3))
+    two = (p1 != p).sum(axis=0)
+    three = ((p1 == p) & (p3 == p1)).sum(axis=0)
+    freqs = np.stack([n - two - three, two, three], axis=1) / n
+    return DensityField(region, region.up_triangles(), freqs, n)
 
 
 @dataclass
@@ -257,33 +254,29 @@ def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
     particles = check_count("particles", particles, 2)
     sweeps_per_level = check_count("sweeps_per_level", sweeps_per_level, 1)
     free = region.free
-    hd = minimal_extension(region.fixed, region).h
+    h = _lowest(region)
     if not free:
-        value = sched[-1] * tiling_weight(
-            HeightFunction(region, hd, validate=False), w)
+        value = sched[-1] * tiling_weight(Tiling(region, h), w)
         return LogZEstimate(value, 0.0, particles, tuple(sched),
                             log_count=0.0)
 
     log_count = partition_function(region, uniform_weights()).value
     steps = sweeps_per_level * len(free)
-    moves = [0, 0]  # accepted, proposed
-
-    def mix(h, rng, beta, nsteps):
-        moves[0] += _mix(region, h, rng, w, beta, nsteps)
-        moves[1] += nsteps
-
+    # the start chain runs at beta = 0 exactly, whatever sched[0] is
+    start = _kernel(region, w, 0.0)
+    levels = [(_kernel(region, w, b0), b1 - b0)
+              for b0, b1 in zip(sched, sched[1:])]
     rng = _rng(seed)
-    mix(hd, rng, 0.0, _burn_in(region))
+    accepted = start(h, rng, _burn_in(region))
     lws = []
     for _ in range(particles):
-        mix(hd, rng, 0.0, steps)
-        h = dict(hd)
+        accepted += start(h, rng, steps)
+        hp = list(h)
         prng = _rng(int(rng.integers(2 ** 63)))
         lw = 0.0
-        for b0, b1 in zip(sched, sched[1:]):
-            mix(h, prng, b0, steps)
-            lw += (b1 - b0) * tiling_weight(
-                HeightFunction(region, h, validate=False), w)
+        for run, db in levels:
+            accepted += run(hp, prng, steps)
+            lw += db * tiling_weight(Tiling(region, hp), w)
         lws.append(lw)
     lws = np.array(lws)
     m = lws.max()
@@ -298,4 +291,5 @@ def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
     stderr = float(math.sqrt(max((particles - 1) * jack.var(), 0.0)))
     return LogZEstimate(total + log_count, stderr, particles, tuple(sched),
                         log_count=log_count,
-                        acceptance=moves[0] / moves[1])
+                        acceptance=accepted / (_burn_in(region)
+                                               + particles * len(sched) * steps))

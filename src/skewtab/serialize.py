@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .shapes import SkewShape, StableProfile
-from .tiling import Lozenge, Tiling, build_region
+from .tiling import (HeightFunction, Lozenge, Tiling, build_region,
+                     heights_to_tiling)
 
 
 def _read_json(path) -> object:
@@ -60,6 +61,12 @@ def save_profile(profile: StableProfile, path) -> None:
 
 
 def load_tiling(path, shape: SkewShape) -> Tiling:
+    """Read a tiling of the shape's region, checked to be one.
+
+    The heights rise up each chain from its pinned head except at the
+    file's horizontal lozenges; they must be a height function within the
+    mask whose lozenges are exactly the file's.
+    """
     data = _read_json(path)
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a list of lozenges")
@@ -69,7 +76,17 @@ def load_tiling(path, shape: SkewShape) -> Tiling:
             loz.append(Lozenge(int(item["type"]), int(item["x"]), int(item["y"])))
         except (TypeError, KeyError) as exc:
             raise ValueError(f"{path}: bad lozenge entry {item!r}") from None
-    return Tiling(loz, build_region(shape))
+    region = build_region(shape)
+    flat = {(l.x, l.y) for l in loz if l.type == 3}
+    h = {}
+    for chain in region.chains.values():
+        z = h[chain[0]] = region.fixed[chain[0]]
+        for v in chain[1:]:
+            z = h[v] = z + (v not in flat)
+    tiling = heights_to_tiling(HeightFunction(region, h))
+    if not region.mask_ok(h) or tiling.lozenges != tuple(sorted(loz)):
+        raise ValueError(f"{path}: the lozenges do not tile the shape's region")
+    return tiling
 
 
 def save_tiling(tiling: Tiling, path) -> None:

@@ -32,6 +32,11 @@ d1 = h(p + e1) - h(p) and d2 = h(p + e3) - h(p + e1) decode as
     (1, 0) -> type 2 anchored at p - e2, paired with the down triangle at p - e2
 
 where the down triangle at q has vertices q, q + e2, q + e3.
+
+A tiling is its height function: `Tiling` holds one int per vertex in
+sorted vertex order, and every decode reads the integer tables of
+`Region.moves()`.  The dict-keyed `HeightFunction` serves enumeration,
+`flip` and `extend`.
 """
 from __future__ import annotations
 
@@ -53,11 +58,13 @@ class Lozenge(NamedTuple):
     y: int
 
 
-class MoveTable(NamedTuple):
-    """Integer form of a region's single-site moves.
+class MoveTable:
+    """Integer form of a region's heights, moves, lozenges and flat cells.
 
-    Row r belongs to free[r] and reads (k, a, b, c, x, y, z, m_v, m_q):
-    k is the vertex's index into `order` (the sorted vertices), a, b, c
+    `order` lists the region's vertices sorted, and a height vector is a
+    sequence of ints indexed like it (`index` maps a vertex to its
+    position).  Row r of `rows` belongs to free[r] and reads
+    (k, a, b, c, x, y, z, m_v, m_q): k is the vertex's index, a, b, c
     index its -e1, -e2, -e3 neighbours and x, y, z its +e1, +e2, +e3
     neighbours, and m_v, m_q are 1 when v and v + e3 are masked.  Every
     free vertex sits inside a chain, so its -e3 and +e3 neighbours exist;
@@ -69,10 +76,56 @@ class MoveTable(NamedTuple):
         hi = min(h[a] + 1, h[b] + 1, h[c] + 1, h[x], h[y], h[z] - m_q)
 
     is `_flip_interval` without a membership test.
+
+    Built on first use: `ups()`, per up triangle p (sorted), the indices
+    of p, p + e1, p + e3 and for types 1, 2, 3 the lozenge and the index
+    of its down triangle in `Region.down_triangles` (-1 if absent); and
+    for `flat_cells`, the chain steps (index of v - e3, index of v, v)
+    from head to tail, flat where the height does not rise.
     """
 
-    order: tuple[Vertex, ...]
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("region", "order", "index", "rows", "_ups", "_steps")
+
+    def __init__(self, region: "Region"):
+        self.region = region
+        self.order = order = tuple(sorted(region.vertices))
+        self.index = at = {v: k for k, v in enumerate(order)}
+        rows = []
+        for v in region.free:
+            i, j = v
+            q = (i + 1, j + 1)
+            c, z = at[(i - 1, j - 1)], at[q]
+            rows.append((at[v], at.get((i - 1, j), c),
+                         at.get((i, j - 1), c), c, at.get((i + 1, j), z),
+                         at.get((i, j + 1), z), z,
+                         int(v in region.masked), int(q in region.masked)))
+        self.rows = tuple(rows)
+        self._ups = self._steps = None
+
+    def ups(self) -> tuple:
+        """The up-triangle table, built on first use."""
+        if self._ups is None:
+            at = self.index
+            down = {q: k for k, q in enumerate(self.region.down_triangles())}
+            rows = []
+            for p in self.region.up_triangles():
+                i, j = p
+                r, s = (i, j - 1), (i + 1, j + 1)
+                rows.append((at[p], at[(i + 1, j)], at[s], (
+                    (Lozenge(1, i, j), down.get((i + 1, j), -1)),
+                    (Lozenge(2, *r), down.get(r, -1)),
+                    (Lozenge(3, *s), down.get(p, -1)))))
+            self._ups = tuple(rows)
+        return self._ups
+
+    def flat_cells(self, h) -> list[Vertex]:
+        """Flat cells of the height vector h, in chain order."""
+        if self._steps is None:
+            at = self.index
+            self._steps = tuple((at[c[t - 1]], at[c[t]], c[t])
+                                for c in self.region.chains.values()
+                                for t in range(1, len(c)))
+        return [v for a, b, v in self._steps if h[a] == h[b]]
 
 
 class Region:
@@ -114,20 +167,9 @@ class Region:
         return self._down
 
     def moves(self) -> MoveTable:
-        """The move table of the free vertices, built on first use."""
+        """The region's integer tables, built on first use."""
         if self._moves is None:
-            order = tuple(sorted(self.vertices))
-            at = {v: k for k, v in enumerate(order)}
-            rows = []
-            for v in self.free:
-                i, j = v
-                q = (i + 1, j + 1)
-                c, z = at[(i - 1, j - 1)], at[q]
-                rows.append((at[v], at.get((i - 1, j), c),
-                             at.get((i, j - 1), c), c, at.get((i + 1, j), z),
-                             at.get((i, j + 1), z), z,
-                             int(v in self.masked), int(q in self.masked)))
-            self._moves = MoveTable(order, tuple(rows))
+            self._moves = MoveTable(self)
         return self._moves
 
     def mask_ok(self, h: dict) -> bool:
@@ -256,22 +298,49 @@ class HeightFunction:
 
 
 class Tiling:
-    """A lozenge list (type, x, y), sorted, with a back reference to the region."""
+    """A lozenge tiling, held as its height vector in `Region.moves().order`;
+    its sorted lozenges (type, x, y) are decoded on first use and kept."""
 
-    __slots__ = ("lozenges", "region")
+    __slots__ = ("region", "heights", "_lozenges")
 
-    def __init__(self, lozenges, region: Region | None = None):
-        self.lozenges = tuple(sorted(Lozenge(*l) for l in lozenges))
+    def __init__(self, region: Region, heights):
         self.region = region
+        self.heights = tuple(heights)
+        self._lozenges = None
+
+    def _picks(self) -> list[int]:
+        """Per up triangle, 0, 1 or 2 for a lozenge of type 1, 2 or 3."""
+        h = self.heights
+        return [1 if h[b] != h[a] else 2 if h[c] == h[b] else 0
+                for a, b, c, _ in self.region.moves().ups()]
+
+    @property
+    def lozenges(self) -> tuple[Lozenge, ...]:
+        """Every upward triangle carries exactly one lozenge; the paired
+        downward triangles must be covered exactly once, which holds for
+        any height vector agreeing with the pinned boundary."""
+        if self._lozenges is None:
+            by_type: tuple[list, list, list] = ([], [], [])
+            downs = []
+            for t, row in zip(self._picks(), self.region.moves().ups()):
+                loz, q = row[3][t]
+                by_type[t].append(loz)
+                downs.append(q)
+            n = len(self.region.down_triangles())
+            if sorted(downs) != list(range(n)):
+                raise ValueError("inconsistent heights: a down triangle is "
+                                 "not covered once (are the pins kept?)")
+            # each type's anchors shift the sorted up-triangle roots by a
+            # constant, so the concatenation is sorted
+            self._lozenges = tuple(by_type[0] + by_type[1] + by_type[2])
+        return self._lozenges
 
     def counts(self) -> tuple[int, int, int]:
-        out = [0, 0, 0]
-        for l in self.lozenges:
-            out[l.type - 1] += 1
-        return tuple(out)
+        picks = self._picks()
+        return picks.count(0), picks.count(1), picks.count(2)
 
     def type3_cells(self) -> frozenset[Vertex]:
-        return frozenset((l.x, l.y) for l in self.lozenges if l.type == 3)
+        return frozenset(self.region.moves().flat_cells(self.heights))
 
     def __len__(self) -> int:
         return len(self.lozenges)
@@ -280,10 +349,11 @@ class Tiling:
         return iter(self.lozenges)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Tiling) and self.lozenges == other.lozenges
+        return (isinstance(other, Tiling) and self.heights == other.heights
+                and self.region.shape == other.region.shape)
 
     def __hash__(self) -> int:
-        return hash(self.lozenges)
+        return hash(self.heights)
 
     def __repr__(self) -> str:
         return f"Tiling({self.counts()} of types 1/2/3)"
@@ -293,7 +363,8 @@ def _cone_max(dz0, dz1):
     return np.maximum(np.maximum(dz0, dz1), 0)
 
 
-def _extension(partial: dict, region: Region, maximal: bool) -> dict:
+def _extension(partial: dict, region: Region, maximal: bool) -> list[int]:
+    """Extreme heights through the partial values, by sorted vertex."""
     if not partial:
         raise ValueError("extension needs at least one pinned value")
     unknown = [v for v in partial if v not in region.vertices]
@@ -319,7 +390,7 @@ def _extension(partial: dict, region: Region, maximal: bool) -> dict:
     else:
         d = S[None, :, :] - V[:, None, :]
         vals = (G[None, :] - _cone_max(d[..., 0], d[..., 1])).max(axis=1)
-    return {tuple(v): int(x) for v, x in zip(V.tolist(), vals.tolist())}
+    return vals.tolist()
 
 
 def extend(partial: dict, region: Region) -> HeightFunction:
@@ -331,14 +402,16 @@ def extend(partial: dict, region: Region) -> HeightFunction:
     rule is validated here: agreement with the region's pins and mask is
     up to the caller's choice of partial data.
     """
-    h = _extension(partial, region, maximal=True)
+    h = dict(zip(sorted(region.vertices),
+                 _extension(partial, region, maximal=True)))
     _check_edges(region, h)
     return HeightFunction(region, h, validate=False)
 
 
 def minimal_extension(partial: dict, region: Region) -> HeightFunction:
     """Smallest height function through the given partial values."""
-    h = _extension(partial, region, maximal=False)
+    h = dict(zip(sorted(region.vertices),
+                 _extension(partial, region, maximal=False)))
     _check_edges(region, h)
     return HeightFunction(region, h, validate=False)
 
@@ -399,128 +472,66 @@ def flip(h: HeightFunction, v: Vertex) -> HeightFunction | None:
     return HeightFunction(region, new, validate=False)
 
 
-def _decode_up(p: Vertex, hd: dict) -> tuple[int, Vertex]:
-    """Lozenge type and anchor for the upward triangle rooted at p."""
-    i, j = p
-    d1 = hd[(i + 1, j)] - hd[p]
-    if d1 == 0:
-        if hd[(i + 1, j + 1)] == hd[(i + 1, j)]:
-            return 3, (i + 1, j + 1)
-        return 1, p
-    return 2, (i, j - 1)
-
-
 def heights_to_tiling(h: HeightFunction) -> Tiling:
-    """Decode a height function into its lozenge tiling.
-
-    Every upward triangle carries exactly one lozenge; the paired downward
-    triangles are checked to be claimed exactly once, which holds for any
-    height function agreeing with the pinned boundary.
-    """
-    region = h.region
-    hd = h.h
-    claimed: dict[Vertex, int] = {}
-    lozenges = []
-    for p in region.up_triangles():
-        typ, anchor = _decode_up(p, hd)
-        lozenges.append((typ, anchor[0], anchor[1]))
-        i, j = p
-        q = (i, j) if typ == 3 else ((i + 1, j) if typ == 1 else (i, j - 1))
-        if q in claimed:
-            raise ValueError(
-                f"inconsistent heights: down triangle at {q} claimed twice"
-            )
-        claimed[q] = typ
-    downs = region.down_triangles()
-    if len(claimed) != len(downs) or any(q not in claimed for q in downs):
-        raise ValueError(
-            "inconsistent heights: some down triangles are left uncovered "
-            "(do the heights agree with the pinned boundary?)"
-        )
-    return Tiling(lozenges, region)
+    """The lozenge tiling of a height function."""
+    return Tiling(h.region, [h.h[v] for v in h.region.moves().order])
 
 
 def type_counts(h: HeightFunction) -> tuple[int, int, int]:
     """How many lozenges of types 1, 2, 3 the height function encodes."""
-    hd = h.h
-    out = [0, 0, 0]
-    for p in h.region.up_triangles():
-        out[_decode_up(p, hd)[0] - 1] += 1
-    return tuple(out)
+    return heights_to_tiling(h).counts()
 
 
-def iter_height_maps(region: Region, guard: int | None = None) -> Iterator[dict]:
-    """Stream every height dict of the region in row-major DFS order.
+def _height_vectors(region: Region, guard: int | None) -> Iterator[list]:
+    """Stream every height vector of the region in lexicographic order,
+    as one list updated in place between yields.
 
     Raises ResourceGuardError as soon as more than `guard` states have
     been produced (guard = None streams without a limit).
     """
-    order = sorted(region.vertices)
-    n = len(order)
-    vs = region.vertices
-    fixedvals = region.fixed
-    masked = region.masked
-    depth = region.depth
-    h = dict(fixedvals)
-    cands: list[list[int]] = [[] for _ in range(n)]
-    level = 0
-    entering = True
+    table = region.moves()
+    at, depth = table.index, region.depth
+    # a vertex's -e1, -e2, -e3 neighbours come before it in sorted order:
+    # per vertex, (index, least gain) of each
+    below = []
+    for i, j in table.order:
+        near = (((i - 1, j), 0), ((i, j - 1), 0),
+                ((i - 1, j - 1), int((i, j) in region.masked)))
+        below.append([(at[p], g) for p, g in near if p in at])
+    pins = [region.fixed.get(v) for v in table.order]
+    h = [0] * len(table.order)
+
+    def options(k: int):
+        lo = max([0] + [h[a] + g for a, g in below[k]])
+        hi = min([depth] + [h[a] + 1 for a, _ in below[k]])
+        if pins[k] is None:
+            return iter(range(lo, hi + 1))
+        return iter((pins[k],) if lo <= pins[k] <= hi else ())
+
     produced = 0
-    while level >= 0:
-        if level == n:
+    stack = [options(0)]
+    while stack:
+        k = len(stack) - 1
+        h[k] = next(stack[-1], None)
+        if h[k] is None:
+            stack.pop()
+        elif k + 1 < len(h):
+            stack.append(options(k + 1))
+        else:
             produced += 1
             if guard is not None and produced > guard:
                 raise ResourceGuardError(
                     f"state space exceeds the guard of {guard} height functions",
                     "use sampler.sample or sampler.estimate_logZ",
                 )
-            yield dict(h)
-            level -= 1
-            entering = False
-            continue
-        v = order[level]
-        if entering:
-            i, j = v
-            lo, hi = 0, depth
-            for p in ((i - 1, j), (i, j - 1)):
-                if p in vs:
-                    lo = max(lo, h[p])
-                    hi = min(hi, h[p] + 1)
-            p3 = (i - 1, j - 1)
-            if p3 in vs:
-                lo = max(lo, h[p3] + (1 if v in masked else 0))
-                hi = min(hi, h[p3] + 1)
-            if v in fixedvals:
-                val = fixedvals[v]
-                cands[level] = [val] if lo <= val <= hi else []
-            else:
-                cands[level] = list(range(lo, hi + 1))
-        if cands[level]:
-            val = cands[level].pop(0)
-            if v not in fixedvals:
-                h[v] = val
-            level += 1
-            entering = True
-        else:
-            if v not in fixedvals:
-                h.pop(v, None)
-            level -= 1
-            entering = False
+            yield h
 
 
 def iter_flat_cells(region: Region, guard: int | None = None) -> Iterator[list]:
     """Stream, per height function, the cells carrying a horizontal lozenge."""
-    chains = [c for c in region.chains.values() if len(c) > 1]
-    for h in iter_height_maps(region, guard):
-        flats = []
-        for chain in chains:
-            prev = h[chain[0]]
-            for v in chain[1:]:
-                cur = h[v]
-                if cur == prev:
-                    flats.append(v)
-                prev = cur
-        yield flats
+    table = region.moves()
+    for h in _height_vectors(region, guard):
+        yield table.flat_cells(h)
 
 
 def enumerate_H(shape, guard: int = ENUM_GUARD) -> list[HeightFunction]:
@@ -530,8 +541,7 @@ def enumerate_H(shape, guard: int = ENUM_GUARD) -> list[HeightFunction]:
     with a pointer to the Monte Carlo route.
     """
     region = _as_region(shape)
-    return [
-        HeightFunction(region, h, validate=False)
-        for h in iter_height_maps(region, guard)
-    ]
+    order = region.moves().order
+    return [HeightFunction(region, dict(zip(order, h)), validate=False)
+            for h in _height_vectors(region, guard)]
 

@@ -21,7 +21,11 @@ sampler's move-table loop replaces, fed the same chunked draws.
 `tiling_sum_reference` is the LGV tiling sum with every path sum and
 elimination step in `Fraction`s, on `det_reference`'s rational Gaussian
 elimination: the route the integer engine and its Bareiss determinant
-replace.
+replace.  `heights_to_tiling_reference` decodes a dict-keyed height
+function one upward triangle at a time and checks the down triangles
+with a claimed-dict, and `density_reference` tallies lozenge types one
+lozenge at a time: the routes that `Tiling`'s table decode from its
+height vector and `density`'s numpy pass replace.
 """
 import math
 import warnings
@@ -33,7 +37,8 @@ import numpy as np
 from scipy import integrate
 
 from skewtab.sampler import CHUNK, _delta_logw
-from skewtab.tiling import _flip_interval, iter_flat_cells
+from skewtab.sampler import DensityField
+from skewtab.tiling import Lozenge, _flip_interval, iter_flat_cells
 from skewtab.varsolve import _Group
 
 
@@ -388,3 +393,49 @@ def tiling_sum_reference(region, cell_weight) -> Fraction:
                         nxt[s + dt] = nxt.get(s + dt, 0) + val
             sums = {s: val * wts[s] for s, val in nxt.items()}
     return prefactor * det_reference(m)
+
+
+def heights_to_tiling_reference(h) -> tuple:
+    """The sorted lozenges of a HeightFunction, decoded through its dict.
+
+    The triangle at p decodes by d1 = h(p + e1) - h(p) and
+    d2 = h(p + e3) - h(p + e1); each paired down triangle must be claimed
+    exactly once.
+    """
+    region = h.region
+    hd = h.h
+    claimed = {}
+    lozenges = []
+    for p in region.up_triangles():
+        i, j = p
+        if hd[(i + 1, j)] != hd[p]:
+            typ, anchor, q = 2, (i, j - 1), (i, j - 1)
+        elif hd[(i + 1, j + 1)] == hd[(i + 1, j)]:
+            typ, anchor, q = 3, (i + 1, j + 1), p
+        else:
+            typ, anchor, q = 1, p, (i + 1, j)
+        lozenges.append(Lozenge(typ, *anchor))
+        if q in claimed:
+            raise ValueError(f"down triangle at {q} claimed twice")
+        claimed[q] = typ
+    if set(claimed) != set(region.down_triangles()):
+        raise ValueError("some down triangles are left uncovered")
+    return tuple(sorted(lozenges))
+
+
+def density_reference(samples) -> DensityField:
+    """sampler.density by a loop over every lozenge of every sample."""
+    region = samples[0].region
+    ups = region.up_triangles()
+    index = {p: k for k, p in enumerate(ups)}
+    counts = np.zeros((len(ups), 3))
+    for t in samples:
+        for l in t.lozenges:
+            if l.type == 3:
+                p = (l.x - 1, l.y - 1)
+            elif l.type == 1:
+                p = (l.x, l.y)
+            else:
+                p = (l.x, l.y + 1)
+            counts[index[p], l.type - 1] += 1
+    return DensityField(region, ups, counts / len(samples), len(samples))

@@ -254,3 +254,25 @@ def test_sample_needs_a_sample(capsys, data_dir):
                        str(data_dir / "s332_21.json"), "--samples", "0")
     assert code == 2
     assert "error" in json.loads(err.strip())
+
+
+def test_render_rejects_a_dropped_lozenge(capsys, data_dir, tmp_path):
+    tiling = tmp_path / "t.json"
+    shape = str(data_dir / "s332_21.json")
+    code, _, _ = run(capsys, "--no-manifest", "sample", "--shape", shape,
+                     "--samples", "1", "--out", str(tiling))
+    assert code == 0
+    tiling.write_text(json.dumps(json.loads(tiling.read_text())[1:]))
+    code, _, err = run(capsys, "--no-manifest", "render", "--tiling",
+                       str(tiling), "--shape", shape,
+                       "--out", str(tmp_path / "t.svg"))
+    assert code == 2
+    assert "error" in json.loads(err.strip())
+
+
+def test_repro_thick_hook_series_limit(capsys):
+    code, out, _ = run(capsys, "--no-manifest", "repro", "--target",
+                       "thick-hook", "--mesh", "32")
+    assert code == 0
+    line = next(l for l in out.splitlines() if "finite-N" in l)
+    assert float(line.split("|diff|")[1].split()[0]) < 1e-6, line

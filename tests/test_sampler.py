@@ -15,12 +15,13 @@ from skewtab import (
     tiling_weight,
     uniform_weights,
 )
-from skewtab.sampler import CHUNK, _delta_logw, _mix, _rng
+from skewtab.sampler import CHUNK, _delta_logw, _kernel, _rng
 from skewtab.shapes import thick_hook_shape
 from skewtab.tiling import (Region, _flip_interval, build_region, enumerate_H,
                             extend, flip, minimal_extension)
 
-from _naive import mix_reference
+from _naive import density_reference, mix_reference
+from test_tiling import oracle_shapes
 
 
 def _table_interval(row, h):
@@ -106,19 +107,18 @@ def test_mix_matches_dict_reference():
         missing += any(p not in vs for i, j in reg.free
                        for p in ((i - 1, j), (i, j - 1), (i + 1, j), (i, j + 1)))
         for seed, beta in enumerate([1.0, 0.0, 0.4, 2.5]):
-            fast = minimal_extension(reg.fixed, reg).h
-            if not reg.mask_ok(fast):
-                fast = extend(reg.fixed, reg).h
-            slow = dict(fast)
-            n = CHUNK + 5
-            acc = _mix(reg, fast, _rng(seed), w, beta, n)
-            assert acc == mix_reference(reg, slow, _rng(seed), w, beta, n)
-            assert fast == slow, (reg, beta)
-            moved += acc > 0
+            slow = minimal_extension(reg.fixed, reg).h
+            if not reg.mask_ok(slow):
+                slow = extend(reg.fixed, reg).h
             table = reg.moves()
-            h = [fast[u] for u in table.order]
+            h = [slow[u] for u in table.order]
+            n = CHUNK + 5
+            acc = _kernel(reg, w, beta)(h, _rng(seed), n)
+            assert acc == mix_reference(reg, slow, _rng(seed), w, beta, n)
+            assert h == [slow[u] for u in table.order], (reg, beta)
+            moved += acc > 0
             for v, row in zip(reg.free, table.rows):
-                assert _table_interval(row, h) == _flip_interval(reg, fast, v)
+                assert _table_interval(row, h) == _flip_interval(reg, slow, v)
     assert missing >= 5 and moved >= 120
 
 
@@ -185,6 +185,18 @@ def test_uniform_gof_small(s332_21):
     chi2 = sum((c - n / 5) ** 2 / (n / 5) for c in counts.values())
     p = stats.chi2.sf(chi2, 4)
     assert p > 0.005, (chi2, p)
+
+
+def test_density_matches_reference():
+    """The numpy pass over stacked heights counts what the lozenge loop
+    counts, bit for bit."""
+    for seed, shape in enumerate(oracle_shapes()[:12]):
+        reg = build_region(shape)
+        w = hook_weights(shape, scale=shape.size)
+        samples = sample(reg, w, n_samples=60, thin=3, seed=seed)
+        new, ref = density(samples), density_reference(samples)
+        assert new.anchors == ref.anchors and new.n == ref.n == 60
+        assert np.array_equal(new.freqs, ref.freqs), reg
 
 
 def test_density_rows(s332_21):

@@ -16,7 +16,7 @@ from skewtab.serialize import (
     save_tiling,
 )
 from skewtab.shapes import thick_hook_profile
-from skewtab.tiling import enumerate_H, heights_to_tiling
+from skewtab.tiling import Region, build_region, enumerate_H, heights_to_tiling
 
 
 def test_shape_round_trip(tmp_path, s332_21):
@@ -104,3 +104,32 @@ def test_golden_tilings_match_enumeration(data_dir, s332_21):
     ours = [[{"type": l.type, "x": l.x, "y": l.y}
              for l in heights_to_tiling(h).lozenges] for h in heights]
     assert ours == golden
+
+
+def _write_lozenges(path, lozenges):
+    path.write_text(json.dumps([{"type": l.type, "x": l.x, "y": l.y}
+                                for l in lozenges]))
+
+
+def test_load_tiling_rejects_non_tilings(tmp_path, s332_21):
+    loz = heights_to_tiling(enumerate_H(s332_21)[0]).lozenges
+    assert loz[0].type == 1 and loz[-1].type == 3
+    p = tmp_path / "t.json"
+    for bad in (loz[1:], loz[:-1], loz + loz[:1], loz + loz[-1:]):
+        _write_lozenges(p, bad)
+        with pytest.raises(ValueError):
+            load_tiling(p, s332_21)
+    # a flat lozenge outside the outer shape: the heights of 2,2/2 without
+    # its mask, at a state the mask forbids
+    shape = SkewShape([2, 2], [2])
+    reg = build_region(shape)
+    unmasked = Region(shape, reg.vertices, reg.fixed, reg.free, frozenset(),
+                      reg.chains, reg.depth)
+    outside = [h for h in enumerate_H(unmasked) if not reg.mask_ok(h.h)]
+    assert outside
+    for h in outside:
+        t = heights_to_tiling(h)
+        assert any(c not in shape.outer for c in t.type3_cells())
+        _write_lozenges(p, t.lozenges)
+        with pytest.raises(ValueError):
+            load_tiling(p, shape)

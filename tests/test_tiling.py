@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -15,7 +16,12 @@ from skewtab import (
     minimal_extension,
     type_counts,
 )
+from skewtab.nhlf import hook_weights, tiling_weight
+from skewtab.serialize import load_tiling, save_tiling
+from skewtab.shapes import thick_hook_shape
 from skewtab.tiling import iter_flat_cells
+
+from _naive import heights_to_tiling_reference
 
 
 def region_332_21():
@@ -169,8 +175,83 @@ def test_enumeration_guard():
     assert "sample" in str(ei.value)
 
 
-def test_tiling_sort_invariance(s332_21):
-    h = enumerate_H(s332_21)[0]
-    t = heights_to_tiling(h)
-    shuffled = Tiling(tuple(reversed(t.lozenges)), t.region)
-    assert shuffled == t  # canonical ordering inside the constructor
+def test_tiling_sort_invariance(s332_21, tmp_path):
+    """A tiling file lists its lozenges in any order."""
+    t = heights_to_tiling(enumerate_H(s332_21)[0])
+    save_tiling(t, tmp_path / "t.json")
+    doc = json.loads((tmp_path / "t.json").read_text())
+    (tmp_path / "t.json").write_text(json.dumps(doc[::-1]))
+    assert load_tiling(tmp_path / "t.json", s332_21) == t
+
+
+def oracle_shapes():
+    """3,3,2/2,1, th(2,2,2), 5,4,3,2,1/2,1 and 30 seeded random shapes."""
+    shapes = [SkewShape([3, 3, 2], [2, 1]), thick_hook_shape(2, 2, 2),
+              SkewShape([5, 4, 3, 2, 1], [2, 1])]
+    rng = random.Random(20260815)
+    while len(shapes) < 33:
+        lam = sorted((rng.randint(1, 10) for _ in range(rng.randint(1, 10))),
+                     reverse=True)
+        mu = sorted((rng.randint(0, v) for v in lam), reverse=True)
+        try:
+            sh = SkewShape(lam, mu)
+        except ValueError:
+            continue
+        if sh.inner and 1 <= sh.size <= 14 and sh not in shapes:
+            shapes.append(sh)
+    return shapes
+
+
+def weight_reference(h, w) -> float:
+    """tiling_weight by dict lookups, chain by chain from head to tail."""
+    total = 0.0
+    for chain in h.region.chains.values():
+        for u, v in zip(chain, chain[1:]):
+            if h[u] == h[v]:
+                total += w.cell_logs.get(v, 0.0)
+    return total
+
+
+def test_tiling_matches_dict_reference():
+    states = 0
+    for shape in oracle_shapes():
+        w = hook_weights(shape, scale=shape.size)
+        for h in enumerate_H(shape):
+            ref = heights_to_tiling_reference(h)
+            t = heights_to_tiling(h)
+            assert t.lozenges == ref, shape
+            assert t.counts() == type_counts(h) == tuple(
+                sum(l.type == k for l in ref) for k in (1, 2, 3))
+            assert t.type3_cells() == {(l.x, l.y) for l in ref if l.type == 3}
+            assert tiling_weight(t, w) == tiling_weight(h, w) \
+                == weight_reference(h, w)
+            states += 1
+    assert states > 250
+
+
+def test_decode_raises_where_reference_does():
+    """Heights one step off a tiling decode like the dict reference, and
+    heights breaking the pins raise on `lozenges`."""
+    rng = random.Random(3)
+    raised = 0
+    for shape in oracle_shapes()[:12]:
+        region = build_region(shape)
+        order = region.moves().order
+        for h in enumerate_H(shape):
+            v = rng.choice(order)
+            bad = dict(h.items())
+            bad[v] += rng.choice((-1, 1))
+            t = Tiling(region, [bad[u] for u in order])
+            try:
+                ref = heights_to_tiling_reference(
+                    HeightFunction(region, bad, validate=False))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    t.lozenges
+                raised += 1
+            else:
+                assert t.lozenges == ref
+    assert raised > 20
+    region = region_332_21()
+    with pytest.raises(ValueError):
+        Tiling(region, [0] * len(region.vertices)).lozenges
