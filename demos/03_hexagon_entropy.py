@@ -23,7 +23,7 @@ def main():
         res = maximize(unit_hexagon_functional(), mesh_n=n)
         print(f"mesh {n:3d}: psi = {res.psi_value:.6f}  "
               f"(off by {abs(res.psi_value - CLOSED_FORM):.2e}, "
-              f"kkt {res.kkt_residual:.1e}, {res.sweeps} sweeps)")
+              f"certified gap {res.gap:.1e}, {res.sweeps} Newton steps)")
 
 
 if __name__ == "__main__":

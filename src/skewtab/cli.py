@@ -169,13 +169,14 @@ def _cmd_solve(args, run: _Run) -> int:
         functional = build_functional(load_profile(args.profile), eps=args.eps)
     mesh = maximize(functional, mesh_n=args.mesh, tol=args.tol)
     print(f"psi {_G(mesh.psi_value)}")
+    print(f"gap {_G(mesh.gap)}")
     print(f"kkt_residual {_G(mesh.kkt_residual)}")
     print(f"refine_gap {_G(mesh.refine_gap)}")
     for i, level in enumerate(mesh.levels, 1):
-        print(f"level {i} nodes {level.nodes} jammed {level.jammed} "
-              f"sweeps {level.sweeps} "
-              f"kkt_residual {_G(level.kkt_residual)} psi {_G(level.psi)} "
-              f"seconds {level.seconds:.3g}")
+        print(f"level {i} nodes {level.nodes} steps {level.steps} "
+              f"phase1_steps {level.phase1_steps} mu {_G(level.mu)} "
+              f"gap {_G(level.gap)} psi {_G(level.psi)} "
+              f"seconds {level.seconds:.3g} converged {level.converged}")
     if args.out:
         save_mesh(mesh, args.out)
         run.wrote(args.out)

@@ -10,14 +10,16 @@ gamma(x, y) = max(0, min(x, y, d)).
 The functional maximized over height profiles f with gradient in the
 slope triangle is the tiling entropy sigma(s, t) plus the weight term
 rho(x, y) * (1 - s - t), where rho is the capped log of the scaled hook
-limit hbar(x, y) = (psi^{-1}(y) - x) + (psi(x) - y).  Coordinate ascent
-over a three coloring of a triangulated grid solves it: each update is a
-one dimensional concave maximization on the node's feasible interval.
-Its derivative has the sign of prod sin(pi A) exp(-R) - prod sin(pi B),
-where A and B run over the slopes that fall and rise with the node's
-height and R collects the weight term, so the update bisects on the sign
-of that sine product and takes no logarithm; each mesh level stops at the
-first sweep whose projected gradient residual is within tolerance.
+limit hbar(x, y) = (psi^{-1}(y) - x) + (psi(x) - y).  On a triangulated
+grid every slope is linear in the free node heights, so a log barrier
+mu A sum (log z + log(1 - z)) over the slopes turns the problem into a
+smooth concave one (Boyd and Vandenberghe, Convex Optimization, ch. 11).
+Damped Newton steps solve it for mu shrinking tenfold, each step one
+block tridiagonal solve by grid column; a phase I solve through the same
+linear algebra first makes every slope strictly feasible.  Each level
+stops at a certified optimality gap: weak duality with the multipliers
+that the Newton equation makes stationary bounds how far the heights'
+value lies below the discrete maximum.
 
 The growth constant of the family is then Psi_max - k(psi) - 1 in the
 normalization log f_N ~ 0.5 N log N + c N, where k(psi) is the integral
@@ -40,7 +42,9 @@ from .shapes import StableProfile
 DEFAULT_MESH = 64
 DEFAULT_EPS = 0.05
 DEFAULT_TOL = 1e-4
-MAX_SWEEPS = 4000  # sweep budget of the finest level; coarser levels get half
+_MAX_STEPS = 200  # Newton steps per phase and level
+_INSIDE = 1e-3  # slope margin at which phase I stops
+_MU_MIN = 1e-9  # smallest barrier weight: frozen slopes near mu lose precision
 _PI = math.pi
 
 
@@ -254,19 +258,13 @@ class LevelTrace:
     """Convergence record of one mesh level of a solve."""
 
     nodes: int  # free nodes
-    jammed: int  # free nodes with no room to move after the last sweep
-    residuals: tuple  # projected gradient residual after each sweep
+    steps: int  # barrier Newton steps
+    phase1_steps: int  # Newton steps to a strictly feasible start
+    mu: float  # final barrier weight
+    gap: float  # certified optimality gap of the level's heights
     psi: float
     seconds: float
-    converged: bool
-
-    @property
-    def sweeps(self) -> int:
-        return len(self.residuals)
-
-    @property
-    def kkt_residual(self) -> float:
-        return self.residuals[-1] if self.residuals else math.inf
+    converged: bool  # gap within tol / 100
 
 
 class MeshProfile:
@@ -279,7 +277,7 @@ class MeshProfile:
 
     __slots__ = ("xy", "ij", "tris", "up", "cent", "free", "f", "ell",
                  "psi_value", "kkt_residual", "sweeps", "converged",
-                 "refine_gap", "levels")
+                 "refine_gap", "gap", "levels")
 
     def __init__(self, xy, ij, tris, up, cent, free, f, ell):
         self.xy = xy
@@ -295,6 +293,7 @@ class MeshProfile:
         self.sweeps = 0
         self.converged = False
         self.refine_gap = math.nan
+        self.gap = math.inf
         self.levels: list[LevelTrace] = []
 
     def slopes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -347,7 +346,7 @@ def _build_mesh(poly, ell: float, gamma: Callable) -> MeshProfile:
 
 
 # ---------------------------------------------------------------------------
-# coordinate ascent
+# barrier Newton solver
 
 
 def _sigma_clip(s, t):
@@ -368,199 +367,293 @@ def evaluate_psi(mesh: MeshProfile, functional: Functional) -> float:
     return float(vals.sum() * 0.5 * mesh.ell ** 2)
 
 
-@dataclass(frozen=True)
-class _Group:
-    """Incidence columns of one color class of free nodes, shaped (6, k).
+class _Barrier:
+    """The log-barrier problem of one mesh level, over its moving slopes.
 
-    Column j of node v is an incident triangle (v0, v1, v2) with v in slot
-    i.  Raising f[v] by dx lowers one slope of that triangle by dx / ell,
-    the falling slope A = (f[v(i+1)] + ell [i = 2] - f[v]) / ell, raises
-    another, B = (f[v] + ell [i = 0] - f[v(i-1)]) / ell, and leaves the
-    third alone.  This holds for up and down triangles alike, and so does
-    the weight term's coefficient: f[v] enters ell (s + t) as (i - 1) f[v].
-    Nodes with fewer than six triangles pad with invalid columns.
+    Each mesh edge carries one slope of every triangle it bounds: triangle
+    (v0, v1, v2) has (f1 - f0) / ell and (f2 - f1) / ell, its s and t in
+    some order, and u = (f0 - f2 + ell) / ell.  An edge in c triangles adds
+    phi(z) = A [c L(pi z) / pi + r z] + mu A c [log z + log(1 - z)], where
+    A = ell^2 / 2 and r is the sum of rho over its triangles on a u edge, 0
+    elsewhere.  Only edges with a free end move.  Free nodes are numbered
+    i-major, so minus the Hessian, a weighted graph Laplacian over them, is
+    block tridiagonal by grid column.  Pinned ends point at position nf.
     """
 
-    nodes: np.ndarray
-    fall_at: np.ndarray
-    fall_off: np.ndarray
-    rise_at: np.ndarray
-    rise_off: np.ndarray
-    valid: np.ndarray
-    rho_sum: np.ndarray  # per node, sum over columns of rho * (i - 1)
+    def __init__(self, mesh: MeshProfile, functional: Functional):
+        n, ell = len(mesh.xy), mesh.ell
+        t0, t1, t2 = mesh.tris.T
+        # edge key 3 lo + kind: horizontal 0, vertical 1, diagonal 2
+        count = np.zeros(3 * n)
+        hi = np.zeros(3 * n, dtype=np.int64)
+        for lo, top, kind in ((t0, t1, ~mesh.up), (t1, t2, mesh.up),
+                              (t0, t2, 2)):
+            key = 3 * lo + kind
+            count += np.bincount(key, minlength=3 * n)
+            hi[key] = top
+        rho = (0.0 if functional.rho is None
+               else functional.rho(mesh.cent[:, 0], mesh.cent[:, 1]))
+        r = np.bincount(3 * t0 + 2, np.broadcast_to(rho, t0.shape), 3 * n)
+        lo, kind = np.divmod(np.flatnonzero(count), 3)
+        top = hi[3 * lo + kind]
+        move = mesh.free[lo] | mesh.free[top]
+        lo, top, key = lo[move], top[move], 3 * lo[move] + kind[move]
+        u = kind[move] == 2
+        # s and t are (f[top] - f[lo]) / ell, u is (f[lo] - f[top] + ell) / ell
+        a, b = np.where(u, lo, top), np.where(u, top, lo)
+        self.free = np.flatnonzero(mesh.free)
+        self.nf = nf = len(self.free)
+        pos = np.full(n, nf)
+        pos[self.free] = np.arange(nf)
+        self.pa, self.pb = pos[a], pos[b]
+        self.c, self.r = count[key], r[key]
+        self.ell, self.area = ell, 0.5 * ell * ell
+        pinned = np.where(mesh.free, 0.0, mesh.f)
+        self.base = u + (pinned[a] - pinned[b]) / ell
+
+        # grid column k holds positions bounds[k]:bounds[k + 1]; its dense
+        # block and its coupling to column k + 1 are filled from `vals` of
+        # `solve` (the diagonal, then minus each free-free edge weight)
+        i = mesh.ij[self.free, 0]
+        cols, first = np.unique(i, return_index=True)
+        self.bounds = np.append(first, nf)
+        size = np.append(np.diff(self.bounds), 0)
+        k_of = np.searchsorted(cols, i)
+        local = np.arange(nf) - first[k_of]
+        self.ff = np.flatnonzero((self.pa < nf) & (self.pb < nf))
+        p, q = self.pa[self.ff], self.pb[self.ff]
+        p, q = np.where(i[p] > i[q], q, p), np.where(i[p] > i[q], p, q)
+        lp, lq, k, src = local[p], local[q], k_of[p], nf + np.arange(len(p))
+        same = i[p] == i[q]
+        m, m2 = size[k], size[k + 1]
+        self.diag = self._group(
+            np.concatenate([k_of, k[same], k[same]]),
+            np.concatenate([np.arange(nf), src[same], src[same]]),
+            np.concatenate([local * size[k_of] + local,
+                            (lp * m + lq)[same], (lq * m + lp)[same]]))
+        self.couple = self._group(k[~same], src[~same],
+                                  (lp * m2 + lq)[~same])
+
+    def _group(self, k, src, dst):
+        """(src, dst) sorted by column k, and each column's offsets."""
+        order = np.argsort(k, kind="stable")
+        return (np.stack([src[order], dst[order]]),
+                np.searchsorted(k[order], np.arange(len(self.bounds))))
+
+    def _fill(self, group, vals, k, width):
+        (src, dst), at = group
+        out = np.zeros((self.bounds[k + 1] - self.bounds[k], width))
+        out.flat[dst[at[k]:at[k + 1]]] = vals[src[at[k]:at[k + 1]]]
+        return out
+
+    def slopes(self, x: np.ndarray) -> np.ndarray:
+        return self.base + self.diff(x)
+
+    def diff(self, x: np.ndarray) -> np.ndarray:
+        """Change of every moving slope under free height changes x."""
+        xe = np.append(x, 0.0)
+        return (xe[self.pa] - xe[self.pb]) / self.ell
+
+    def scatter(self, v: np.ndarray) -> np.ndarray:
+        """Transpose of `diff`: per free node, the sum of v d z / d x."""
+        n = self.nf + 1
+        return (np.bincount(self.pa, v, n)
+                - np.bincount(self.pb, v, n))[:-1] / self.ell
+
+    def solve(self, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve L x = rhs for rhs shaped (nf, k), by block elimination.
+
+        L = sum over moving edges of w (e_a - e_b)(e_a - e_b)^T / ell^2 on
+        the free nodes.  Column k's block S_k and coupling B_k exist only
+        while it is eliminated; X_k = S_k^-1 B_k and Y_k, S_k^-1 times the
+        reduced right-hand side, are kept for the back substitution.
+        """
+        n = self.nf + 1
+        vals = np.concatenate([
+            (np.bincount(self.pa, w, n) + np.bincount(self.pb, w, n))[:-1],
+            -w[self.ff]]) / (self.ell * self.ell)
+        bounds = self.bounds
+        size = np.append(np.diff(bounds), 0)
+        kept = []
+        for k in range(len(size) - 1):
+            block = self._fill(self.diag, vals, k, size[k])
+            couple = self._fill(self.couple, vals, k, size[k + 1])
+            r = rhs[bounds[k]:bounds[k + 1]]
+            if kept:
+                block -= prev.T @ kept[-1][0]
+                r = r - prev.T @ kept[-1][1]
+            sol = np.linalg.solve(block, np.concatenate([couple, r], axis=1))
+            kept.append((sol[:, :size[k + 1]], sol[:, size[k + 1]:]))
+            prev = couple
+        out = np.empty_like(rhs)
+        nxt = rhs[:0]
+        for k in range(len(size) - 2, -1, -1):
+            x_k, y_k = kept.pop()
+            nxt = y_k - x_k @ nxt
+            out[bounds[k]:bounds[k + 1]] = nxt
+        return out
+
+    # -- the barrier problem at weight mu
+
+    def value(self, z, mu) -> float:
+        bar = np.log(z) + np.log1p(-z)
+        return self.area * float(
+            (self.c * (lobachevsky(_PI * z) / _PI + mu * bar)
+             + self.r * z).sum())
+
+    def gradient(self, z, mu) -> np.ndarray:
+        """Gradient in the free heights at slopes z, with g'(z) = -log(2 sin pi z)."""
+        zc = 1.0 - z
+        return self.scatter(self.area * (
+            self.c * (mu * (1.0 / z - 1.0 / zc)
+                      - np.log(2.0 * np.sin(_PI * np.minimum(z, zc))))
+            + self.r))
+
+    def newton(self, z, mu):
+        """Newton step at slopes z: (step, its slope changes, -phi'', lambda^2).
+
+        -phi''(z) = A c (pi cot(pi z) + mu / z^2 + mu / (1 - z)^2).
+        """
+        zc = 1.0 - z
+        cot = np.copysign(_PI / np.tan(_PI * np.minimum(z, zc)), zc - z)
+        curv = self.area * self.c * (cot + mu / (z * z) + mu / (zc * zc))
+        grad = self.gradient(z, mu)
+        step = self.solve(curv, grad[:, None])[:, 0]
+        return step, self.diff(step), curv, float(grad @ step)
+
+    def gap(self, z, dz, curv, mu) -> float:
+        """Certified bound on how far the heights' value is from the maximum.
+
+        With D = mu A c (1 / z - 1 / (1 - z)) - curv dz, the Newton equation
+        says the Lagrangian F + sum D z is stationary at the heights.  Weak
+        duality then bounds the gap by sum max(D, 0) z + max(-D, 0) (1 - z),
+        for any strictly feasible heights.
+        """
+        d = mu * self.area * self.c * (1.0 / z - 1.0 / (1.0 - z)) - curv * dz
+        return float(np.where(d > 0.0, d * z, -d * (1.0 - z)).sum())
+
+    def certify(self, x, mu) -> float:
+        """Certified gap of free heights x from one Newton step at mu; inf
+        unless every moving slope lies in (0, 1)."""
+        z = self.slopes(x)
+        if not _open(z):
+            return math.inf
+        _, dz, curv, _ = self.newton(z, mu)
+        return self.gap(z, dz, curv, mu)
+
+    # -- phase I: a strictly feasible start
+
+    def phase1(self, x: np.ndarray) -> int:
+        """Move free heights x, in place, to strictly feasible ones.
+
+        Damped Newton steps on tau t + sum log(z - t) + log(1 - z - t) over
+        (x, t), from t below every slope's slack, until every moving slope
+        lies in [_INSIDE, 1 - _INSIDE], or t > 0 at a centre; tau grows
+        tenfold at each centre.  The t border is eliminated by a Schur
+        complement: one solve with two right-hand sides.  Returns the steps.
+        """
+        z = self.slopes(x)
+        t = min(float(z.min(initial=1.0)), 1.0 - float(z.max(initial=0.0)))
+        if t >= _INSIDE:
+            return 0
+        t -= _INSIDE
+        tau = 10.0 * len(z)
+        for steps in range(1, _MAX_STEPS + 1):
+            a, b = 1.0 / (z - t), 1.0 / (1.0 - z - t)
+            g = self.scatter(a - b)
+            gt = tau - float(a.sum() + b.sum())
+            cvec = self.scatter(a * a - b * b)
+            w = a * a + b * b
+            sol = self.solve(w, np.column_stack([g, cvec]))
+            dt = (gt + cvec @ sol[:, 0]) / (float(w.sum()) - cvec @ sol[:, 1])
+            step = sol[:, 0] + dt * sol[:, 1]
+            lam2 = float(g @ step) + gt * dt
+            dz = self.diff(step)
+
+            def value(al):
+                tt = t + al * dt
+                return tau * tt + float(np.log(z + al * dz - tt).sum()
+                                        + np.log(1.0 - z - al * dz - tt).sum())
+
+            alpha, _ = _armijo(value, value(0.0), lam2, min(1.0, 0.99 * _room(
+                (z - t, dz - dt), (1.0 - z - t, -dz - dt))))
+            x += alpha * step
+            t += alpha * dt
+            z = self.slopes(x)
+            low = min(float(z.min()), 1.0 - float(z.max()))
+            if low >= _INSIDE or (low > 0.0 and lam2 <= 0.25):
+                return steps
+            if lam2 <= 0.25:
+                tau *= 10.0
+        return _MAX_STEPS
 
 
-def _groups(mesh: MeshProfile, rho_tri: np.ndarray) -> list[_Group]:
-    tris = mesh.tris
-    # every (vertex, triangle, slot) incidence, grouped by vertex with the
-    # triangles in mesh order; a node keeps its first six
-    vert = tris.ravel()
-    by_vertex = np.argsort(vert, kind="stable")
-    vert = vert[by_vertex]
-    tri_of, slot = np.divmod(by_vertex, 3)
-    first = np.searchsorted(vert, np.arange(len(mesh.xy)))
-    row = np.arange(len(vert)) - first[vert]
-    color = (mesh.ij[:, 0] + mesh.ij[:, 1]) % 3
-    out = []
-    for c in range(3):
-        nodes = np.nonzero(mesh.free & (color == c))[0]
-        col_of = np.full(len(mesh.xy), -1)
-        col_of[nodes] = np.arange(len(nodes))
-        sel = (row < 6) & (col_of[vert] >= 0)
-        r, col, t, i = row[sel], col_of[vert[sel]], tri_of[sel], slot[sel]
-        fall_at = np.tile(nodes.astype(np.int32), (6, 1))
-        rise_at = fall_at.copy()
-        fall_at[r, col] = tris[t, (i + 1) % 3]
-        rise_at[r, col] = tris[t, (i - 1) % 3]
-        fall_off = np.zeros(fall_at.shape)
-        rise_off = np.zeros(fall_at.shape)
-        fall_off[r, col] = mesh.ell * (i == 2)
-        rise_off[r, col] = mesh.ell * (i == 0)
-        valid = np.zeros(fall_at.shape, dtype=bool)
-        valid[r, col] = True
-        terms = np.zeros(fall_at.shape)
-        terms[r, col] = rho_tri[t] * (i - 1)
-        rho_sum = np.zeros(len(nodes))
-        for k in range(6):  # column by column, as a running sum
-            rho_sum += terms[k]
-        out.append(_Group(nodes, fall_at, fall_off, rise_at, rise_off, valid,
-                          rho_sum))
+def _open(z) -> bool:
+    return bool(((z > 0.0) & (z < 1.0)).all())
+
+
+def _room(*pairs) -> float:
+    """Largest step keeping every slack + step * rate >= 0, over (slack, rate)."""
+    out = math.inf
+    for slack, rate in pairs:
+        fall = rate < 0.0
+        if fall.any():
+            out = min(out, float((slack[fall] / -rate[fall]).min()))
     return out
 
 
-def _columns(grp: _Group, f: np.ndarray, ell: float):
-    """Slope bases of every column and each node's feasible interval.
+def _armijo(value: Callable, start: float, slope: float,
+            alpha: float) -> tuple[float, float]:
+    """Halve alpha until value(alpha) gains 0.01 alpha slope; (alpha, value)."""
+    while True:
+        got = value(alpha)
+        if got >= start + 0.01 * alpha * slope or alpha < 1e-12:
+            return alpha, got
+        alpha *= 0.5
 
-    At height x the column's falling slope is (fall - x) / ell and its
-    rising slope (rise + x) / ell.  The interval [lo, hi] keeps both in
-    [0, 1]; lo > hi marks a node whose fixed slopes leave it no room.
+
+def _solve_level(mesh: MeshProfile, functional: Functional, mu: float,
+                 target: float) -> tuple:
+    """Phase I, then barrier Newton steps from weight mu to the target gap.
+
+    Steps are Armijo-damped while lambda^2 > mu A / 4 and pure Newton
+    below, always capped at 0.99 of the way to the slope boundary; mu falls
+    tenfold once lambda^2 <= mu A / 100, down to _MU_MIN.  The solve stops
+    at the first heights whose certified gap is at most target, or centred
+    at _MU_MIN, or after _MAX_STEPS steps; it moves mesh.f there and
+    returns (Newton steps, phase-I steps, final mu, gap, largest node move
+    of the last Newton step).
     """
-    fall = f[grp.fall_at] + grp.fall_off
-    rise = grp.rise_off - f[grp.rise_at]
-    lo = np.where(grp.valid, np.maximum(-rise, fall - ell), -np.inf).max(axis=0)
-    hi = np.where(grp.valid, np.minimum(fall, ell - rise), np.inf).min(axis=0)
-    return fall, rise, lo, hi
-
-
-def _derivative(grp: _Group, fall, rise, x, ell: float) -> np.ndarray:
-    """Derivative of the functional in each node's height x.
-
-    It is 0.5 ell (log(prod sin(pi A) / prod sin(pi B)) - rho_sum): the
-    slope that does not move and the log 2 of each entropy term cancel.
-    Slopes are clipped to [1e-12, 1 - 1e-12] first.
-    """
-    a = np.clip((fall - x) / ell, 1e-12, 1.0 - 1e-12)
-    b = np.clip((rise + x) / ell, 1e-12, 1.0 - 1e-12)
-    pa = np.where(grp.valid, np.sin(_PI * a), 1.0).prod(axis=0)
-    pb = np.where(grp.valid, np.sin(_PI * b), 1.0).prod(axis=0)
-    return 0.5 * ell * (np.log(pa / pb) - grp.rho_sum)
-
-
-def _sign_kernel(grp: _Group, fall, rise, mid, ell: float) -> Callable:
-    """Log-free function of offsets d with the derivative's sign at mid + d.
-
-    mid is the centre of each node's feasible interval.  The sign is that
-    of prod sin(pi A) exp(-rho_sum) - prod sin(pi B).  With alpha = pi A
-    at mid and y = pi d / ell, each factor sin(alpha - y) divided by cos y
-    is sin(alpha) - cos(alpha) tan(y); the interval is at most ell wide,
-    so |y| < pi / 2 inside it and the division keeps the sign.  Each
-    evaluation takes one tangent per node instead of a sine per column.
-    """
-    scale = _PI / ell
-    ang = np.stack([fall - mid, rise + mid]) * scale
-    sin = np.where(grp.valid, np.sin(ang), 1.0)
-    cos = np.where(grp.valid, np.cos(ang), 0.0)
-    cos[0] *= -1.0
-    weight = np.exp(-grp.rho_sum)
-    sin[0, 0] *= weight  # column 0 is valid for every node
-    cos[0, 0] *= weight
-
-    def sign(d):
-        prods = (sin + cos * np.tan(d * scale)).prod(axis=1)
-        return prods[0] - prods[1]
-
-    return sign
-
-
-def _half_room(lo, hi, ell: float):
-    """Half of each feasible interval, less 1e-9 ell; below 0 the node is jammed."""
-    return 0.5 * (hi - lo) - 1e-9 * ell
-
-
-def _update_group(grp: _Group, f: np.ndarray, ell: float, tol: float) -> None:
-    """Move every node of the group to the maximizer on its interval.
-
-    Bisection on the sign kernel stops once the widest bracket is below
-    1e-4 tol, far under the residual the solve is asked for.
-    """
-    if len(grp.nodes) == 0:
-        return
-    fall, rise, lo, hi = _columns(grp, f, ell)
-    mid = 0.5 * (lo + hi)
-    sign = _sign_kernel(grp, fall, rise, mid, ell)
-    half = _half_room(lo, hi, ell)
-    empty = half < 0  # jammed: the node sits at the centre
-    at_left = ~empty & (sign(-half) <= 0)
-    at_right = ~empty & ~at_left & (sign(half) >= 0)
-    d = np.where(at_left, -half, np.where(at_right, half, 0.0))
-    step = np.where(empty | at_left | at_right, 0.0, 0.5 * half)
-    width = 4.0 * float(step.max())
-    if width > 0.0:
-        for _ in range(math.ceil(math.log2(width / (1e-4 * tol)))):
-            d += np.copysign(step, sign(d))
-            step *= 0.5
-    f[grp.nodes] = mid + d
-
-
-def _kkt(groups: list[_Group], f: np.ndarray, ell: float) -> float:
-    """Projected gradient residual: how far each free node could still move."""
-    worst = 0.0
-    for grp in groups:
-        if len(grp.nodes) == 0:
-            continue
-        fall, rise, lo, hi = _columns(grp, f, ell)
-        x = f[grp.nodes]
-        g = _derivative(grp, fall, rise, x, ell)
-        target = np.clip(x + g, np.minimum(lo, x), np.maximum(hi, x))
-        move = np.abs(target - x)
-        move[lo > hi] = 0.0
-        worst = max(worst, float(move.max()))
-    return worst
-
-
-def _jammed(groups: list[_Group], f: np.ndarray, ell: float) -> int:
-    """Free nodes that `_update_group` would leave where they are."""
-    count = 0
-    for grp in groups:
-        if len(grp.nodes):
-            _, _, lo, hi = _columns(grp, f, ell)
-            count += int((_half_room(lo, hi, ell) < 0).sum())
-    return count
-
-
-def _solve_mesh(mesh: MeshProfile, functional: Functional, tol: float,
-                max_sweeps: int) -> tuple[list[float], int]:
-    """Sweep the three colors until the residual is at most tol.
-
-    Returns the residual after each sweep and the number of jammed free
-    nodes after the last one.
-    """
-    rho_tri = (functional.rho(mesh.cent[:, 0], mesh.cent[:, 1])
-               if functional.rho is not None else np.zeros(len(mesh.tris)))
-    groups = _groups(mesh, np.asarray(rho_tri, dtype=float))
-    residuals: list[float] = []
-    for _ in range(max_sweeps):
-        for grp in groups:
-            _update_group(grp, mesh.f, mesh.ell, tol)
-        residuals.append(_kkt(groups, mesh.f, mesh.ell))
-        if residuals[-1] <= tol:
+    prob = _Barrier(mesh, functional)
+    x = mesh.f[prob.free]
+    phase1 = prob.phase1(x)
+    z = prob.slopes(x)
+    steps, gap, step = 0, math.inf, x[:0]
+    known = None  # (mu, value) at x after a damped step
+    while _open(z):
+        step, dz, curv, lam2 = prob.newton(z, mu)
+        gap = prob.gap(z, dz, curv, mu)
+        scale = mu * prob.area
+        centred = lam2 <= 0.01 * scale
+        if (gap <= target or steps == _MAX_STEPS
+                or (centred and 0.1 * mu < _MU_MIN)):
             break
-    mesh.sweeps = len(residuals)
-    if residuals:
-        mesh.kkt_residual = residuals[-1]
-        mesh.converged = residuals[-1] <= tol
-    mesh.psi_value = evaluate_psi(mesh, functional)
-    return residuals, _jammed(groups, mesh.f, mesh.ell)
+        alpha = min(1.0, 0.99 * _room((z, dz), (1.0 - z, -dz)))
+        if lam2 > 0.25 * scale:
+            if known is None or known[0] != mu:
+                known = (mu, prob.value(z, mu))
+            alpha, reached = _armijo(lambda al: prob.value(z + al * dz, mu),
+                                     known[1], lam2, alpha)
+            known = (mu, reached)
+        else:
+            known = None
+        x += alpha * step
+        z = prob.slopes(x)
+        steps += 1
+        if centred:
+            mu *= 0.1
+    mesh.f[prob.free] = x
+    return steps, phase1, mu, gap, float(np.abs(step).max(initial=0.0))
 
 
 def _interp_init(coarse: MeshProfile, fine: MeshProfile) -> None:
@@ -609,37 +702,44 @@ def maximize(functional: Functional, tol: float = DEFAULT_TOL,
     The mesh pitch is bbox / mesh_n.  From mesh_n = 16 up the solve runs
     coarse to fine over three levels, mesh_n / 4, mesh_n / 2 and mesh_n
     (at least 8 and 12), each started from the last; below 16 it is one
-    level started from gamma.  The discrete functional is strictly concave
-    in the free heights (the entropy is strictly concave and the weight
-    term linear), so its maximizer is unique and no other start can find a
-    better one.  The returned mesh carries the value, the projected
-    gradient residual, the refinement gap between the last two levels and,
-    in `levels`, one LevelTrace per mesh level.
+    level started from gamma.  Each level is a barrier Newton solve
+    (`_solve_level`): the coarsest starts at mu = 1e-2, each finer one at
+    ten times the last level's final mu, and every level stops at a
+    certified optimality gap of at most tol / 100.  The discrete functional
+    is strictly concave in the free heights, so its maximizer is unique.
+    The returned mesh carries the value, the certified gap, the largest
+    node move of the last Newton step (`kkt_residual`), its Newton steps
+    (`sweeps`), the refinement gap between the last two levels and, in
+    `levels`, one LevelTrace per mesh level.
     """
     mesh_n = _check_solve(tol, mesh_n)
     levels = [mesh_n]
     if mesh_n >= 16:
         levels = [max(8, mesh_n // 4), max(12, mesh_n // 2), mesh_n]
-    coarse: MeshProfile | None = None
-    gap = math.nan
+    mesh: MeshProfile | None = None
+    psi = math.nan
     trace = []
-    for li, n in enumerate(levels):
+    mu = 1e-2
+    for n in levels:
         start = time.perf_counter()
-        mesh = _build_mesh(functional.polygon, functional.bbox / n,
+        fine = _build_mesh(functional.polygon, functional.bbox / n,
                            functional.gamma)
-        if coarse is not None:
-            _interp_init(coarse, mesh)
-        budget = MAX_SWEEPS if li == len(levels) - 1 else MAX_SWEEPS // 2
-        residuals, jammed = _solve_mesh(mesh, functional, tol, budget)
-        trace.append(LevelTrace(
-            int(mesh.free.sum()), jammed, tuple(residuals), mesh.psi_value,
-            time.perf_counter() - start, mesh.converged))
-        if coarse is not None:
-            gap = abs(mesh.psi_value - coarse.psi_value)
-        coarse = mesh
-    coarse.refine_gap = gap
-    coarse.levels = trace
-    return coarse
+        if mesh is not None:
+            _interp_init(mesh, fine)
+        mesh = fine
+        steps, phase1, mu, gap, move = _solve_level(mesh, functional, mu,
+                                                    tol / 100.0)
+        mesh.psi_value = evaluate_psi(mesh, functional)
+        mesh.refine_gap = abs(mesh.psi_value - psi)
+        psi = mesh.psi_value
+        mesh.gap, mesh.kkt_residual, mesh.sweeps = gap, move, steps
+        mesh.converged = gap <= tol / 100.0
+        trace.append(LevelTrace(int(mesh.free.sum()), steps, phase1, mu, gap,
+                                psi, time.perf_counter() - start,
+                                mesh.converged))
+        mu *= 10.0
+    mesh.levels = trace
+    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +858,7 @@ def constant(profile: StableProfile, eps: float = DEFAULT_EPS,
     psi = mesh.psi_value
     budget = {
         "quadrature": 1e-9,
-        "optimizer": mesh.kkt_residual,
+        "optimizer": mesh.gap,
         "refinement": mesh.refine_gap,
         "cap": eps * eps * (1.0 - math.log(eps)),
     }

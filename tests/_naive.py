@@ -9,9 +9,8 @@ closed row-interval rule in `SkewShape` replaces.  `enumerated_sum` and
 `LogSum` sum weights over every enumerated tiling, the exponential
 baseline that the package's determinant engine for tiling sums replaces.
 `dsig` and `node_derivative` differentiate the variational functional one
-triangle at a time through the entropy gradient, with a log per slope:
-the route the solver's log-free node kernel replaces; `groups_reference`
-builds its incidence columns node by node, and `grid_triangles_reference`
+triangle at a time through the entropy gradient, with a log per slope,
+against the solver's edge-merged gradient; `grid_triangles_reference`
 lists the mesh triangles cell by cell; `interp_init_reference` seeds a fine
 mesh from a coarse one node by node.  `k_psi_reference` integrates
 log hbar over psi's hypograph by adaptive quadrature in x, the route the
@@ -39,7 +38,6 @@ from scipy import integrate
 from skewtab.sampler import CHUNK, _delta_logw
 from skewtab.sampler import DensityField
 from skewtab.tiling import Lozenge, _flip_interval, iter_flat_cells
-from skewtab.varsolve import _Group
 
 
 def naive_count(outer, inner=()) -> int:
@@ -186,36 +184,6 @@ def grid_triangles_reference(nx: int, ny: int):
             tris.append((nid(i, j), nid(i, j + 1), nid(i + 1, j + 1)))
             ups.append(False)
     return np.array(tris, dtype=np.int64), np.array(ups, dtype=bool)
-
-
-def groups_reference(mesh, rho_tri) -> list:
-    """varsolve._groups by a Python loop over triangles and nodes."""
-    incid: list[list[tuple[int, int]]] = [[] for _ in range(len(mesh.xy))]
-    for t_idx, tri in enumerate(mesh.tris):
-        for slot, v in enumerate(tri):
-            incid[v].append((t_idx, slot))
-    color = (mesh.ij[:, 0] + mesh.ij[:, 1]) % 3
-    out = []
-    for c in range(3):
-        nodes = np.nonzero(mesh.free & (color == c))[0]
-        fall_at = np.tile(nodes.astype(np.int32), (6, 1))
-        rise_at = fall_at.copy()
-        fall_off = np.zeros(fall_at.shape)
-        rise_off = np.zeros(fall_at.shape)
-        valid = np.zeros(fall_at.shape, dtype=bool)
-        rho_sum = np.zeros(len(nodes))
-        for col, v in enumerate(nodes):
-            for row, (t_idx, slot) in enumerate(incid[v][:6]):
-                tri = mesh.tris[t_idx]
-                fall_at[row, col] = tri[(slot + 1) % 3]
-                rise_at[row, col] = tri[(slot - 1) % 3]
-                fall_off[row, col] = mesh.ell * (slot == 2)
-                rise_off[row, col] = mesh.ell * (slot == 0)
-                valid[row, col] = True
-                rho_sum[col] += rho_tri[t_idx] * (slot - 1)
-        out.append(_Group(nodes, fall_at, fall_off, rise_at, rise_off, valid,
-                          rho_sum))
-    return out
 
 
 def interp_init_reference(coarse, fine) -> None:

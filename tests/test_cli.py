@@ -224,7 +224,8 @@ def test_solve_small_profile(capsys, data_dir, tmp_path):
     levels = [line.split() for line in out.splitlines()
               if line.startswith("level ")]
     assert [lv[:3] for lv in levels] == [["level", "1", "nodes"]]
-    assert [lv[4] for lv in levels] == ["jammed"]
+    assert [lv[4] for lv in levels] == ["steps"]
+    assert any(line.startswith("gap ") for line in out.splitlines())
     header = mesh_csv.read_text().splitlines()[0]
     assert header == "node_x,node_y,f"
 

@@ -1,5 +1,6 @@
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -21,22 +22,18 @@ from skewtab import (
     unit_hexagon_functional,
 )
 from skewtab.varsolve import (
-    MAX_SWEEPS,
+    DEFAULT_TOL,
     MeshProfile,
+    _Barrier,
     _build_mesh,
-    _columns,
-    _derivative,
     _grid_triangles,
-    _groups,
     _interp_init,
-    _sign_kernel,
-    _solve_mesh,
+    _solve_level,
     evaluate_psi,
 )
 
 from _naive import (
     grid_triangles_reference,
-    groups_reference,
     interp_init_reference,
     k_psi_reference,
     node_derivative,
@@ -264,99 +261,231 @@ MESH16_PROBLEMS = pytest.mark.parametrize("functional", [
     ids=["hexagon", "thick-hook"])
 
 
-@MESH16_PROBLEMS
-def test_groups_match_loop(functional):
-    mesh = _build_mesh(functional.polygon, functional.bbox / 16,
+PROBLEMS = {
+    "hexagon": unit_hexagon_functional,
+    "thick-hook": lambda: build_functional(thick_hook_profile(1.0, 1.0)),
+    "ribbon": lambda: build_functional(thick_ribbon_profile()),
+}
+TARGET = DEFAULT_TOL / 100  # the certified gap a default solve stops at
+
+# coordinate ascent at tol = 1e-6, the solver the barrier method replaced
+ASCENT_1E6 = {
+    ("hexagon", 16): float.fromhex("0x1.7f201ce83d856p-1"),
+    ("hexagon", 32): float.fromhex("0x1.8b92e91294f24p-1"),
+    ("hexagon", 64): float.fromhex("0x1.8fc6ca99ca0e2p-1"),
+    ("thick-hook", 16): float.fromhex("0x1.2947405a64cafp-2"),
+    ("thick-hook", 32): float.fromhex("0x1.316d6ea3f3db9p-2"),
+    ("thick-hook", 64): float.fromhex("0x1.343e95aa0648ep-2"),
+    ("ribbon", 16): float.fromhex("0x1.a06e23f7fd460p-2"),
+    ("ribbon", 32): float.fromhex("0x1.97d3bc91cd497p-2"),
+    ("ribbon", 64): float.fromhex("0x1.98c212d3ce3d7p-2"),
+}
+# and its value at the default tol = 1e-4, mesh 64
+ASCENT_DEFAULT_64 = {"hexagon": 0.7808122666355013,
+                     "thick-hook": 0.3010175864211278,
+                     "ribbon": 0.39917491395066124}
+
+
+@lru_cache(maxsize=None)
+def _solved(name: str, mesh_n: int):
+    """A default solve, shared by the tests below; do not modify it."""
+    functional = PROBLEMS[name]()
+    return functional, maximize(functional, mesh_n=mesh_n)
+
+
+def _psi_at(functional, mesh_n: int, x) -> float:
+    mesh = _build_mesh(functional.polygon, functional.bbox / mesh_n,
                        functional.gamma)
-    rho_tri = (functional.rho(mesh.cent[:, 0], mesh.cent[:, 1])
-               if functional.rho is not None else np.zeros(len(mesh.tris)))
-    got, want = _groups(mesh, rho_tri), groups_reference(mesh, rho_tri)
-    assert len(got) == len(want) == 3
-    for g, r in zip(got, want):
-        assert len(g.nodes) > 0 and g.valid.any()
-        for name in ("nodes", "fall_at", "fall_off", "rise_at", "rise_off",
-                     "valid", "rho_sum"):
-            a, b = getattr(g, name), getattr(r, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    mesh.f[mesh.free] = x
+    return evaluate_psi(mesh, functional)
+
+
+def _phase_one_point(functional, mesh_n: int):
+    """Free heights that phase I reaches from gamma."""
+    mesh = _build_mesh(functional.polygon, functional.bbox / mesh_n,
+                       functional.gamma)
+    prob = _Barrier(mesh, functional)
+    x = mesh.f[prob.free]
+    assert prob.phase1(x) > 0
+    return prob, x
+
+
+@pytest.mark.parametrize("mesh_n", [16, 32, 64])
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_value_within_gap_of_coordinate_ascent(name, mesh_n):
+    _, mesh = _solved(name, mesh_n)
+    assert mesh.converged and mesh.gap <= TARGET
+    assert abs(mesh.psi_value - ASCENT_1E6[name, mesh_n]) <= mesh.gap
+    if mesh_n == 64:
+        assert mesh.psi_value >= ASCENT_DEFAULT_64[name] - 1e-9
+
+
+def test_small_thick_hook_is_not_falsely_converged():
+    # coordinate ascent stopped here after 3 sweeps at psi = 0.18075 with a
+    # residual of 2.3e-7; the maximizer is 0.21423
+    mesh = maximize(build_functional(thick_hook_profile(1.0, 1.0)),
+                    mesh_n=4, tol=1e-4)
+    assert mesh.psi_value >= 0.2142
+    assert mesh.converged and mesh.gap <= 1e-6
+
+
+def test_unreachable_gap_stops_at_the_weight_floor():
+    # below mu = 1e-9 the thick hook's frozen slopes (z near mu) lose
+    # precision; tol / 100 = 1e-10 is out of reach, so the solve stops
+    # centred at the floor with an honest gap instead of spending its steps
+    mesh = maximize(build_functional(thick_hook_profile(1.0, 1.0)),
+                    mesh_n=32, tol=1e-8)
+    assert not mesh.converged and 1e-10 < mesh.gap < 1e-8
+    assert all(level.mu >= 1e-9 and level.steps < 100
+               for level in mesh.levels)
+
+
+@pytest.mark.parametrize("mesh_n", [16, 32])
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_certificate_accepts_solver_output(name, mesh_n):
+    functional, mesh = _solved(name, mesh_n)
+    prob = _Barrier(mesh, functional)
+    gap = prob.certify(mesh.f[prob.free], mesh.levels[-1].mu)
+    assert gap == pytest.approx(mesh.gap, rel=1e-9)
+    assert 0.0 < gap <= TARGET
+
+
+def _clamp_low(mesh, patch):
+    """Heights with the patch lowered to its minimal extension.
+
+    Every slope (f[a] - f[b] + off) / ell of a triangle lies in [0, 1], so
+    f[a] >= f[b] - off and f[b] >= f[a] + off - ell; relax until stable.
+    """
+    f = mesh.f.copy()
+    f[patch] = -np.inf
+    t0, t1, t2 = mesh.tris.T
+    a, b = np.concatenate([t1, t2, t0]), np.concatenate([t0, t1, t2])
+    off = np.repeat([0.0, 0.0, mesh.ell], len(t0))
+    inside = np.zeros(len(f), dtype=bool)
+    inside[patch] = True
+    for _ in range(len(patch) + 1):
+        before = f.copy()
+        np.maximum.at(f, a[inside[a]], (f[b] - off)[inside[a]])
+        np.maximum.at(f, b[inside[b]], (f[a] + off - mesh.ell)[inside[b]])
+        if np.array_equal(f, before):
+            return f
+    raise AssertionError("minimal extension did not settle")
+
+
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_certificate_is_infinite_on_saturated_slopes(name):
+    functional, mesh = _solved(name, 16)
+    prob = _Barrier(mesh, functional)
+    mu = mesh.levels[-1].mu
+    gamma = functional.gamma(mesh.xy[:, 0], mesh.xy[:, 1])
+    assert prob.certify(gamma[prob.free], mu) == math.inf
+    centre = mesh.xy[mesh.free].mean(axis=0)
+    patch = np.flatnonzero(mesh.free & (np.hypot(*(mesh.xy - centre).T)
+                                        < 0.15 * functional.bbox))
+    assert len(patch) > 5
+    clamped = _clamp_low(mesh, patch)
+    assert (clamped[patch] < mesh.f[patch]).all()
+    assert prob.certify(clamped[prob.free], mu) == math.inf
+
+
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_certificate_rejects_a_feasible_non_optimal_point(name):
+    functional, mesh = _solved(name, 16)
+    prob, inner = _phase_one_point(functional, 16)
+    x = 0.9999 * mesh.f[prob.free] + 0.0001 * inner
+    lost = mesh.psi_value - _psi_at(functional, 16, x)
+    gap = prob.certify(x, mesh.levels[-1].mu)
+    assert 0.0 < lost < 1e-4
+    # weak duality: the bound covers the loss, and it cannot accept x
+    assert gap >= lost and gap > TARGET
+
+
+@pytest.mark.parametrize("profile,mesh_n", [
+    (thick_ribbon_profile(), 24), (thick_ribbon_profile(), 32),
+    (thick_ribbon_profile(), 48), (thick_hook_profile(0.1, 3.0), 32)],
+    ids=["ribbon-24", "ribbon-32", "ribbon-48", "hook-0.1-3-32"])
+def test_phase_one_reaches_the_interior(profile, mesh_n):
+    # a dense phase I over one ring of nodes around the zero slopes of the
+    # interpolated start could not find an interior point on these
+    functional = build_functional(profile)
+    mesh = maximize(functional, mesh_n=mesh_n)
+    assert mesh.converged and mesh.gap <= TARGET
+    assert all(level.converged and level.gap <= TARGET
+               for level in mesh.levels)
+    prob = _Barrier(mesh, functional)
+    assert prob.certify(mesh.f[prob.free], mesh.levels[-1].mu) <= TARGET
+
+
+def test_tiny_hexagon_meshes():
+    # mesh 1 has no free node and mesh 2 has one
+    functional = unit_hexagon_functional()
+    for mesh_n, nodes in [(1, 0), (2, 1), (3, 4), (4, 7)]:
+        mesh = maximize(functional, mesh_n=mesh_n)
+        assert int(mesh.free.sum()) == nodes
+        assert mesh.converged and mesh.gap <= TARGET
+        start = _build_mesh(functional.polygon, functional.bbox / mesh_n,
+                            functional.gamma)
+        assert mesh.psi_value >= evaluate_psi(start, functional)
+    assert mesh.gap > 0.0
+    assert maximize(functional, mesh_n=1).gap == 0.0
 
 
 @MESH16_PROBLEMS
-def test_node_kernel_against_oracle(functional):
+def test_gradient_against_oracle(functional):
+    # away from the optimum (halfway to a phase I point) the gradient is
+    # large; the oracle clips each slope to [1e-12, 1 - 1e-12] and forms
+    # the third as 1 - s - t, so it is accurate only at nodes whose
+    # triangles have no slope near 0 or 1
     mesh = maximize(functional, mesh_n=16, tol=1e-3)
+    prob, inner = _phase_one_point(functional, 16)
+    mesh.f[prob.free] = 0.5 * (mesh.f[prob.free] + inner)
     rho_tri = (functional.rho(mesh.cent[:, 0], mesh.cent[:, 1])
                if functional.rho is not None else np.zeros(len(mesh.tris)))
-    rng = np.random.default_rng(5)
-    values = signs = 0
-    for grp in _groups(mesh, rho_tri):
-        fall, rise, lo, hi = _columns(grp, mesh.f, mesh.ell)
-        assert (lo < hi).all()
-        x = rng.uniform(lo, hi)
-        got = _derivative(grp, fall, rise, x, mesh.ell)
-        mid = 0.5 * (lo + hi)
-        sign = _sign_kernel(grp, fall, rise, mid, mesh.ell)(x - mid)
-        # the oracle clips each slope to [1e-12, 1 - 1e-12] and forms the
-        # third as 1 - s - t, so it is accurate only away from frozen slopes
-        a = (fall - x) / mesh.ell
-        b = (rise + x) / mesh.ell
-        slopes = np.where(grp.valid, np.stack([a, b, 1.0 - a - b]), 0.5)
-        inner = ((slopes > 1e-3) & (slopes < 1.0 - 1e-3)).all(axis=(0, 1))
-        for v, xv, g, sg, ok in zip(grp.nodes, x, got, sign, inner):
-            want = node_derivative(mesh, rho_tri, v, xv)
-            if ok:
-                assert abs(g - want) <= 1e-12 * abs(want), (v, g, want)
-                values += 1
-            if abs(want) > 1e-9:
-                assert np.sign(sg) == np.sign(want), (v, sg, want)
-                signs += 1
-    assert values > 0.5 * mesh.free.sum()
-    assert signs > 0.9 * mesh.free.sum()
+    got = prob.gradient(prob.slopes(mesh.f[prob.free]), 0.0)
+    s, t = mesh.slopes()
+    slopes = np.stack([s, t, 1.0 - s - t])
+    frozen = ((slopes < 1e-3) | (slopes > 1.0 - 1e-3)).any(axis=0)
+    near = np.bincount(mesh.tris[frozen].ravel(), minlength=len(mesh.f)) > 0
+    checked = 0
+    for pos, v in enumerate(prob.free):
+        if not near[v]:
+            want = node_derivative(mesh, rho_tri, v, mesh.f[v])
+            assert abs(got[pos] - want) <= 1e-12 * abs(want), v
+            checked += 1
+    assert checked > 0.5 * prob.nf
 
 
-def test_levels_stop_at_first_converged_sweep():
+def test_level_traces_match_the_result():
     tol = 1e-4
     mesh = maximize(unit_hexagon_functional(), mesh_n=16, tol=tol)
     assert len(mesh.levels) == 3
     last = mesh.levels[-1]
-    assert (last.nodes, last.sweeps) == (mesh.free.sum(), mesh.sweeps)
-    assert (last.kkt_residual, last.psi) == (mesh.kkt_residual, mesh.psi_value)
+    assert (last.nodes, last.steps) == (mesh.free.sum(), mesh.sweeps)
+    assert (last.gap, last.psi) == (mesh.gap, mesh.psi_value)
+    for coarse, fine in zip(mesh.levels, mesh.levels[1:]):
+        assert coarse.nodes < fine.nodes
+        assert fine.mu <= 10.0 * coarse.mu  # each level starts at 10x
     for level in mesh.levels:
-        assert level.converged and level.residuals[-1] <= tol
-        if level.sweeps > 1:
-            assert level.residuals[-2] > tol
+        assert level.converged and 0.0 < level.gap <= tol / 100
+        assert level.steps > 0 and level.phase1_steps >= 0
         assert level.seconds > 0.0
 
 
 @MESH16_PROBLEMS
 def test_solve_mesh_independent_of_start(functional):
     # the functional is strictly concave in the free heights, so a start
-    # perturbed by a quarter of the depth climbs to the same maximizer
-    tol = 1e-4
+    # perturbed by a quarter of the depth (infeasible: phase I repairs it)
+    # reaches the same value, within the two certified gaps
     base = _build_mesh(functional.polygon, functional.bbox / 16,
                        functional.gamma)
     depth = float(base.f.max())  # gamma is min(x, y) capped at the depth
-    _solve_mesh(base, functional, tol, MAX_SWEEPS)
+    _, _, _, gap, _ = _solve_level(base, functional, 1e-2, TARGET)
     mesh = _build_mesh(functional.polygon, functional.bbox / 16,
                        functional.gamma)
     noise = np.random.default_rng(11).uniform(-0.25 * depth, 0.25 * depth,
                                               mesh.free.sum())
     mesh.f[mesh.free] += noise
-    _solve_mesh(mesh, functional, tol, MAX_SWEEPS)
-    assert base.converged and mesh.converged
-    assert abs(mesh.psi_value - base.psi_value) <= 1e-6
-    assert np.abs(mesh.f - base.f).max() <= 1e-4
-
-
-def test_level_jammed_recounts_from_columns():
-    # at the mesh 64 default the thick hook's final level has jammed nodes:
-    # slopes saturated at 0 or 1 leave them an empty feasible interval
-    functional = build_functional(thick_hook_profile(1.0, 1.0))
-    mesh = maximize(functional)
-    rho_tri = functional.rho(mesh.cent[:, 0], mesh.cent[:, 1])
-    jammed = 0
-    for grp in _groups(mesh, rho_tri):
-        _, _, lo, hi = _columns(grp, mesh.f, mesh.ell)
-        jammed += int((0.5 * (hi - lo) - 1e-9 * mesh.ell < 0).sum())
-    last = mesh.levels[-1]
-    assert (last.jammed, last.nodes) == (jammed, 2977)
-    assert jammed == 110
-    assert all(0 <= level.jammed <= level.nodes for level in mesh.levels)
+    _, phase1, _, moved_gap, _ = _solve_level(mesh, functional, 1e-2, TARGET)
+    assert phase1 > 0 and gap <= TARGET and moved_gap <= TARGET
+    assert abs(evaluate_psi(mesh, functional)
+               - evaluate_psi(base, functional)) <= gap + moved_gap
