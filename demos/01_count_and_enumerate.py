@@ -15,7 +15,6 @@ from skewtab import (
     count_determinant,
     count_nhlf,
     enumerate_H,
-    heights_to_tiling,
     render_tiling,
 )
 from skewtab.shapes import hook_table
@@ -32,9 +31,9 @@ def main():
     print("tiling sum  :", count_nhlf(sh))
 
     region = build_region(sh)
-    heights = enumerate_H(sh)
+    tilings = enumerate_H(sh)
     ht = hook_table(sh.outer)
-    print(f"\n{len(heights)} height functions; hook products of flat cells:")
+    print(f"\n{len(tilings)} height functions; hook products of flat cells:")
     total = 0
     for k, flats in enumerate(iter_flat_cells(region)):
         term = math.prod(ht[c] for c in flats)
@@ -46,9 +45,9 @@ def main():
           f"{sh.size}!*{total}/{hooks} = {math.factorial(sh.size) * total // hooks}")
 
     OUT.mkdir(exist_ok=True)
-    for k, h in enumerate(heights):
-        render_tiling(heights_to_tiling(h), OUT / f"tiling_{k}.svg")
-    print(f"\nwrote {len(heights)} SVG files to {OUT}")
+    for k, t in enumerate(tilings):
+        render_tiling(t, OUT / f"tiling_{k}.svg")
+    print(f"\nwrote {len(tilings)} SVG files to {OUT}")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .exact import (
     superfactorial,
 )
 from .tiling import (
-    HeightFunction,
     Lozenge,
     Region,
     Tiling,

@@ -25,9 +25,10 @@ from .serialize import (load_density, load_profile, load_shape, load_tiling,
                         save_density, save_mesh, save_terms, save_tiling)
 from .shapes import (thick_hook_profile, thick_hook_shape_of_size,
                      thick_ribbon_profile, thick_ribbon_shape_of_size)
-from .tiling import enumerate_H, heights_to_tiling
-from .varsolve import (build_functional, constant, finite_n_constant,
-                       k_psi, maximize, unit_hexagon_functional)
+from .tiling import ENUM_GUARD, enumerate_H
+from .varsolve import (DEFAULT_EPS, DEFAULT_MESH, DEFAULT_TOL,
+                       build_functional, constant, finite_n_constant,
+                       maximize, unit_hexagon_functional)
 
 _G = "{:.12g}".format
 
@@ -114,8 +115,7 @@ def _cmd_count(args, run: _Run) -> int:
 
 def _cmd_enumerate(args, run: _Run) -> int:
     shape = load_shape(args.shape)
-    heights = enumerate_H(shape, guard=args.guard)
-    tilings = [heights_to_tiling(h) for h in heights]
+    tilings = enumerate_H(shape, guard=args.guard)
     print(len(tilings))
     if args.out:
         doc = [[{"type": lz.type, "x": lz.x, "y": lz.y} for lz in t.lozenges]
@@ -226,8 +226,7 @@ def _cmd_repro(args, run: _Run) -> int:
     failures = 0
     for name in targets:
         if name == "hexagon":
-            mesh = maximize(unit_hexagon_functional(), mesh_n=args.mesh,
-                            tol=1e-4)
+            mesh = maximize(unit_hexagon_functional(), mesh_n=args.mesh)
             # entropy of unit boxed plane partitions, lim log M(n,n,n) / n^2
             target = 4.5 * math.log(3.0) - 6.0 * math.log(2.0)
             err = abs(mesh.psi_value - target)
@@ -307,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", required=True)
     p.add_argument("--out", help="write tilings as JSON")
     p.add_argument("--terms", help="write per-tiling hook weight terms as CSV")
-    p.add_argument("--guard", type=int, default=10_000_000)
+    p.add_argument("--guard", type=int, default=ENUM_GUARD)
     p.set_defaults(func=_cmd_enumerate)
 
     p = add_parser("sample", help="Markov chain sampling of tilings")
@@ -325,17 +324,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("solve", help="maximize the limit shape functional")
     p.add_argument("--profile", required=True,
                    help="profile JSON, or the literal 'hexagon'")
-    p.add_argument("--mesh", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--eps", type=float, default=0.05)
+    p.add_argument("--mesh", type=int, default=DEFAULT_MESH)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--out", help="write solved node heights as CSV")
     p.set_defaults(func=_cmd_solve)
 
     p = add_parser("constant", help="growth constant of a profile family")
     p.add_argument("--profile", required=True)
-    p.add_argument("--mesh", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--eps", type=float, default=0.05)
+    p.add_argument("--mesh", type=int, default=DEFAULT_MESH)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--json", action="store_true",
                    help="print value, parts and error budget as JSON")
     p.set_defaults(func=_cmd_constant)
@@ -350,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("repro", help="re-derive headline numbers, PASS/FAIL")
     p.add_argument("--target", default="all",
                    choices=["all", "hexagon", "thick-hook", "ribbon"])
-    p.add_argument("--mesh", type=int, default=64)
+    p.add_argument("--mesh", type=int, default=DEFAULT_MESH)
     p.set_defaults(func=_cmd_repro)
     return ap
 

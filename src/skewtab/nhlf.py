@@ -18,7 +18,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .exact import _bareiss_det, _divide_exactly
 from .shapes import Cell, SkewShape, hook_table
-from .tiling import Region, Tiling, _as_region, heights_to_tiling
+from .tiling import Region, Tiling, _as_region
 
 
 class WeightField:
@@ -68,10 +68,8 @@ def capped_weights(shape: SkewShape, N: int, eps: float) -> WeightField:
     return w
 
 
-def tiling_weight(t, w: WeightField) -> float:
-    """Total log weight of a Tiling or height function, in chain order."""
-    if not isinstance(t, Tiling):
-        t = heights_to_tiling(t)
+def tiling_weight(t: Tiling, w: WeightField) -> float:
+    """Total log weight of a tiling, in chain order."""
     logs = w.cell_logs
     total = 0.0
     for v in t.region.moves().flat_cells(t.heights):

@@ -19,8 +19,8 @@ Randomness is drawn in blocks: for each chunk of m = min(remaining,
 CHUNK) proposals, m row indices (`rng.integers(n, size=m)`) and then m
 uniforms (`rng.random(m)`), and a proposal is accepted when its uniform
 lies below its acceptance probability.  The same draws give the same
-chain as the dict-keyed loop on `_flip_interval` and `_delta_logw` (kept
-as `mix_reference` in the test oracles).
+chain as the dict-keyed loop on the neighbour-by-neighbour flip interval
+and `_delta_logw` (kept as `mix_reference` in the test oracles).
 
 Both public chains start at the pointwise lowest height function and
 burn in for `_burn_in(region)` = 20 * (number of vertices)^2 proposals.
@@ -82,7 +82,7 @@ def _burn_in(region) -> int:
 def _lowest(region) -> list[int]:
     """The pointwise lowest height vector, checked against the mask."""
     h = _extension(region.fixed, region, maximal=False)
-    if region.masked.intersection(region.moves().flat_cells(h)):
+    if not region.mask_ok(h):
         raise ValueError("lowest extension leaves the support mask")
     return h
 

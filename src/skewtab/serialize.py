@@ -14,9 +14,11 @@ import json
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
+from .sampler import DensityField
 from .shapes import SkewShape, StableProfile
-from .tiling import (HeightFunction, Lozenge, Tiling, build_region,
-                     heights_to_tiling)
+from .tiling import Lozenge, Tiling, _check_edges, build_region
 
 
 def _read_json(path) -> object:
@@ -31,13 +33,14 @@ def load_shape(path) -> SkewShape:
     data = _read_json(path)
     if not isinstance(data, dict) or "outer" not in data:
         raise ValueError(f"{path}: expected an object with 'outer' (and 'inner')")
-    outer = data["outer"]
-    inner = data.get("inner", [])
-    # bool is a subclass of int, so JSON true would otherwise count as 1
-    if not all(isinstance(v, int) and not isinstance(v, bool)
-               for v in list(outer) + list(inner)):
-        raise ValueError(f"{path}: row lengths must be integers")
-    return SkewShape(outer, inner)
+    rows = {"outer": data["outer"], "inner": data.get("inner", [])}
+    for field, parts in rows.items():
+        # bool is a subclass of int, so JSON true would otherwise count as 1
+        if not isinstance(parts, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in parts):
+            raise ValueError(f"{path}: '{field}' must be a list of integer "
+                             f"row lengths")
+    return SkewShape(rows["outer"], rows["inner"])
 
 
 def save_shape(shape: SkewShape, path) -> None:
@@ -45,13 +48,19 @@ def save_shape(shape: SkewShape, path) -> None:
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
+def _points(path, data: dict, field: str) -> list[tuple]:
+    try:
+        return [tuple(map(float, p)) for p in data.get(field, [])]
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: '{field}' must be a list of [x, y] "
+                         f"points") from None
+
+
 def load_profile(path) -> StableProfile:
     data = _read_json(path)
     if not isinstance(data, dict) or "psi" not in data:
         raise ValueError(f"{path}: expected an object with 'psi' (and 'phi')")
-    psi = [tuple(map(float, p)) for p in data["psi"]]
-    phi = [tuple(map(float, p)) for p in data.get("phi", [])]
-    return StableProfile(psi, phi)
+    return StableProfile(_points(path, data, "psi"), _points(path, data, "phi"))
 
 
 def save_profile(profile: StableProfile, path) -> None:
@@ -77,14 +86,17 @@ def load_tiling(path, shape: SkewShape) -> Tiling:
         except (TypeError, KeyError) as exc:
             raise ValueError(f"{path}: bad lozenge entry {item!r}") from None
     region = build_region(shape)
+    at = region.moves().index
     flat = {(l.x, l.y) for l in loz if l.type == 3}
-    h = {}
+    h = [0] * len(at)
     for chain in region.chains.values():
-        z = h[chain[0]] = region.fixed[chain[0]]
+        z = h[at[chain[0]]] = region.fixed[chain[0]]
         for v in chain[1:]:
-            z = h[v] = z + (v not in flat)
-    tiling = heights_to_tiling(HeightFunction(region, h))
-    if not region.mask_ok(h) or tiling.lozenges != tuple(sorted(loz)):
+            z = h[at[v]] = z + (v not in flat)
+    _check_edges(region, h)
+    tiling = Tiling(region, h)
+    if (any(h[at[v]] != val for v, val in region.fixed.items())
+            or not region.mask_ok(h) or tiling.lozenges != tuple(sorted(loz))):
         raise ValueError(f"{path}: the lozenges do not tile the shape's region")
     return tiling
 
@@ -103,18 +115,8 @@ def save_density(field, path) -> None:
             wr.writerow(row)
 
 
-class DensityRows:
-    """Anchor cells with per-type frequencies, as loaded from a density CSV."""
-
-    __slots__ = ("anchors", "freqs", "n")
-
-    def __init__(self, anchors, freqs, n):
-        self.anchors = anchors
-        self.freqs = freqs
-        self.n = n
-
-
-def load_density(path) -> DensityRows:
+def load_density(path) -> DensityField:
+    """Read a density CSV back into a `DensityField` with no region."""
     anchors, freqs, n = [], [], 0
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
@@ -127,7 +129,8 @@ def load_density(path) -> DensityRows:
             anchors.append((int(row[0]), int(row[1])))
             freqs.append((float(row[2]), float(row[3]), float(row[4])))
             n = int(row[5])
-    return DensityRows(anchors, freqs, n)
+    return DensityField(None, tuple(anchors), np.array(freqs).reshape(-1, 3),
+                        n)
 
 
 def save_terms(rows: Iterable[tuple[int, float, list]], path) -> None:

@@ -34,9 +34,8 @@ d1 = h(p + e1) - h(p) and d2 = h(p + e3) - h(p + e1) decode as
 where the down triangle at q has vertices q, q + e2, q + e3.
 
 A tiling is its height function: `Tiling` holds one int per vertex in
-sorted vertex order, and every decode reads the integer tables of
-`Region.moves()`.  The dict-keyed `HeightFunction` serves enumeration,
-`flip` and `extend`.
+sorted vertex order, and enumeration, `flip`, the extensions and every
+decode read the integer tables of `Region.moves()`.
 """
 from __future__ import annotations
 
@@ -44,7 +43,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ResourceGuardError
+from .errors import ResourceGuardError, check_count
 from .shapes import SkewShape
 
 Vertex = tuple[int, int]
@@ -75,16 +74,19 @@ class MoveTable:
         lo = max(h[a], h[b], h[c] + m_v, h[x] - 1, h[y] - 1, h[z] - 1)
         hi = min(h[a] + 1, h[b] + 1, h[c] + 1, h[x], h[y], h[z] - m_q)
 
-    is `_flip_interval` without a membership test.
+    is the closed interval of heights v may take, all else fixed.
 
     Built on first use: `ups()`, per up triangle p (sorted), the indices
     of p, p + e1, p + e3 and for types 1, 2, 3 the lozenge and the index
-    of its down triangle in `Region.down_triangles` (-1 if absent); and
-    for `flat_cells`, the chain steps (index of v - e3, index of v, v)
-    from head to tail, flat where the height does not rise.
+    of its down triangle in `Region.down_triangles` (-1 if absent);
+    `below()`, per vertex, the (index, least gain) of each of its -e1,
+    -e2, -e3 neighbours, which all come before it in `order`; and for
+    `flat_cells`, the chain steps (index of v - e3, index of v, v) from
+    head to tail, flat where the height does not rise.
     """
 
-    __slots__ = ("region", "order", "index", "rows", "_ups", "_steps")
+    __slots__ = ("region", "order", "index", "rows", "_ups", "_below",
+                 "_steps")
 
     def __init__(self, region: "Region"):
         self.region = region
@@ -100,7 +102,7 @@ class MoveTable:
                          at.get((i, j + 1), z), z,
                          int(v in region.masked), int(q in region.masked)))
         self.rows = tuple(rows)
-        self._ups = self._steps = None
+        self._ups = self._below = self._steps = None
 
     def ups(self) -> tuple:
         """The up-triangle table, built on first use."""
@@ -117,6 +119,18 @@ class MoveTable:
                     (Lozenge(3, *s), down.get(p, -1)))))
             self._ups = tuple(rows)
         return self._ups
+
+    def below(self) -> tuple:
+        """The lower-neighbour table, built on first use: an e3 edge into a
+        masked vertex must gain 1, every other edge 0 or 1."""
+        if self._below is None:
+            at, masked = self.index, self.region.masked
+            self._below = tuple(
+                tuple((at[p], g) for p, g in (
+                    ((i - 1, j), 0), ((i, j - 1), 0),
+                    ((i - 1, j - 1), int((i, j) in masked))) if p in at)
+                for i, j in self.order)
+        return self._below
 
     def flat_cells(self, h) -> list[Vertex]:
         """Flat cells of the height vector h, in chain order."""
@@ -172,9 +186,9 @@ class Region:
             self._moves = MoveTable(self)
         return self._moves
 
-    def mask_ok(self, h: dict) -> bool:
-        """True if every masked e3 edge gains 1 under h."""
-        return all(h[v] - h[(v[0] - 1, v[1] - 1)] == 1 for v in self.masked)
+    def mask_ok(self, h) -> bool:
+        """True if no flat cell of the height vector h is masked."""
+        return self.masked.isdisjoint(self.moves().flat_cells(h))
 
     def __repr__(self) -> str:
         return (
@@ -234,72 +248,23 @@ def _as_region(shape_or_region) -> Region:
     raise TypeError(f"expected SkewShape or Region, got {type(shape_or_region)}")
 
 
-def _check_edges(region: Region, h: dict) -> None:
-    vs = region.vertices
-    if set(h) != vs:
-        missing = vs - set(h)
-        extra = set(h) - vs
-        raise ValueError(
-            f"heights must cover the region exactly "
-            f"(missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})"
-        )
-    for v in vs:
-        i, j = v
-        for p in ((i - 1, j), (i, j - 1), (i - 1, j - 1)):
-            if p in vs and not 0 <= h[v] - h[p] <= 1:
-                raise ValueError(f"edge rule broken on {p} -> {v}: "
-                                 f"{h[p]} -> {h[v]}")
-
-
-class HeightFunction:
-    """An integer height assignment on a region's vertices.
-
-    Validation checks vertex coverage, the 0/1 edge rule and agreement
-    with the region's pinned boundary.  Whether the support mask holds
-    (no horizontal lozenge on cells outside the outer shape) is a
-    separate question answered by `Region.mask_ok`.
-    """
-
-    __slots__ = ("region", "h")
-
-    def __init__(self, region: Region, h: dict, validate: bool = True):
-        self.region = region
-        self.h = dict(h)
-        if validate:
-            _check_edges(region, self.h)
-            for v, val in region.fixed.items():
-                if self.h[v] != val:
-                    raise ValueError(
-                        f"pinned boundary value broken at {v}: "
-                        f"expected {val}, got {self.h[v]}"
-                    )
-
-    def __getitem__(self, v: Vertex) -> int:
-        return self.h[v]
-
-    def items(self):
-        return self.h.items()
-
-    def copy(self) -> "HeightFunction":
-        return HeightFunction(self.region, self.h, validate=False)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HeightFunction)
-            and self.region.shape == other.region.shape
-            and self.h == other.h
-        )
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.h.items()))
-
-    def __repr__(self) -> str:
-        return f"HeightFunction({len(self.h)} vertices)"
+def _check_edges(region: Region, h) -> None:
+    """Raise ValueError unless the height vector h gains 0 or 1 along
+    every edge of the region."""
+    table = region.moves()
+    for k, near in enumerate(table.below()):
+        for a, _ in near:
+            if not 0 <= h[k] - h[a] <= 1:
+                raise ValueError(f"edge rule broken on {table.order[a]} -> "
+                                 f"{table.order[k]}: {h[a]} -> {h[k]}")
 
 
 class Tiling:
     """A lozenge tiling, held as its height vector in `Region.moves().order`;
-    its sorted lozenges (type, x, y) are decoded on first use and kept."""
+    `t[v]` is the height at vertex v, and its sorted lozenges (type, x, y)
+    are decoded on first use and kept.  Nothing is validated here: the
+    producers (`enumerate_H`, `flip`, the extensions, the sampler and
+    `serialize.load_tiling`) hand out valid height vectors."""
 
     __slots__ = ("region", "heights", "_lozenges")
 
@@ -307,6 +272,13 @@ class Tiling:
         self.region = region
         self.heights = tuple(heights)
         self._lozenges = None
+
+    def __getitem__(self, v: Vertex) -> int:
+        return self.heights[self.region.moves().index[v]]
+
+    def items(self):
+        """(vertex, height) pairs in `order`."""
+        return zip(self.region.moves().order, self.heights)
 
     def _picks(self) -> list[int]:
         """Per up triangle, 0, 1 or 2 for a lozenge of type 1, 2 or 3."""
@@ -393,7 +365,7 @@ def _extension(partial: dict, region: Region, maximal: bool) -> list[int]:
     return vals.tolist()
 
 
-def extend(partial: dict, region: Region) -> HeightFunction:
+def extend(partial: dict, region: Region) -> Tiling:
     """Largest height function through the given partial values.
 
     The partial data must satisfy the pairwise growth bound
@@ -402,84 +374,48 @@ def extend(partial: dict, region: Region) -> HeightFunction:
     rule is validated here: agreement with the region's pins and mask is
     up to the caller's choice of partial data.
     """
-    h = dict(zip(sorted(region.vertices),
-                 _extension(partial, region, maximal=True)))
+    h = _extension(partial, region, maximal=True)
     _check_edges(region, h)
-    return HeightFunction(region, h, validate=False)
+    return Tiling(region, h)
 
 
-def minimal_extension(partial: dict, region: Region) -> HeightFunction:
+def minimal_extension(partial: dict, region: Region) -> Tiling:
     """Smallest height function through the given partial values."""
-    h = dict(zip(sorted(region.vertices),
-                 _extension(partial, region, maximal=False)))
+    h = _extension(partial, region, maximal=False)
     _check_edges(region, h)
-    return HeightFunction(region, h, validate=False)
+    return Tiling(region, h)
 
 
-def _flip_interval(region: Region, hd: dict, v: Vertex) -> tuple[int, int]:
-    """Feasible closed interval for the height at v, all else fixed."""
-    i, j = v
-    vs = region.vertices
-    lo, hi = -(1 << 30), 1 << 30
-    for p in ((i - 1, j), (i, j - 1)):
-        if p in vs:
-            hp = hd[p]
-            if hp > lo:
-                lo = hp
-            if hp + 1 < hi:
-                hi = hp + 1
-    p3 = (i - 1, j - 1)
-    if p3 in vs:
-        b = hd[p3] + (1 if v in region.masked else 0)
-        if b > lo:
-            lo = b
-        if hd[p3] + 1 < hi:
-            hi = hd[p3] + 1
-    for q in ((i + 1, j), (i, j + 1)):
-        if q in vs:
-            hq = hd[q]
-            if hq - 1 > lo:
-                lo = hq - 1
-            if hq < hi:
-                hi = hq
-    q3 = (i + 1, j + 1)
-    if q3 in vs:
-        if hd[q3] - 1 > lo:
-            lo = hd[q3] - 1
-        b = hd[q3] - (1 if q3 in region.masked else 0)
-        if b < hi:
-            hi = b
-    return lo, hi
-
-
-def flip(h: HeightFunction, v: Vertex) -> HeightFunction | None:
+def flip(t: Tiling, v: Vertex) -> Tiling | None:
     """Toggle the height at a free vertex between its two legal values.
 
-    Returns the flipped height function, or None when the vertex is not
-    flippable (its value is forced by the neighbors).  Pinned or unknown
-    vertices raise ValueError.
+    Returns the flipped tiling, or None when the vertex is not flippable
+    (its value is forced by the neighbors).  Pinned or unknown vertices
+    raise ValueError.
     """
-    region = h.region
+    region = t.region
     if v not in region.vertices:
         raise ValueError(f"vertex {v} is not in the region")
     if v in region.fixed:
         raise ValueError(f"vertex {v} is pinned to the boundary")
-    lo, hi = _flip_interval(region, h.h, v)
+    k, a, b, c, x, y, z, mv, mq = region.moves().rows[region.free.index(v)]
+    h = list(t.heights)
+    lo = max(h[a], h[b], h[c] + mv, h[x] - 1, h[y] - 1, h[z] - 1)
+    hi = min(h[a] + 1, h[b] + 1, h[c] + 1, h[x], h[y], h[z] - mq)
     if hi <= lo:
         return None
-    new = dict(h.h)
-    new[v] = lo + hi - new[v]
-    return HeightFunction(region, new, validate=False)
+    h[k] = lo + hi - h[k]
+    return Tiling(region, h)
 
 
-def heights_to_tiling(h: HeightFunction) -> Tiling:
-    """The lozenge tiling of a height function."""
-    return Tiling(h.region, [h.h[v] for v in h.region.moves().order])
+def heights_to_tiling(t: Tiling) -> Tiling:
+    """The lozenge tiling of a height function: the tiling itself."""
+    return t
 
 
-def type_counts(h: HeightFunction) -> tuple[int, int, int]:
-    """How many lozenges of types 1, 2, 3 the height function encodes."""
-    return heights_to_tiling(h).counts()
+def type_counts(t: Tiling) -> tuple[int, int, int]:
+    """How many lozenges of types 1, 2, 3 the tiling has."""
+    return t.counts()
 
 
 def _height_vectors(region: Region, guard: int | None) -> Iterator[list]:
@@ -490,14 +426,7 @@ def _height_vectors(region: Region, guard: int | None) -> Iterator[list]:
     been produced (guard = None streams without a limit).
     """
     table = region.moves()
-    at, depth = table.index, region.depth
-    # a vertex's -e1, -e2, -e3 neighbours come before it in sorted order:
-    # per vertex, (index, least gain) of each
-    below = []
-    for i, j in table.order:
-        near = (((i - 1, j), 0), ((i, j - 1), 0),
-                ((i - 1, j - 1), int((i, j) in region.masked)))
-        below.append([(at[p], g) for p, g in near if p in at])
+    below, depth = table.below(), region.depth
     pins = [region.fixed.get(v) for v in table.order]
     h = [0] * len(table.order)
 
@@ -534,14 +463,13 @@ def iter_flat_cells(region: Region, guard: int | None = None) -> Iterator[list]:
         yield table.flat_cells(h)
 
 
-def enumerate_H(shape, guard: int = ENUM_GUARD) -> list[HeightFunction]:
-    """All height functions of the shape's region, materialized.
+def enumerate_H(shape, guard: int = ENUM_GUARD) -> list[Tiling]:
+    """All tilings of the shape's region, materialized.
 
     Memory grows with the count; the guard aborts runaway state spaces
     with a pointer to the Monte Carlo route.
     """
     region = _as_region(shape)
-    order = region.moves().order
-    return [HeightFunction(region, dict(zip(order, h)), validate=False)
-            for h in _height_vectors(region, guard)]
+    guard = check_count("guard", guard, 0)
+    return [Tiling(region, h) for h in _height_vectors(region, guard)]
 

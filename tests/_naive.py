@@ -14,15 +14,17 @@ against the solver's edge-merged gradient; `grid_triangles_reference`
 lists the mesh triangles cell by cell; `interp_init_reference` seeds a fine
 mesh from a coarse one node by node.  `k_psi_reference` integrates
 log hbar over psi's hypograph by adaptive quadrature in x, the route the
-closed form in `varsolve.k_psi` replaces.  `mix_reference` is the
-dict-keyed Metropolis loop on `_flip_interval` and `_delta_logw` that the
-sampler's move-table loop replaces, fed the same chunked draws.
+closed form in `varsolve.k_psi` replaces.  `flip_interval_reference`
+bounds a vertex's height neighbour by neighbour through a dict, the route
+that `flip` and the sampler read off a move-table row; `mix_reference` is
+the dict-keyed Metropolis loop on it and `_delta_logw` that the sampler's
+move-table loop replaces, fed the same chunked draws.
 `tiling_sum_reference` is the LGV tiling sum with every path sum and
 elimination step in `Fraction`s, on `det_reference`'s rational Gaussian
 elimination: the route the integer engine and its Bareiss determinant
-replace.  `heights_to_tiling_reference` decodes a dict-keyed height
-function one upward triangle at a time and checks the down triangles
-with a claimed-dict, and `density_reference` tallies lozenge types one
+replace.  `heights_to_tiling_reference` decodes a dict of heights one
+upward triangle at a time and checks the down triangles with a
+claimed-dict, and `density_reference` tallies lozenge types one
 lozenge at a time: the routes that `Tiling`'s table decode from its
 height vector and `density`'s numpy pass replace.
 """
@@ -37,7 +39,7 @@ from scipy import integrate
 
 from skewtab.sampler import CHUNK, _delta_logw
 from skewtab.sampler import DensityField
-from skewtab.tiling import Lozenge, _flip_interval, iter_flat_cells
+from skewtab.tiling import Lozenge, iter_flat_cells
 
 
 def naive_count(outer, inner=()) -> int:
@@ -266,6 +268,42 @@ def k_psi_reference(profile) -> float:
     return total
 
 
+def flip_interval_reference(region, hd: dict, v) -> tuple[int, int]:
+    """Feasible closed interval for the height at v, all else fixed."""
+    i, j = v
+    vs = region.vertices
+    lo, hi = -(1 << 30), 1 << 30
+    for p in ((i - 1, j), (i, j - 1)):
+        if p in vs:
+            hp = hd[p]
+            if hp > lo:
+                lo = hp
+            if hp + 1 < hi:
+                hi = hp + 1
+    p3 = (i - 1, j - 1)
+    if p3 in vs:
+        b = hd[p3] + (1 if v in region.masked else 0)
+        if b > lo:
+            lo = b
+        if hd[p3] + 1 < hi:
+            hi = hd[p3] + 1
+    for q in ((i + 1, j), (i, j + 1)):
+        if q in vs:
+            hq = hd[q]
+            if hq - 1 > lo:
+                lo = hq - 1
+            if hq < hi:
+                hi = hq
+    q3 = (i + 1, j + 1)
+    if q3 in vs:
+        if hd[q3] - 1 > lo:
+            lo = hd[q3] - 1
+        b = hd[q3] - (1 if q3 in region.masked else 0)
+        if b < hi:
+            hi = b
+    return lo, hi
+
+
 def mix_reference(region, hd, rng, w, beta, nsteps) -> int:
     """sampler._mix by tuple-keyed lookups: same draws, same chain."""
     free = region.free
@@ -280,7 +318,7 @@ def mix_reference(region, hd, rng, w, beta, nsteps) -> int:
         us = rng.random(m).tolist()
         for r, u in zip(picks, us):
             v = free[r]
-            lo, hi = _flip_interval(region, hd, v)
+            lo, hi = flip_interval_reference(region, hd, v)
             if hi <= lo:
                 continue
             new = lo + hi - hd[v]
@@ -363,15 +401,13 @@ def tiling_sum_reference(region, cell_weight) -> Fraction:
     return prefactor * det_reference(m)
 
 
-def heights_to_tiling_reference(h) -> tuple:
-    """The sorted lozenges of a HeightFunction, decoded through its dict.
+def heights_to_tiling_reference(region, hd: dict) -> tuple:
+    """The sorted lozenges of the region's heights hd, keyed by vertex.
 
     The triangle at p decodes by d1 = h(p + e1) - h(p) and
     d2 = h(p + e3) - h(p + e1); each paired down triangle must be claimed
     exactly once.
     """
-    region = h.region
-    hd = h.h
     claimed = {}
     lozenges = []
     for p in region.up_triangles():

@@ -63,13 +63,29 @@ def test_count_hlf_requires_straight(capsys, data_dir):
 def test_bad_shape_file_exits_2(capsys, tmp_path):
     p = tmp_path / "bad.json"
     # JSON true is a Python int subclass, but not a row length
-    for text in ("{nope", '{"outer": [3, 3], "inner": [true]}'):
+    for text in ("{nope", '{"outer": [3, 3], "inner": [true]}',
+                 '{"outer": 3}', '{"outer": [3], "inner": null}'):
         p.write_text(text)
         code, out, err = run(capsys, "--no-manifest", "count",
                              "--shape", str(p))
         assert code == 2 and not out, text
         msg = json.loads(err.strip())
         assert "error" in msg and err.count("\n") == 1
+        if text.startswith('{"'):
+            field = "inner" if "inner" in text else "outer"
+            assert str(p) in msg["error"] and field in msg["error"], msg
+
+
+def test_bad_profile_file_exits_2(capsys, tmp_path):
+    p = tmp_path / "bad.json"
+    for text, field in (('{"psi": 5}', "psi"),
+                        ('{"psi": [[0, 1], [1, 0]], "phi": null}', "phi")):
+        p.write_text(text)
+        code, out, err = run(capsys, "--no-manifest", "constant",
+                             "--profile", str(p))
+        assert code == 2 and not out, text
+        msg = json.loads(err.strip())["error"]
+        assert str(p) in msg and f"'{field}'" in msg, msg
 
 
 def test_count_beyond_str_digit_limit(capsys, tmp_path):
@@ -232,10 +248,12 @@ def test_solve_small_profile(capsys, data_dir, tmp_path):
 
 def test_bad_mesh_or_tol_exits_2(capsys, data_dir):
     hook = str(data_dir / "thick_hook_profile.json")
+    shape = str(data_dir / "s332_21.json")
     for argv in (["solve", "--profile", "hexagon", "--mesh", "0"],
                  ["solve", "--profile", "hexagon", "--tol", "0"],
                  ["constant", "--profile", hook, "--mesh", "-4"],
-                 ["repro", "--target", "hexagon", "--mesh", "0"]):
+                 ["repro", "--target", "hexagon", "--mesh", "0"],
+                 ["enumerate", "--shape", shape, "--guard", "-1"]):
         code, out, err = run(capsys, "--no-manifest", *argv)
         assert code == 2 and not out, argv
         assert "error" in json.loads(err.strip()), argv

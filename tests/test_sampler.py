@@ -17,18 +17,27 @@ from skewtab import (
 )
 from skewtab.sampler import CHUNK, _delta_logw, _kernel, _rng
 from skewtab.shapes import thick_hook_shape
-from skewtab.tiling import (Region, _flip_interval, build_region, enumerate_H,
+from skewtab.tiling import (Region, Tiling, build_region, enumerate_H,
                             extend, flip, minimal_extension)
 
-from _naive import density_reference, mix_reference
+from _naive import density_reference, flip_interval_reference, mix_reference
 from test_tiling import oracle_shapes
 
 
-def _table_interval(row, h):
-    """(lo, hi) of a move-table row, as documented on MoveTable."""
-    k, a, b, c, x, y, z, mv, mq = row
-    return (max(h[a], h[b], h[c] + mv, h[x] - 1, h[y] - 1, h[z] - 1),
-            min(h[a] + 1, h[b] + 1, h[c] + 1, h[x], h[y], h[z] - mq))
+def _check_flips(t) -> int:
+    """flip(t, v) against the dict reference at every free vertex of t;
+    returns the number of flippable vertices."""
+    hd = dict(t.items())
+    moved = 0
+    for v in t.region.free:
+        lo, hi = flip_interval_reference(t.region, hd, v)
+        out = flip(t, v)
+        if hi <= lo:
+            assert out is None, (t, v)
+            continue
+        assert dict(out.items()) == {**hd, v: lo + hi - hd[v]}, (t, v)
+        moved += 1
+    return moved
 
 
 def _trimmed(region):
@@ -85,15 +94,24 @@ def _kernel_regions():
 
 
 def test_move_table_interval_matches_flip_interval():
-    reg = build_region(thick_hook_shape(2, 2, 2))
-    table = reg.moves()
-    assert [table.order[row[0]] for row in table.rows] == list(reg.free)
-    states = enumerate_H(reg.shape)
-    assert len(states) == 20
-    for hf in states:
-        h = [hf[u] for u in table.order]
-        for v, row in zip(reg.free, table.rows):
-            assert _table_interval(row, h) == _flip_interval(reg, hf.h, v)
+    """flip reads the dict reference's interval off its move-table row, on
+    every state and free vertex, a masked region included."""
+    sizes = []
+    for shape in (thick_hook_shape(2, 2, 2), SkewShape([3, 3, 2], [2, 1]),
+                  SkewShape([5, 4, 3, 2, 1], [2, 1]), SkewShape([2, 2], [2])):
+        reg = build_region(shape)
+        table = reg.moves()
+        assert [table.order[row[0]] for row in table.rows] == list(reg.free)
+        states = enumerate_H(reg)
+        moved = 0
+        for t in states:
+            assert [v for v, _ in t.items()] == list(table.order)
+            assert [t[v] for v in table.order] == list(t.heights)
+            moved += _check_flips(t)
+        # 2,2/2 has one state, held in place by the mask bit of (2, 3)
+        assert moved > 0 or reg.masked, shape
+        sizes.append((len(states), bool(reg.masked)))
+    assert sizes[0] == (20, False) and sizes[-1] == (1, True)
 
 
 def test_mix_matches_dict_reference():
@@ -107,18 +125,17 @@ def test_mix_matches_dict_reference():
         missing += any(p not in vs for i, j in reg.free
                        for p in ((i - 1, j), (i, j - 1), (i + 1, j), (i, j + 1)))
         for seed, beta in enumerate([1.0, 0.0, 0.4, 2.5]):
-            slow = minimal_extension(reg.fixed, reg).h
-            if not reg.mask_ok(slow):
-                slow = extend(reg.fixed, reg).h
-            table = reg.moves()
-            h = [slow[u] for u in table.order]
+            start = minimal_extension(reg.fixed, reg)
+            if not reg.mask_ok(start.heights):
+                start = extend(reg.fixed, reg)
+            slow = dict(start.items())
+            h = list(start.heights)
             n = CHUNK + 5
             acc = _kernel(reg, w, beta)(h, _rng(seed), n)
             assert acc == mix_reference(reg, slow, _rng(seed), w, beta, n)
-            assert h == [slow[u] for u in table.order], (reg, beta)
+            assert h == [slow[u] for u in reg.moves().order], (reg, beta)
             moved += acc > 0
-            for v, row in zip(reg.free, table.rows):
-                assert _table_interval(row, h) == _flip_interval(reg, slow, v)
+            _check_flips(Tiling(reg, h))
     assert missing >= 5 and moved >= 120
 
 
@@ -155,7 +172,8 @@ def test_delta_logw_matches_full_recompute():
             if out is None:
                 continue
             full = tiling_weight(out, w) - tiling_weight(h, w)
-            assert abs(_delta_logw(h.region, h.h, v, out[v], w) - full) < 1e-12
+            delta = _delta_logw(h.region, dict(h.items()), v, out[v], w)
+            assert abs(delta - full) < 1e-12
             flips += 1
     assert flips > 0
 

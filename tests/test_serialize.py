@@ -75,6 +75,10 @@ def test_density_round_trip(tmp_path, s332_21):
     assert list(back.anchors) == list(field.anchors)
     for a, b in zip(back.freqs, field.freqs):
         assert max(abs(x - y) for x, y in zip(a, b)) < 1e-12
+    # a loaded density saves again, byte for byte
+    again = tmp_path / "again.csv"
+    save_density(back, again)
+    assert again.read_bytes() == p.read_bytes()
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n")
     with pytest.raises(ValueError):
@@ -125,7 +129,7 @@ def test_load_tiling_rejects_non_tilings(tmp_path, s332_21):
     reg = build_region(shape)
     unmasked = Region(shape, reg.vertices, reg.fixed, reg.free, frozenset(),
                       reg.chains, reg.depth)
-    outside = [h for h in enumerate_H(unmasked) if not reg.mask_ok(h.h)]
+    outside = [h for h in enumerate_H(unmasked) if not reg.mask_ok(h.heights)]
     assert outside
     for h in outside:
         t = heights_to_tiling(h)

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from skewtab import (
-    HeightFunction,
     ResourceGuardError,
     SkewShape,
     Tiling,
@@ -19,7 +18,7 @@ from skewtab import (
 from skewtab.nhlf import hook_weights, tiling_weight
 from skewtab.serialize import load_tiling, save_tiling
 from skewtab.shapes import thick_hook_shape
-from skewtab.tiling import iter_flat_cells
+from skewtab.tiling import _check_edges, iter_flat_cells
 
 from _naive import heights_to_tiling_reference
 
@@ -64,16 +63,17 @@ def test_enumerate_heights_332_21():
 def test_height_function_validation():
     reg = region_332_21()
     lo = minimal_extension(reg.fixed, reg)
-    assert isinstance(lo, HeightFunction)
-    bad = dict(lo.items())
-    bad[(1, 1)] = 7  # breaks the 0/1 edge rule
+    assert isinstance(lo, Tiling)
+    order = reg.moves().order
+    bad = list(lo.heights)
+    bad[order.index((1, 1))] = 7  # breaks the 0/1 edge rule
+    with pytest.raises(ValueError, match="edge rule"):
+        _check_edges(reg, bad)
+    # all-zero keeps the edge rule but violates tail pins on depth-1 chains
+    ignores_pin = [0] * len(order)
+    _check_edges(reg, ignores_pin)
     with pytest.raises(ValueError):
-        HeightFunction(reg, bad)
-    ignores_pin = {v: 0 for v in reg.vertices}
-    ignores_pin.update({v: 0 for v in reg.fixed})
-    # all-zero violates tail pins on depth-1 chains
-    with pytest.raises(ValueError):
-        HeightFunction(reg, ignores_pin)
+        Tiling(reg, ignores_pin).lozenges
 
 
 def test_decode_round_trip_and_type_counts():
@@ -217,7 +217,7 @@ def test_tiling_matches_dict_reference():
     for shape in oracle_shapes():
         w = hook_weights(shape, scale=shape.size)
         for h in enumerate_H(shape):
-            ref = heights_to_tiling_reference(h)
+            ref = heights_to_tiling_reference(h.region, dict(h.items()))
             t = heights_to_tiling(h)
             assert t.lozenges == ref, shape
             assert t.counts() == type_counts(h) == tuple(
@@ -243,8 +243,7 @@ def test_decode_raises_where_reference_does():
             bad[v] += rng.choice((-1, 1))
             t = Tiling(region, [bad[u] for u in order])
             try:
-                ref = heights_to_tiling_reference(
-                    HeightFunction(region, bad, validate=False))
+                ref = heights_to_tiling_reference(region, bad)
             except ValueError:
                 with pytest.raises(ValueError):
                     t.lozenges
