@@ -50,7 +50,7 @@ def save_shape(shape: SkewShape, path) -> None:
 
 def _points(path, data: dict, field: str) -> list[tuple]:
     try:
-        return [tuple(map(float, p)) for p in data.get(field, [])]
+        return [(float(x), float(y)) for x, y in data.get(field, [])]
     except (TypeError, ValueError):
         raise ValueError(f"{path}: '{field}' must be a list of [x, y] "
                          f"points") from None

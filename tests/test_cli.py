@@ -79,7 +79,8 @@ def test_bad_shape_file_exits_2(capsys, tmp_path):
 def test_bad_profile_file_exits_2(capsys, tmp_path):
     p = tmp_path / "bad.json"
     for text, field in (('{"psi": 5}', "psi"),
-                        ('{"psi": [[0, 1], [1, 0]], "phi": null}', "phi")):
+                        ('{"psi": [[0, 1], [1, 0]], "phi": null}', "phi"),
+                        ('{"psi": [[0, 1, 2], [1, 0]]}', "psi")):
         p.write_text(text)
         code, out, err = run(capsys, "--no-manifest", "constant",
                              "--profile", str(p))
