@@ -8,7 +8,7 @@ macmahon           boxed plane partition product
 """
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, perm
 
 from .errors import ResourceGuardError
 from .shapes import Partition, SkewShape, hook_table
@@ -103,9 +103,9 @@ def count_determinant(shape: SkewShape) -> int:
     """Count standard fillings via the inverse-factorial determinant.
 
     The float-free form scales row i by (lam_i - i + n)! so every entry is
-    the integer falling product prod_{t = a_i - b_j + 1}^{a_i + n} t with
-    a_i = lam_i - i and b_j = mu_j - j; entries with a_i < b_j vanish
-    because the product runs through zero.
+    the integer falling product prod_{t = a_i - b_j + 1}^{a_i + n} t =
+    perm(a_i + n, b_j + n) with a_i = lam_i - i and b_j = mu_j - j, which
+    vanishes when a_i < b_j because the product runs through zero.
     """
     lam = shape.outer.parts
     n = len(lam)
@@ -113,16 +113,7 @@ def count_determinant(shape: SkewShape) -> int:
         return 1
     a = [lam[i] - (i + 1) for i in range(n)]
     b = [shape.inner.row(j + 1) - (j + 1) for j in range(n)]
-    m = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = 1
-            for t in range(a[i] - b[j] + 1, a[i] + n + 1):
-                v *= t
-            row.append(v)
-        m.append(row)
-    det = _bareiss_det(m)
+    det = _bareiss_det([[perm(ai + n, bj + n) for bj in b] for ai in a])
     num = factorial(shape.size) * det
     den = 1
     for i in range(n):

@@ -9,6 +9,9 @@ path sums, in integer arithmetic with one exact division at the end.
 `count_nhlf` feeds it integer hooks; `partition_function` and `cap_gaps`
 feed it each log weight x as the exact rational 1 / exp(-x), so that every
 node weight 1/w is a dyadic rational.
+
+A weight field is a plain mapping from cell to log weight (`WeightField`
+is a dict); a cell it does not list weighs 1, i.e. has log weight 0.
 """
 from __future__ import annotations
 
@@ -21,26 +24,14 @@ from .shapes import Cell, SkewShape, hook_table
 from .tiling import Region, Tiling, _as_region
 
 
-class WeightField:
-    """Log weight per horizontal-lozenge cell; unlisted cells weigh 1.
+class WeightField(dict):
+    """Log weight per horizontal-lozenge cell; unlisted cells weigh 1."""
 
-    `tag` records provenance for run manifests, and `capped_cells` lists
-    the cells a capped field actually clipped.
-    """
-
-    __slots__ = ("tag", "cell_logs", "capped_cells")
-
-    def __init__(self, cell_logs: dict, tag: str):
-        self.cell_logs = cell_logs
-        self.tag = tag
-        self.capped_cells = None
-
-    def __repr__(self) -> str:
-        return f"WeightField({self.tag})"
+    __slots__ = ()
 
 
 def uniform_weights() -> WeightField:
-    return WeightField({}, "uniform")
+    return WeightField()
 
 
 def hook_weights(shape: SkewShape, scale: float | None = None) -> WeightField:
@@ -49,31 +40,25 @@ def hook_weights(shape: SkewShape, scale: float | None = None) -> WeightField:
     With `scale` = N the hook is divided by sqrt(N) first (the weighting
     under which the partition function has an N-independent scale).
     """
-    table = hook_table(shape.outer)
     half_log = 0.5 * math.log(scale) if scale is not None else 0.0
-    logs = {cell: math.log(hv) - half_log for cell, hv in table.items()}
-    tag = "hook" if scale is None else f"hook/sqrt({scale:g})"
-    return WeightField(logs, tag)
+    return WeightField((cell, math.log(hv) - half_log)
+                       for cell, hv in hook_table(shape.outer).items())
 
 
 def capped_weights(shape: SkewShape, N: int, eps: float) -> WeightField:
     """Scaled hook weights with the log clipped from below at log(eps)."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    base = hook_weights(shape, scale=N).cell_logs
     flo = math.log(eps)
-    w = WeightField({cell: max(lw, flo) for cell, lw in base.items()},
-                    f"hook_capped({eps:g})")
-    w.capped_cells = frozenset(c for c, lw in base.items() if lw < flo)
-    return w
+    return WeightField((cell, max(lw, flo))
+                       for cell, lw in hook_weights(shape, scale=N).items())
 
 
 def tiling_weight(t: Tiling, w: WeightField) -> float:
     """Total log weight of a tiling, in chain order."""
-    logs = w.cell_logs
     total = 0.0
     for v in t.region.moves().flat_cells(t.heights):
-        total += logs.get(v, 0.0)
+        total += w.get(v, 0.0)
     return total
 
 
@@ -189,10 +174,9 @@ def partition_function(shape, w: WeightField) -> PartitionFunction:
     raise them.  The sum over tilings is then exact, so nothing is rounded
     after the weights themselves.
     """
-    logs = w.cell_logs
     return PartitionFunction(_tiling_sum(
         _as_region(shape),
-        lambda c: 1 / Fraction(math.exp(-logs.get(c, 0.0)))))
+        lambda c: 1 / Fraction(math.exp(-w.get(c, 0.0)))))
 
 
 def count_nhlf(shape) -> int:

@@ -4,7 +4,8 @@ One Metropolis kernel, `_kernel`, serves every chain in this module.  It
 proposes, at a uniformly random free vertex, the other legal height value
 (each free vertex has at most two), and accepts with the Metropolis rule
 min(1, exp(beta * delta log weight)).  The proposal is its own inverse,
-so detailed balance holds for any weight field.
+so detailed balance holds for any weight field: a mapping from cell to
+log weight, in which an unlisted cell has log weight 0.
 
 A chain's state is one int list from start to finish, the height vector
 in `Region.moves().order`; the move table gives each free vertex its
@@ -59,17 +60,16 @@ def _delta_logw(region, hd: dict, v, new: int, w: WeightField) -> float:
 
     Only the horizontal lozenges at cells v and v + e3 can toggle.
     """
-    logs = w.cell_logs
     i, j = v
     old = hd[v]
     delta = 0.0
     p3 = (i - 1, j - 1)
     if p3 in region.vertices:
-        lw = logs.get(v, 0.0)
+        lw = w.get(v, 0.0)
         delta += lw * ((new == hd[p3]) - (old == hd[p3]))
     q3 = (i + 1, j + 1)
     if q3 in region.vertices:
-        lw = logs.get(q3, 0.0)
+        lw = w.get(q3, 0.0)
         delta += lw * ((hd[q3] == new) - (hd[q3] == old))
     return delta
 
@@ -96,8 +96,7 @@ def _kernel(region, w: WeightField, beta: float):
     # acceptance probability of a rise and of a fall, per row: a rise
     # unflattens the cell at v and flattens the one at v + e3
     if beta:
-        logs = w.cell_logs
-        gain = [beta * (logs.get((i + 1, j + 1), 0.0) - logs.get((i, j), 0.0))
+        gain = [beta * (w.get((i + 1, j + 1), 0.0) - w.get((i, j), 0.0))
                 for i, j in free]
         rise = [math.exp(min(0.0, g)) for g in gain]
         fall = [math.exp(min(0.0, -g)) for g in gain]

@@ -40,7 +40,10 @@ def load_shape(path) -> SkewShape:
                 isinstance(v, int) and not isinstance(v, bool) for v in parts):
             raise ValueError(f"{path}: '{field}' must be a list of integer "
                              f"row lengths")
-    return SkewShape(rows["outer"], rows["inner"])
+    try:
+        return SkewShape(rows["outer"], rows["inner"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_shape(shape: SkewShape, path) -> None:
@@ -60,7 +63,11 @@ def load_profile(path) -> StableProfile:
     data = _read_json(path)
     if not isinstance(data, dict) or "psi" not in data:
         raise ValueError(f"{path}: expected an object with 'psi' (and 'phi')")
-    return StableProfile(_points(path, data, "psi"), _points(path, data, "phi"))
+    psi, phi = _points(path, data, "psi"), _points(path, data, "phi")
+    try:
+        return StableProfile(psi, phi)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_profile(profile: StableProfile, path) -> None:

@@ -147,35 +147,13 @@ class SkewShape:
         return f"SkewShape({self.outer.parts}, {self.inner.parts})"
 
 
-class HookTable:
-    """Hook lengths of a straight partition, indexed by cell."""
+class HookTable(dict):
+    """Hook lengths of a straight partition, keyed by cell."""
 
-    __slots__ = ("partition", "values")
-
-    def __init__(self, partition: Partition, values: dict[Cell, int]):
-        self.partition = partition
-        self.values = values
-
-    def __getitem__(self, cell: Cell) -> int:
-        return self.values[cell]
-
-    def get(self, cell: Cell, default=None):
-        return self.values.get(cell, default)
-
-    def __contains__(self, cell: Cell) -> bool:
-        return cell in self.values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def items(self):
-        return self.values.items()
+    __slots__ = ()
 
     def product(self) -> int:
-        out = 1
-        for v in self.values.values():
-            out *= v
-        return out
+        return math.prod(self.values())
 
 
 def hook_table(lam) -> HookTable:
@@ -187,16 +165,16 @@ def hook_table(lam) -> HookTable:
     if not lam:
         raise ValueError("hook table of the empty partition is undefined")
     conj = lam.conjugate().parts
-    values = {}
-    for x, p in enumerate(lam.parts, start=1):
-        for y in range(1, p + 1):
-            values[(x, y)] = p + conj[y - 1] - x - y + 1
-    return HookTable(lam, values)
+    return HookTable(((x, y), p + conj[y - 1] - x - y + 1)
+                     for x, p in enumerate(lam.parts, start=1)
+                     for y in range(1, p + 1))
 
 
 def _check_curve(points, name: str) -> tuple[tuple[float, float], ...]:
     pts = tuple((float(x), float(y)) for x, y in points)
     for i, (x, y) in enumerate(pts):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"{name} breakpoints must be finite, got {(x, y)}")
         if x < 0 or y < 0:
             raise ValueError(f"{name} breakpoints must be nonnegative, got {(x, y)}")
         if i > 0:
@@ -233,16 +211,19 @@ def _curve_area(pts) -> float:
 class StableProfile:
     """A nonincreasing piecewise linear boundary pair (outer psi, inner phi).
 
-    Both curves are breakpoint lists in the first quadrant.  Construction
-    rescales both axes by a common factor so the area between the curves is
-    exactly 1 (within 1e-9); curves are evaluated left-continuously, with
-    an implicit drop to 0 past the last breakpoint.  phi may be empty,
-    meaning identically zero (a straight shape family).
+    Both curves are breakpoint lists of finite numbers in the first
+    quadrant.  Construction rescales both axes by a common factor so the
+    area between the curves is exactly 1 (within 1e-9); curves are
+    evaluated left-continuously, with an implicit drop to 0 past the last
+    breakpoint.  phi may be empty, meaning identically zero (a straight
+    shape family); a phi that is positive on no interval is emptied, and
+    phi keeps at most one trailing zero breakpoint, so phi's last
+    breakpoint is where it reaches 0.
     """
 
     __slots__ = ("psi", "phi")
 
-    def __init__(self, psi, phi=(), normalize: bool = True):
+    def __init__(self, psi, phi=()):
         psi_pts = _check_curve(psi, "psi")
         phi_pts = _check_curve(phi, "phi")
         if not psi_pts:
@@ -254,7 +235,8 @@ class StableProfile:
         # drop a trailing all-zero tail on phi
         while phi_pts and phi_pts[-1][1] == 0 and len(phi_pts) > 1 and phi_pts[-2][1] == 0:
             phi_pts = phi_pts[:-1]
-        if phi_pts and max(y for _, y in phi_pts) == 0:
+        if phi_pts and (phi_pts[-1][0] <= 1e-12
+                        or max(y for _, y in phi_pts) == 0):
             phi_pts = ()
         for x, y in phi_pts:
             if y > _pl_left(psi_pts, x) + 1e-9:
@@ -265,11 +247,10 @@ class StableProfile:
         area = _curve_area(psi_pts) - _curve_area(phi_pts)
         if area <= 0:
             raise ValueError("profile encloses no area")
-        if normalize:
-            s = 1.0 / math.sqrt(area)
-            psi_pts = tuple((x * s, y * s) for x, y in psi_pts)
-            phi_pts = tuple((x * s, y * s) for x, y in phi_pts)
-            area = _curve_area(psi_pts) - _curve_area(phi_pts)
+        s = 1.0 / math.sqrt(area)
+        psi_pts = tuple((x * s, y * s) for x, y in psi_pts)
+        phi_pts = tuple((x * s, y * s) for x, y in phi_pts)
+        area = _curve_area(psi_pts) - _curve_area(phi_pts)
         if abs(area - 1.0) > 1e-9:
             raise ValueError(f"profile area {area} is not 1")
         self.psi = psi_pts
@@ -292,19 +273,8 @@ class StableProfile:
 
     @property
     def phi_width(self) -> float:
-        """Largest x with phi(x) > 0 (0 for an empty phi)."""
-        if not self.phi:
-            return 0.0
-        last = 0.0
-        for (x0, y0), (x1, y1) in zip(self.phi, self.phi[1:]):
-            if y1 > 0:
-                last = x1
-            elif y0 > 0:
-                # linear hit of zero inside the segment
-                last = x0 + (x1 - x0) * y0 / (y0 - y1) if y0 != y1 else x0
-        if len(self.phi) == 1:
-            last = self.phi[0][0]
-        return max(last, self.phi[-1][0] if self.phi[-1][1] > 0 else last)
+        """Where phi reaches 0: its last breakpoint (0 for an empty phi)."""
+        return self.phi[-1][0] if self.phi else 0.0
 
     @property
     def phi_top(self) -> float:

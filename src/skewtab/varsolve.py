@@ -52,55 +52,38 @@ _PI = math.pi
 # continuum geometry of a profile pair
 
 
-def _diag_chord(pts, c: float) -> float:
+def _boundary(pts) -> np.ndarray:
+    """A curve's breakpoints and its implicit drop to 0, as an (m, 2) array.
+
+    Along the rows x - y never decreases, so the diagonal y - x = c leaves
+    the region under the curve at x = np.interp(-c, x - y, x).
+    """
+    b = np.array(pts, dtype=float)
+    if b[-1, 1] > 0.0:
+        b = np.vstack([b, (b[-1, 0], 0.0)])
+    return b
+
+
+def _diag_chord(pts, c):
     """Length T of the diagonal ray head(c) + t (1, 1) inside the hypograph.
 
-    pts is a nonincreasing breakpoint list with an implicit drop to 0 past
-    the end; the ray starts at (0, c) for c >= 0, else (-c, 0).
+    The ray starts at head(c) = (0, c) for c >= 0, else (-c, 0); c may be
+    an array of diagonals.
     """
-    if not pts:
-        return 0.0
-    hx, hy = (0.0, c) if c >= 0 else (-c, 0.0)
-    # feasibility g(t) = hy + t - curve(hx + t) is increasing in t
-    from .shapes import _pl_left
-
-    if hy > _pl_left(pts, hx) + 1e-12:
-        return 0.0
-    best = 0.0
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        t0, t1 = x0 - hx, x1 - hx
-        if t1 <= 0:
-            best = max(best, 0.0)
-            continue
-        t0 = max(t0, 0.0)
-        if x1 == x0:
-            # vertical drop: the ray can only touch it at one t
-            t = x0 - hx
-            if t >= 0 and y1 <= hy + t <= y0 + 1e-12:
-                best = max(best, t)
-            continue
-        m = (y1 - y0) / (x1 - x0)  # <= 0
-        # hy + t <= y0 + m (hx + t - x0)  <=>  t (1 - m) <= y0 - hy + m (hx - x0)
-        bound = (y0 - hy + m * (hx - x0)) / (1.0 - m)
-        if bound < t0 - 1e-12:
-            break
-        best = max(best, min(bound, t1))
-        if bound < t1:
-            break
-    return max(best, 0.0)
+    bx, by = _boundary(pts).T
+    return np.maximum(np.interp(-c, bx - by, bx) - np.maximum(-c, 0.0), 0.0)
 
 
-def _critical_diagonals(profile: StableProfile) -> list[float]:
-    phi0 = profile.phi_top
-    xmax = profile.phi_width
-    cs = {-xmax, phi0}
-    if -xmax < 0.0 < phi0:
-        cs.add(0.0)  # chord heads switch axes here, kinking both chord maps
-    for x, y in profile.phi:
-        c = y - x
-        if -xmax - 1e-12 <= c <= phi0 + 1e-12:
-            cs.add(min(max(c, -xmax), phi0))
-    return sorted(cs)
+def _critical_diagonals(profile: StableProfile, *curves) -> np.ndarray:
+    """Sorted diagonals y - x where the chord maps of the curves may kink.
+
+    They pass through the curves' boundary vertices, plus 0 (where chord
+    heads switch axes) and phi's two ends, clipped to phi's span
+    [-phi_width, phi_top].
+    """
+    lo, hi = -profile.phi_width, profile.phi_top
+    cs = [(lo, 0.0, hi)] + [b[:, 1] - b[:, 0] for b in map(_boundary, curves)]
+    return np.unique(np.clip(np.concatenate(cs), lo, hi))
 
 
 def profile_depth(profile: StableProfile) -> float:
@@ -108,34 +91,21 @@ def profile_depth(profile: StableProfile) -> float:
     if not profile.phi:
         raise ValueError("depth of a straight profile is not defined")
     # the slack is piecewise linear in the diagonal, with kinks only on
-    # diagonals through breakpoints of either curve
-    cs = set(_critical_diagonals(profile))
-    for x, y in profile.psi:
-        cs.add(y - x)
-    cs.add(profile.width * -1.0)
-    cs.add(profile.height)
-    phi0, xmax = profile.phi_top, profile.phi_width
-    best = 0.0
-    for c in cs:
-        if not (-xmax - 1e-12 <= c <= phi0 + 1e-12):
-            continue
-        best = max(best,
-                   _diag_chord(profile.psi, c) - _diag_chord(profile.phi, c))
-    return best
+    # diagonals through boundary vertices of either curve
+    cs = _critical_diagonals(profile, profile.psi, profile.phi)
+    return float(np.max(_diag_chord(profile.psi, cs)
+                        - _diag_chord(profile.phi, cs)))
 
 
 def profile_domain(profile: StableProfile) -> list[tuple[float, float]]:
     """Polygon bounding the scaled regions: axes, ramps and the tail curve."""
     if not profile.phi:
         raise ValueError("straight profiles bound a degenerate (pinned) domain")
-    d = profile_depth(profile)
-    phi0, xmax = profile.phi_top, profile.phi_width
-    pts: list[tuple[float, float]] = [(0.0, 0.0), (xmax, 0.0)]
-    for c in _critical_diagonals(profile):
-        t = _diag_chord(profile.phi, c) + d
-        hx, hy = (0.0, c) if c >= 0 else (-c, 0.0)
-        pts.append((hx + t, hy + t))
-    pts.append((0.0, phi0))
+    cs = _critical_diagonals(profile, profile.phi)
+    t = _diag_chord(profile.phi, cs) + profile_depth(profile)
+    tail = np.column_stack([np.maximum(-cs, 0.0) + t, np.maximum(cs, 0.0) + t])
+    pts = [(0.0, 0.0), (profile.phi_width, 0.0), *map(tuple, tail.tolist()),
+           (0.0, profile.phi_top)]
     out = []
     for p in pts:
         if not out or abs(p[0] - out[-1][0]) > 1e-11 or abs(p[1] - out[-1][1]) > 1e-11:
@@ -155,12 +125,7 @@ def _gamma_factory(depth: float) -> Callable:
 
 def hbar(profile: StableProfile) -> Callable:
     """Scaled hook limit (psi^{-1}(y) - x) + (psi(x) - y) as a vectorized map."""
-    psi_x = np.array([p[0] for p in profile.psi])
-    psi_y = np.array([p[1] for p in profile.psi])
-    # append the implicit terminal drop so lookups past the end give 0
-    if psi_y[-1] > 0:
-        psi_x = np.append(psi_x, psi_x[-1])
-        psi_y = np.append(psi_y, 0.0)
+    psi_x, psi_y = _boundary(profile.psi).T  # lookups past the end give 0
     inv_y = psi_y[::-1]
     inv_x = psi_x[::-1]
 
@@ -276,8 +241,8 @@ class MeshProfile:
     """
 
     __slots__ = ("xy", "ij", "tris", "up", "cent", "free", "f", "ell",
-                 "psi_value", "kkt_residual", "sweeps", "converged",
-                 "refine_gap", "gap", "levels")
+                 "psi_value", "kkt_residual", "sweeps", "refine_gap", "gap",
+                 "levels")
 
     def __init__(self, xy, ij, tris, up, cent, free, f, ell):
         self.xy = xy
@@ -291,7 +256,6 @@ class MeshProfile:
         self.psi_value = math.nan
         self.kkt_residual = math.inf
         self.sweeps = 0
-        self.converged = False
         self.refine_gap = math.nan
         self.gap = math.inf
         self.levels: list[LevelTrace] = []
@@ -733,10 +697,9 @@ def maximize(functional: Functional, tol: float = DEFAULT_TOL,
         mesh.refine_gap = abs(mesh.psi_value - psi)
         psi = mesh.psi_value
         mesh.gap, mesh.kkt_residual, mesh.sweeps = gap, move, steps
-        mesh.converged = gap <= tol / 100.0
         trace.append(LevelTrace(int(mesh.free.sum()), steps, phase1, mu, gap,
                                 psi, time.perf_counter() - start,
-                                mesh.converged))
+                                gap <= tol / 100.0))
         mu *= 10.0
     mesh.levels = trace
     return mesh
@@ -776,10 +739,8 @@ def k_psi(profile: StableProfile) -> float:
     piece's ends makes every bound of that bracket linear in x, and a
     u (log u - 1) term with u linear in x integrates exactly.
     """
-    pts = list(profile.psi)
+    pts = _boundary(profile.psi).tolist()
     pieces = []  # (y_lo, y_hi, alpha, beta): psi^{-1}(y) = alpha + beta y
-    if pts[-1][1] > 0:
-        pieces.append((0.0, pts[-1][1], pts[-1][0], 0.0))
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         if y1 >= y0 - 1e-15:
             continue  # flat piece: no inverse mass
@@ -851,13 +812,11 @@ def constant(profile: StableProfile, eps: float = DEFAULT_EPS,
     _check_solve(tol, mesh_n)
     k = k_psi(profile)
     if not profile.phi:
-        return ConstantResult(-1.0 - k, 0.0, k,
-                              budget={"quadrature": 1e-9, "optimizer": 0.0})
+        return ConstantResult(-1.0 - k, 0.0, k, budget={"optimizer": 0.0})
     functional = build_functional(profile, eps)
     mesh = maximize(functional, tol=tol, mesh_n=mesh_n)
     psi = mesh.psi_value
     budget = {
-        "quadrature": 1e-9,
         "optimizer": mesh.gap,
         "refinement": mesh.refine_gap,
         "cap": eps * eps * (1.0 - math.log(eps)),

@@ -12,7 +12,12 @@ baseline that the package's determinant engine for tiling sums replaces.
 triangle at a time through the entropy gradient, with a log per slope,
 against the solver's edge-merged gradient; `grid_triangles_reference`
 lists the mesh triangles cell by cell; `interp_init_reference` seeds a fine
-mesh from a coarse one node by node.  `k_psi_reference` integrates
+mesh from a coarse one node by node.  `diag_chord_reference`
+walks a curve segment by segment for one diagonal's chord, and
+`critical_diagonals_reference`, `profile_depth_reference` and
+`profile_domain_reference` build the depth and the domain polygon from it
+one diagonal at a time: the routes that `varsolve`'s interpolation on a
+curve's boundary chain replaces.  `k_psi_reference` integrates
 log hbar over psi's hypograph by adaptive quadrature in x, the route the
 closed form in `varsolve.k_psi` replaces.  `flip_interval_reference`
 bounds a vertex's height neighbour by neighbour through a dict, the route
@@ -39,6 +44,7 @@ from scipy import integrate
 
 from skewtab.sampler import CHUNK, _delta_logw
 from skewtab.sampler import DensityField
+from skewtab.shapes import _pl_left
 from skewtab.tiling import Lozenge, iter_flat_cells
 
 
@@ -129,11 +135,11 @@ def enumerated_sum(region, weight) -> Fraction:
     return total
 
 
-def enumerated_log_z(region, cell_logs: dict) -> LogSum:
+def enumerated_log_z(region, w: dict) -> LogSum:
     """log of the sum over every tiling of exp(total log weight)."""
     acc = LogSum()
     for flats in iter_flat_cells(region):
-        acc.add(sum(cell_logs.get(c, 0.0) for c in flats))
+        acc.add(sum(w.get(c, 0.0) for c in flats))
     return acc
 
 
@@ -215,6 +221,98 @@ def interp_init_reference(coarse, fine) -> None:
             if any(v is None for v in vals):
                 continue
             fine.f[idx] = a + fj * (d - a) + fi * (c - d)
+
+
+def diag_chord_reference(pts, c: float) -> float:
+    """Length T of the diagonal ray head(c) + t (1, 1) inside the hypograph.
+
+    pts is a nonincreasing breakpoint list with an implicit drop to 0 past
+    the end; the ray starts at (0, c) for c >= 0, else (-c, 0).
+    """
+    if not pts:
+        return 0.0
+    hx, hy = (0.0, c) if c >= 0 else (-c, 0.0)
+    # feasibility g(t) = hy + t - curve(hx + t) is increasing in t
+    if hy > _pl_left(pts, hx) + 1e-12:
+        return 0.0
+    best = 0.0
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        t0, t1 = x0 - hx, x1 - hx
+        if t1 <= 0:
+            best = max(best, 0.0)
+            continue
+        t0 = max(t0, 0.0)
+        if x1 == x0:
+            # vertical drop: the ray can only touch it at one t
+            t = x0 - hx
+            if t >= 0 and y1 <= hy + t <= y0 + 1e-12:
+                best = max(best, t)
+            continue
+        m = (y1 - y0) / (x1 - x0)  # <= 0
+        # hy + t <= y0 + m (hx + t - x0)  <=>  t (1 - m) <= y0 - hy + m (hx - x0)
+        bound = (y0 - hy + m * (hx - x0)) / (1.0 - m)
+        if bound < t0 - 1e-12:
+            break
+        best = max(best, min(bound, t1))
+        if bound < t1:
+            break
+    return max(best, 0.0)
+
+
+def critical_diagonals_reference(profile) -> list[float]:
+    phi0 = profile.phi_top
+    xmax = profile.phi_width
+    cs = {-xmax, phi0}
+    if -xmax < 0.0 < phi0:
+        cs.add(0.0)  # chord heads switch axes here, kinking both chord maps
+    for x, y in profile.phi:
+        c = y - x
+        if -xmax - 1e-12 <= c <= phi0 + 1e-12:
+            cs.add(min(max(c, -xmax), phi0))
+    return sorted(cs)
+
+
+def profile_depth_reference(profile) -> float:
+    """Largest diagonal slack between the outer and inner hypographs."""
+    if not profile.phi:
+        raise ValueError("depth of a straight profile is not defined")
+    # the slack is piecewise linear in the diagonal, with kinks only on
+    # diagonals through breakpoints of either curve
+    cs = set(critical_diagonals_reference(profile))
+    for x, y in profile.psi:
+        cs.add(y - x)
+    cs.add(profile.width * -1.0)
+    cs.add(profile.height)
+    phi0, xmax = profile.phi_top, profile.phi_width
+    best = 0.0
+    for c in cs:
+        if not (-xmax - 1e-12 <= c <= phi0 + 1e-12):
+            continue
+        best = max(best, diag_chord_reference(profile.psi, c)
+                   - diag_chord_reference(profile.phi, c))
+    return best
+
+
+def profile_domain_reference(profile) -> list[tuple[float, float]]:
+    """Polygon bounding the scaled regions: axes, ramps and the tail curve."""
+    if not profile.phi:
+        raise ValueError("straight profiles bound a degenerate (pinned) domain")
+    d = profile_depth_reference(profile)
+    phi0, xmax = profile.phi_top, profile.phi_width
+    pts: list[tuple[float, float]] = [(0.0, 0.0), (xmax, 0.0)]
+    for c in critical_diagonals_reference(profile):
+        t = diag_chord_reference(profile.phi, c) + d
+        hx, hy = (0.0, c) if c >= 0 else (-c, 0.0)
+        pts.append((hx + t, hy + t))
+    pts.append((0.0, phi0))
+    out = []
+    for p in pts:
+        if not out or abs(p[0] - out[-1][0]) > 1e-11 or abs(p[1] - out[-1][1]) > 1e-11:
+            out.append(p)
+    if len(out) > 2 and abs(out[0][0] - out[-1][0]) < 1e-11 \
+            and abs(out[0][1] - out[-1][1]) < 1e-11:
+        out.pop()
+    return out
 
 
 def k_psi_reference(profile) -> float:

@@ -74,6 +74,15 @@ def test_bad_shape_file_exits_2(capsys, tmp_path):
         if text.startswith('{"'):
             field = "inner" if "inner" in text else "outer"
             assert str(p) in msg["error"] and field in msg["error"], msg
+    # files that parse but describe no skew shape name the file too
+    for text, why in (('{"outer": [3], "inner": [4]}', "does not fit"),
+                      ('{"outer": [2, 1], "inner": [1]}', "disconnected")):
+        p.write_text(text)
+        code, out, err = run(capsys, "--no-manifest", "count",
+                             "--shape", str(p))
+        assert code == 2 and not out, text
+        msg = json.loads(err.strip())["error"]
+        assert msg.startswith(f"{p}: ") and why in msg, msg
 
 
 def test_bad_profile_file_exits_2(capsys, tmp_path):
@@ -87,6 +96,38 @@ def test_bad_profile_file_exits_2(capsys, tmp_path):
         assert code == 2 and not out, text
         msg = json.loads(err.strip())["error"]
         assert str(p) in msg and f"'{field}'" in msg, msg
+    # files that parse but fail a profile check name the file too; JSON
+    # reads 1e400 as inf, and Infinity and NaN are Python's extensions
+    for text, why in (('{"psi": [[0, 1], [1, 0]], "phi": [[0, 2], [1, 0]]}',
+                       "phi exceeds psi at x = 0.0"),
+                      ('{"psi": [[0, 1e400], [1, 0]]}',
+                       "psi breakpoints must be finite"),
+                      ('{"psi": [[0, 2], [2, 0]], '
+                       '"phi": [[0, Infinity], [1, 0]]}',
+                       "phi breakpoints must be finite"),
+                      ('{"psi": [[0, 1], [NaN, 0]]}',
+                       "psi breakpoints must be finite")):
+        p.write_text(text)
+        code, out, err = run(capsys, "--no-manifest", "constant",
+                             "--profile", str(p))
+        assert code == 2 and not out, text
+        msg = json.loads(err.strip())["error"]
+        assert msg.startswith(f"{p}: {why}"), msg
+
+
+def test_zero_width_phi_is_a_straight_family(capsys, data_dir, tmp_path):
+    p = tmp_path / "zero_width.json"
+    p.write_text('{"psi": [[0, 1], [1, 1]], "phi": [[0, 0.5]]}')
+    code, out, _ = run(capsys, "--no-manifest", "constant",
+                       "--profile", str(p), "--mesh", "16")
+    square = str(data_dir / "square_profile.json")
+    assert code == 0
+    assert out == run(capsys, "--no-manifest", "constant",
+                      "--profile", square, "--mesh", "16")[1]
+    code, out, err = run(capsys, "--no-manifest", "solve", "--profile", str(p),
+                         "--mesh", "16")
+    assert code == 2 and not out
+    assert "straight" in json.loads(err.strip())["error"], err
 
 
 def test_count_beyond_str_digit_limit(capsys, tmp_path):

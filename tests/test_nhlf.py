@@ -88,15 +88,19 @@ def test_count_nhlf_straight_and_empty():
     assert count_nhlf(SkewShape([4, 2], [])) == naive_count((4, 2))
 
 
-def test_weight_field_tags(s332_21):
-    assert uniform_weights().tag == "uniform"
-    assert hook_weights(s332_21).tag == "hook"
-    w = hook_weights(s332_21, scale=s332_21.size)
-    assert "sqrt" in w.tag
-    cw = capped_weights(s332_21, s332_21.size, 0.5)
-    assert cw.capped_cells  # something gets floored at this aggressive cap
+def test_weight_fields_are_cell_log_mappings(s332_21):
+    n = s332_21.size
+    hooks = hook_table(s332_21.outer)
+    assert uniform_weights() == {}
+    assert hook_weights(s332_21) == {c: math.log(h) for c, h in hooks.items()}
+    scaled = hook_weights(s332_21, scale=n)
+    assert scaled == {c: math.log(h) - 0.5 * math.log(n)
+                      for c, h in hooks.items()}
+    capped = capped_weights(s332_21, n, 0.5)
+    assert capped == {c: max(lw, math.log(0.5)) for c, lw in scaled.items()}
+    assert capped != scaled  # something gets floored at this aggressive cap
     with pytest.raises(ValueError):
-        capped_weights(s332_21, s332_21.size, 0.0)
+        capped_weights(s332_21, n, 0.0)
 
 
 def test_tiling_weight_paths_agree(s332_21):
@@ -104,7 +108,7 @@ def test_tiling_weight_paths_agree(s332_21):
     w = hook_weights(s332_21)
     for t in enumerate_H(s332_21):
         fast = tiling_weight(t, w)
-        slow = sum(w.cell_logs.get((l.x, l.y), 0.0)
+        slow = sum(w.get((l.x, l.y), 0.0)
                    for l in t.lozenges if l.type == 3)
         assert abs(fast - slow) < 1e-12
 
@@ -202,13 +206,12 @@ def test_partition_function_matches_enumeration(s332_21):
         n = sh.size
         for w in (uniform_weights(), hook_weights(sh),
                   hook_weights(sh, scale=n), capped_weights(sh, n, 0.25)):
-            exact = enumerated_log_z(region, w.cell_logs).value
+            exact = enumerated_log_z(region, w).value
             assert abs(partition_function(region, w).value - exact) \
                 <= 1e-12 * max(1.0, abs(exact)), (sh, w)
-        z = enumerated_log_z(region, hook_weights(sh, scale=n).cell_logs)
+        z = enumerated_log_z(region, hook_weights(sh, scale=n))
         for eps, gap in zip((0.5, 0.1), cap_gaps(region, n, (0.5, 0.1))):
-            capped = enumerated_log_z(region,
-                                      capped_weights(sh, n, eps).cell_logs)
+            capped = enumerated_log_z(region, capped_weights(sh, n, eps))
             assert abs(gap - (capped.value - z.value) / n) < 1e-12, (sh, eps)
 
 
@@ -228,7 +231,7 @@ def test_cap_gap_resolves_tiny_ratios():
     # the rounding noise of two large logs
     sh = thick_hook_shape(2, 2, 2)
     n = sh.size
-    floor = min(hook_weights(sh, scale=n).cell_logs.values())
+    floor = min(hook_weights(sh, scale=n).values())
     eps = math.exp(floor)
     for _ in range(4):
         eps = math.nextafter(eps, 1.0)
@@ -304,7 +307,7 @@ def test_partition_function_matches_fraction_engine():
     # keeps log z to an ulp although z's numerator and denominator are long
     for k in range(4, 9):
         sh = thick_hook_shape(k, k, k)
-        logs = hook_weights(sh, scale=sh.size).cell_logs
+        logs = hook_weights(sh, scale=sh.size)
         ref = tiling_sum_reference(
             build_region(sh), lambda c: Fraction(math.exp(logs.get(c, 0.0))))
         ref_log = math.log(ref.numerator) - math.log(ref.denominator)

@@ -88,6 +88,24 @@ def test_profile_normalization():
         StableProfile([(0.0, 1.0), (1.0, 2.0)])  # increasing
     with pytest.raises(ValueError):
         StableProfile([(0.5, 1.0), (1.0, 0.5)])  # does not start at x=0
+    for bad in (math.inf, -math.inf, math.nan):
+        for psi, phi in (([(0.0, bad), (1.0, 0.0)], []),
+                         ([(0.0, 1.0), (bad, 0.0)], []),
+                         ([(0.0, 1.0), (1.0, 1.0)], [(0.0, 0.5), (0.5, bad)]),
+                         ([(0.0, 1.0), (1.0, 1.0)], [(0.0, 0.5), (bad, 0.5)])):
+            with pytest.raises(ValueError, match="finite"):
+                StableProfile(psi, phi)
+
+
+def test_zero_width_phi_is_empty():
+    # phi positive only at x = 0 encloses no area: a straight family
+    for phi in ([(0.0, 0.5)], [(0.0, 0.5), (1e-13, 0.0)],
+                [(0.0, 0.5), (0.0, 0.0)]):
+        p = StableProfile([(0.0, 1.0), (1.0, 1.0)], phi)
+        assert p.phi == () and p.phi_width == 0.0
+        assert p == square_profile()
+    p = StableProfile([(0.0, 1.0), (1.0, 1.0)], [(0.0, 0.5), (1e-9, 0.0)])
+    assert p.phi and p.phi_width == p.phi[-1][0] > 0.0
 
 
 def test_profile_accessors():

@@ -208,7 +208,7 @@ def weight_reference(h, w) -> float:
     for chain in h.region.chains.values():
         for u, v in zip(chain, chain[1:]):
             if h[u] == h[v]:
-                total += w.cell_logs.get(v, 0.0)
+                total += w.get(v, 0.0)
     return total
 
 
