@@ -174,7 +174,9 @@ def _cmd_solve(args, run: _Run) -> int:
     print(f"refine_gap {_G(mesh.refine_gap)}")
     for i, level in enumerate(mesh.levels, 1):
         print(f"level {i} nodes {level.nodes} steps {level.steps} "
-              f"phase1_steps {level.phase1_steps} mu {_G(level.mu)} "
+              f"phase1_steps {level.phase1_steps} "
+              f"start_mu {_G(level.start_mu)} blend {_G(level.blend)} "
+              f"mu {_G(level.mu)} "
               f"gap {_G(level.gap)} psi {_G(level.psi)} "
               f"seconds {level.seconds:.3g} converged {level.converged}")
     if args.out:

@@ -15,11 +15,14 @@ grid every slope is linear in the free node heights, so a log barrier
 mu A sum (log z + log(1 - z)) over the slopes turns the problem into a
 smooth concave one (Boyd and Vandenberghe, Convex Optimization, ch. 11).
 Damped Newton steps solve it for mu shrinking tenfold, each step one
-block tridiagonal solve by grid column; a phase I solve through the same
-linear algebra first makes every slope strictly feasible.  Each level
-stops at a certified optimality gap: weak duality with the multipliers
-that the Newton equation makes stationary bounds how far the heights'
-value lies below the discrete maximum.
+block tridiagonal solve by grid column.  A phase I solve through the same
+linear algebra finds a strictly feasible point, and Newton starts at the
+point between it and the given heights with the best barrier value; a
+finer mesh level starts from the interpolated coarse heights at the
+coarse level's final mu.  Each level stops at a certified optimality gap:
+weak duality with the multipliers that the Newton equation makes
+stationary bounds how far the heights' value lies below the discrete
+maximum.
 
 The growth constant of the family is then Psi_max - k(psi) - 1 in the
 normalization log f_N ~ 0.5 N log N + c N, where k(psi) is the integral
@@ -225,6 +228,8 @@ class LevelTrace:
     nodes: int  # free nodes
     steps: int  # barrier Newton steps
     phase1_steps: int  # Newton steps to a strictly feasible start
+    start_mu: float  # barrier weight of the first Newton step
+    blend: float  # theta of the Newton start, 0.0 when phase I did not run
     mu: float  # final barrier weight
     gap: float  # certified optimality gap of the level's heights
     psi: float
@@ -576,21 +581,50 @@ def _armijo(value: Callable, start: float, slope: float,
         alpha *= 0.5
 
 
+def _blend(prob: _Barrier, x0: np.ndarray, x1: np.ndarray, mu: float) -> float:
+    """The theta in {1, 0.1, ..., 1e-8} whose heights x0 + theta (x1 - x0)
+    are strictly feasible with the largest barrier value at mu.
+
+    Ties, and a segment with no other strictly feasible candidate, keep
+    theta = 1: phase I's point x1 itself.
+    """
+    z0, dz = prob.slopes(x0), prob.diff(x1 - x0)
+    best, theta = -math.inf, 1.0
+    for th in (10.0 ** -k for k in range(9)):
+        z = z0 + th * dz
+        if _open(z) and (v := prob.value(z, mu)) > best:
+            best, theta = v, th
+    return theta
+
+
 def _solve_level(mesh: MeshProfile, functional: Functional, mu: float,
                  target: float) -> tuple:
     """Phase I, then barrier Newton steps from weight mu to the target gap.
+
+    When phase I has to move the start x0 to a strictly feasible x1,
+    Newton begins at x0 + theta (x1 - x0) for the theta of `_blend`.  An
+    interpolated start has only a few slopes at 0 or 1, but phase I
+    usually moves every slope, frozen ones included, _INSIDE off its
+    bounds; a small theta lifts the few and leaves the rest near where the
+    coarse solve put them.
 
     Steps are Armijo-damped while lambda^2 > mu A / 4 and pure Newton
     below, always capped at 0.99 of the way to the slope boundary; mu falls
     tenfold once lambda^2 <= mu A / 100, down to _MU_MIN.  The solve stops
     at the first heights whose certified gap is at most target, or centred
     at _MU_MIN, or after _MAX_STEPS steps; it moves mesh.f there and
-    returns (Newton steps, phase-I steps, final mu, gap, largest node move
-    of the last Newton step).
+    returns (Newton steps, phase-I steps, theta or 0.0 without phase I,
+    final mu, gap, largest node move of the last Newton step).
     """
     prob = _Barrier(mesh, functional)
     x = mesh.f[prob.free]
+    x0 = x.copy()
     phase1 = prob.phase1(x)
+    blend = 0.0
+    if phase1:
+        blend = _blend(prob, x0, x, mu)
+        if blend < 1.0:
+            x = x0 + blend * (x - x0)
     z = prob.slopes(x)
     steps, gap, step = 0, math.inf, x[:0]
     known = None  # (mu, value) at x after a damped step
@@ -617,7 +651,8 @@ def _solve_level(mesh: MeshProfile, functional: Functional, mu: float,
         if centred:
             mu *= 0.1
     mesh.f[prob.free] = x
-    return steps, phase1, mu, gap, float(np.abs(step).max(initial=0.0))
+    return (steps, phase1, blend, mu, gap,
+            float(np.abs(step).max(initial=0.0)))
 
 
 def _interp_init(coarse: MeshProfile, fine: MeshProfile) -> None:
@@ -667,14 +702,15 @@ def maximize(functional: Functional, tol: float = DEFAULT_TOL,
     coarse to fine over three levels, mesh_n / 4, mesh_n / 2 and mesh_n
     (at least 8 and 12), each started from the last; below 16 it is one
     level started from gamma.  Each level is a barrier Newton solve
-    (`_solve_level`): the coarsest starts at mu = 1e-2, each finer one at
-    ten times the last level's final mu, and every level stops at a
-    certified optimality gap of at most tol / 100.  The discrete functional
-    is strictly concave in the free heights, so its maximizer is unique.
-    The returned mesh carries the value, the certified gap, the largest
-    node move of the last Newton step (`kkt_residual`), its Newton steps
-    (`sweeps`), the refinement gap between the last two levels and, in
-    `levels`, one LevelTrace per mesh level.
+    (`_solve_level`): the coarsest starts at mu = 1e-2, each finer one
+    from the interpolated heights at the last level's final mu, and every
+    level stops at a certified optimality gap of at most tol / 100.  The
+    discrete functional is strictly concave in the free heights, so its
+    maximizer is unique.  The returned mesh carries the value, the
+    certified gap, the largest node move of the last Newton step
+    (`kkt_residual`), its Newton steps (`sweeps`), the refinement gap
+    between the last two levels and, in `levels`, one LevelTrace per mesh
+    level.
     """
     mesh_n = _check_solve(tol, mesh_n)
     levels = [mesh_n]
@@ -691,16 +727,17 @@ def maximize(functional: Functional, tol: float = DEFAULT_TOL,
         if mesh is not None:
             _interp_init(mesh, fine)
         mesh = fine
-        steps, phase1, mu, gap, move = _solve_level(mesh, functional, mu,
-                                                    tol / 100.0)
+        start_mu = mu
+        steps, phase1, blend, mu, gap, move = _solve_level(
+            mesh, functional, mu, tol / 100.0)
         mesh.psi_value = evaluate_psi(mesh, functional)
         mesh.refine_gap = abs(mesh.psi_value - psi)
         psi = mesh.psi_value
         mesh.gap, mesh.kkt_residual, mesh.sweeps = gap, move, steps
-        trace.append(LevelTrace(int(mesh.free.sum()), steps, phase1, mu, gap,
-                                psi, time.perf_counter() - start,
+        trace.append(LevelTrace(int(mesh.free.sum()), steps, phase1,
+                                start_mu, blend, mu, gap, psi,
+                                time.perf_counter() - start,
                                 gap <= tol / 100.0))
-        mu *= 10.0
     mesh.levels = trace
     return mesh
 

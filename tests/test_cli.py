@@ -282,7 +282,11 @@ def test_solve_small_profile(capsys, data_dir, tmp_path):
     levels = [line.split() for line in out.splitlines()
               if line.startswith("level ")]
     assert [lv[:3] for lv in levels] == [["level", "1", "nodes"]]
-    assert [lv[4] for lv in levels] == ["steps"]
+    assert [lv[::2] for lv in levels] == [[
+        "level", "nodes", "steps", "phase1_steps", "start_mu", "blend", "mu",
+        "gap", "psi", "seconds", "converged"]]
+    start_mu, blend = float(levels[0][9]), float(levels[0][11])
+    assert start_mu == 1e-2 and 0.0 <= blend <= 1.0
     assert any(line.startswith("gap ") for line in out.splitlines())
     header = mesh_csv.read_text().splitlines()[0]
     assert header == "node_x,node_y,f"

@@ -21,6 +21,7 @@ from skewtab import (
     thick_ribbon_profile,
     unit_hexagon_functional,
 )
+from skewtab import varsolve
 from skewtab.varsolve import (
     DEFAULT_TOL,
     MeshProfile,
@@ -464,10 +465,13 @@ def test_certificate_rejects_a_feasible_non_optimal_point(name):
     assert gap >= lost and gap > TARGET
 
 
-@pytest.mark.parametrize("profile,mesh_n", [
+PHASE_ONE_CASES = pytest.mark.parametrize("profile,mesh_n", [
     (thick_ribbon_profile(), 24), (thick_ribbon_profile(), 32),
     (thick_ribbon_profile(), 48), (thick_hook_profile(0.1, 3.0), 32)],
     ids=["ribbon-24", "ribbon-32", "ribbon-48", "hook-0.1-3-32"])
+
+
+@PHASE_ONE_CASES
 def test_phase_one_reaches_the_interior(profile, mesh_n):
     # a dense phase I over one ring of nodes around the zero slopes of the
     # interpolated start could not find an interior point on these
@@ -478,6 +482,42 @@ def test_phase_one_reaches_the_interior(profile, mesh_n):
                for level in mesh.levels)
     prob = _Barrier(mesh, functional)
     assert prob.certify(mesh.f[prob.free], mesh.levels[-1].mu) <= TARGET
+
+
+@PHASE_ONE_CASES
+def test_warm_start_beats_the_phase_one_point(profile, mesh_n, monkeypatch):
+    # each finer level starts Newton at the coarse mu, from the point of the
+    # segment from the interpolated heights to phase I's point with the best
+    # barrier value; record every level's mesh and heights as handed over
+    functional = build_functional(profile)
+    handed = []
+
+    def recording(mesh, functional, mu, target):
+        handed.append((mesh, mesh.f.copy(), mu))
+        return _solve_level(mesh, functional, mu, target)
+
+    monkeypatch.setattr(varsolve, "_solve_level", recording)
+    levels = maximize(functional, mesh_n=mesh_n).levels
+    assert len(handed) == len(levels) == 3
+    for (mesh, f, mu), coarse, level in zip(handed[1:], levels, levels[1:]):
+        assert level.start_mu == mu == coarse.mu
+        prob = _Barrier(mesh, functional)
+        x0 = f[prob.free]
+        x1 = x0.copy()
+        assert prob.phase1(x1) == level.phase1_steps > 0
+        assert 0.0 < level.blend <= 1.0
+        start = x1 if level.blend == 1.0 else x0 + level.blend * (x1 - x0)
+        z = prob.slopes(start)
+        assert ((z > 0.0) & (z < 1.0)).all()
+        assert prob.value(z, mu) >= prob.value(prob.slopes(x1), mu)
+
+
+@pytest.mark.parametrize("name,budget", [("hexagon", 9), ("thick-hook", 13)])
+def test_final_level_newton_budget(name, budget):
+    # refinement leaves a few dozen fine slopes at exactly 0; Newton from
+    # phase I's point, with every slope moved off its bound, needs 14 and 24
+    _, mesh = _solved(name, 64)
+    assert mesh.levels[-1].converged and mesh.levels[-1].steps <= budget
 
 
 def test_tiny_hexagon_meshes():
@@ -528,7 +568,7 @@ def test_level_traces_match_the_result():
     assert (last.gap, last.psi) == (mesh.gap, mesh.psi_value)
     for coarse, fine in zip(mesh.levels, mesh.levels[1:]):
         assert coarse.nodes < fine.nodes
-        assert fine.mu <= 10.0 * coarse.mu  # each level starts at 10x
+        assert fine.start_mu == coarse.mu and fine.mu <= coarse.mu
     for level in mesh.levels:
         assert level.converged and 0.0 < level.gap <= tol / 100
         assert level.steps > 0 and level.phase1_steps >= 0
@@ -543,13 +583,14 @@ def test_solve_mesh_independent_of_start(functional):
     base = _build_mesh(functional.polygon, functional.bbox / 16,
                        functional.gamma)
     depth = float(base.f.max())  # gamma is min(x, y) capped at the depth
-    _, _, _, gap, _ = _solve_level(base, functional, 1e-2, TARGET)
+    _, _, _, _, gap, _ = _solve_level(base, functional, 1e-2, TARGET)
     mesh = _build_mesh(functional.polygon, functional.bbox / 16,
                        functional.gamma)
     noise = np.random.default_rng(11).uniform(-0.25 * depth, 0.25 * depth,
                                               mesh.free.sum())
     mesh.f[mesh.free] += noise
-    _, phase1, _, moved_gap, _ = _solve_level(mesh, functional, 1e-2, TARGET)
+    _, phase1, _, _, moved_gap, _ = _solve_level(mesh, functional, 1e-2,
+                                                 TARGET)
     assert phase1 > 0 and gap <= TARGET and moved_gap <= TARGET
     assert abs(evaluate_psi(mesh, functional)
                - evaluate_psi(base, functional)) <= gap + moved_gap
