@@ -1,7 +1,8 @@
 """The log-sine integral and the lozenge entropy of a slope.
 
 lobachevsky(theta) = -integral of log|2 sin t| dt from 0 to theta, here
-through its power series on (0, pi/2], then the reflection
+through one pass of its power series, summed by Horner's rule in theta^2,
+over angles folded into [0, pi/2] by the reflection
 Lambda(pi - theta) = -Lambda(theta).  The series coefficients
 zeta(2m) / (m (2m+1) pi^(2m)) are exact rationals, T_m / ((4^m - 1) (2m+1)!)
 with T_m the tangent numbers (B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1))),
@@ -45,34 +46,29 @@ _COEF = np.array([
 ])
 
 
-def _series_half(theta):
-    """Series evaluation on [0, pi/2]; exact 0 at 0."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros_like(theta)
-    pos = theta > 0
-    tp = theta[pos]
-    acc = np.zeros_like(tp)
-    t2 = tp * tp
-    power = tp.copy()
-    for c in _COEF:
-        power = power * t2
-        acc += c * power
-    out[pos] = tp * (1.0 - np.log(2.0 * tp)) + acc
-    return out
+def _series_half(theta: np.ndarray) -> np.ndarray:
+    """Series evaluation on [0, pi/2] by Horner's rule; exact 0 at 0."""
+    t2 = theta * theta
+    acc = np.full_like(theta, _COEF[-1])
+    for c in _COEF[-2::-1]:
+        acc *= t2
+        acc += c
+    log2t = np.log(2.0 * theta, out=np.zeros_like(theta), where=theta > 0.0)
+    return theta * (1.0 - log2t) + theta * t2 * acc
 
 
 def lobachevsky(theta):
     """Lambda(theta) on [0, pi], scalar or array, accurate to about 1e-13."""
     arr = np.asarray(theta, dtype=float)
-    scalar = arr.ndim == 0
     a = np.atleast_1d(arr)
-    if np.any(a < -1e-12) or np.any(a > math.pi + 1e-12):
+    # one reduction, and NaN fails both comparisons
+    if not np.all((a >= -1e-12) & (a <= math.pi + 1e-12)):
         raise ValueError("lobachevsky is defined here on [0, pi] only")
     clipped = np.clip(a, 0.0, math.pi)
     flip = clipped > math.pi / 2
-    folded = np.where(flip, math.pi - clipped, clipped)
-    vals = np.where(flip, -_series_half(folded), _series_half(folded))
-    if scalar:
+    vals = _series_half(np.where(flip, math.pi - clipped, clipped))
+    np.negative(vals, out=vals, where=flip)
+    if arr.ndim == 0:
         return float(vals[0])
     return vals.reshape(arr.shape)
 
@@ -86,8 +82,7 @@ def sigma(s, t):
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
     u_arr = 1.0 - s_arr - t_arr
-    if (np.any(s_arr < -1e-12) or np.any(t_arr < -1e-12)
-            or np.any(u_arr < -1e-12)):
+    if not np.all((s_arr >= -1e-12) & (t_arr >= -1e-12) & (u_arr >= -1e-12)):
         raise ValueError("frequencies must satisfy s, t >= 0 and s + t <= 1")
     val = (
         lobachevsky(np.clip(s_arr, 0, 1) * math.pi)
@@ -102,7 +97,7 @@ def sigma(s, t):
 def sigma_gradient(s: float, t: float) -> tuple[float, float]:
     """Partial derivatives of sigma at an interior point of the triangle."""
     u = 1.0 - s - t
-    if min(s, t, u) <= 0:
+    if not (s > 0 and t > 0 and u > 0):  # NaN fails too
         raise ValueError("gradient needs an interior point")
     return (
         math.log(math.sin(math.pi * u) / math.sin(math.pi * s)),

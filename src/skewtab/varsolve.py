@@ -15,9 +15,9 @@ grid every slope is linear in the free node heights, so a log barrier
 mu A sum (log z + log(1 - z)) over the slopes turns the problem into a
 smooth concave one (Boyd and Vandenberghe, Convex Optimization, ch. 11).
 Damped Newton steps solve it for mu shrinking tenfold, each step one
-block tridiagonal solve by grid column.  A phase I solve through the same
-linear algebra finds a strictly feasible point, and Newton starts at the
-point between it and the given heights with the best barrier value; a
+block tridiagonal solve by grid column.  Phase I, through the same linear
+algebra, stops at its first strictly feasible point; Newton starts at the
+point between it and the given heights with the best barrier value.  A
 finer mesh level starts from the interpolated coarse heights at the
 coarse level's final mu.  Each level stops at a certified optimality gap:
 weak duality with the multipliers that the Newton equation makes
@@ -46,7 +46,7 @@ DEFAULT_MESH = 64
 DEFAULT_EPS = 0.05
 DEFAULT_TOL = 1e-4
 _MAX_STEPS = 200  # Newton steps per phase and level
-_INSIDE = 1e-3  # slope margin at which phase I stops
+_INSIDE = 1e-3  # slope margin below which phase I runs
 _MU_MIN = 1e-9  # smallest barrier weight: frozen slopes near mu lose precision
 _PI = math.pi
 
@@ -515,11 +515,12 @@ class _Barrier:
     def phase1(self, x: np.ndarray) -> int:
         """Move free heights x, in place, to strictly feasible ones.
 
-        Damped Newton steps on tau t + sum log(z - t) + log(1 - z - t) over
-        (x, t), from t below every slope's slack, until every moving slope
-        lies in [_INSIDE, 1 - _INSIDE], or t > 0 at a centre; tau grows
-        tenfold at each centre.  The t border is eliminated by a Schur
-        complement: one solve with two right-hand sides.  Returns the steps.
+        Runs unless every moving slope lies in [_INSIDE, 1 - _INSIDE]: damped
+        Newton steps on tau t + sum log(z - t) + log(1 - z - t) over (x, t),
+        from t below every slope's slack, up to the first step that leaves
+        every moving slope in (0, 1); tau grows tenfold at each centre.  The
+        t border is eliminated by a Schur complement: one solve with two
+        right-hand sides.  Returns the steps.
         """
         z = self.slopes(x)
         t = min(float(z.min(initial=1.0)), 1.0 - float(z.max(initial=0.0)))
@@ -549,8 +550,7 @@ class _Barrier:
             x += alpha * step
             t += alpha * dt
             z = self.slopes(x)
-            low = min(float(z.min()), 1.0 - float(z.max()))
-            if low >= _INSIDE or (low > 0.0 and lam2 <= 0.25):
+            if _open(z):
                 return steps
             if lam2 <= 0.25:
                 tau *= 10.0
@@ -603,10 +603,10 @@ def _solve_level(mesh: MeshProfile, functional: Functional, mu: float,
 
     When phase I has to move the start x0 to a strictly feasible x1,
     Newton begins at x0 + theta (x1 - x0) for the theta of `_blend`.  An
-    interpolated start has only a few slopes at 0 or 1, but phase I
-    usually moves every slope, frozen ones included, _INSIDE off its
-    bounds; a small theta lifts the few and leaves the rest near where the
-    coarse solve put them.
+    interpolated start has only a few slopes at 0 or 1; phase I stops at
+    its first strictly feasible point, and a small theta can keep even
+    less of its move, leaving the rest near where the coarse solve put
+    them.
 
     Steps are Armijo-damped while lambda^2 > mu A / 4 and pure Newton
     below, always capped at 0.99 of the way to the slope boundary; mu falls

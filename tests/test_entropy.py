@@ -19,6 +19,11 @@ def test_lobachevsky_against_mpmath():
     rng = random.Random(17)
     pts = [rng.uniform(0.0, math.pi) for _ in range(200)]
     pts += [0.0, math.pi, math.pi / 2, math.pi / 3, math.pi / 6]
+    # the sign fold at pi/2, and the ends of the range
+    half = math.pi / 2
+    pts += [math.nextafter(half, 0.0), math.nextafter(half, 4.0),
+            half - 1e-9, half + 1e-9, 5e-324, 1e-300, 1e-9,
+            math.nextafter(math.pi, 0.0), math.pi - 1e-9]
     for th in pts:
         assert abs(lobachevsky(th) - _oracle(th)) < 1e-12, th
 
@@ -48,6 +53,9 @@ def test_lobachevsky_vectorized():
         lobachevsky(-0.5)
     with pytest.raises(ValueError):
         lobachevsky(math.pi + 1e-6)
+    for bad in (math.nan, np.array([0.1, math.nan]), math.inf):
+        with pytest.raises(ValueError):
+            lobachevsky(bad)
 
 
 def test_sigma_symmetry_and_range():
@@ -60,8 +68,10 @@ def test_sigma_symmetry_and_range():
         assert abs(v - sigma(t, s)) < 1e-14
     assert sigma(0.0, 0.0) == 0.0
     assert sigma(1.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        sigma(0.7, 0.7)
+    for s, t in [(0.7, 0.7), (math.nan, 0.2), (0.2, math.nan),
+                 (np.array([0.1, math.nan]), 0.2)]:
+        with pytest.raises(ValueError):
+            sigma(s, t)
 
 
 def test_sigma_peak():
@@ -98,6 +108,9 @@ def test_gradient_matches_finite_difference():
         assert abs(gs - fs) / scale < 1e-6
         assert abs(gt - ft) / scale < 1e-6
         checked += 1
+    for s, t in [(0.0, 0.5), (0.6, 0.4), (math.nan, 0.2), (0.2, math.nan)]:
+        with pytest.raises(ValueError):
+            sigma_gradient(s, t)
 
 
 def test_gradient_is_stationary_at_peak():

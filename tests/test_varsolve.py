@@ -520,6 +520,37 @@ def test_final_level_newton_budget(name, budget):
     assert mesh.levels[-1].converged and mesh.levels[-1].steps <= budget
 
 
+@pytest.mark.parametrize("name", ["hexagon", "thick-hook"])
+def test_phase_one_stops_at_strict_feasibility(name, monkeypatch):
+    # phase I returns after its first step that leaves every moving slope
+    # in (0, 1); each warm mesh-64 level starts with a few slopes at 0, and
+    # one step lifts them (it took 1 and 1 on the hexagon, 3 and 5 on the
+    # hook, while phase I went on to a 1e-3 margin)
+    functional = PROBLEMS[name]()
+    handed = []
+
+    def recording(mesh, functional, mu, target):
+        handed.append((mesh, mesh.f.copy()))
+        return _solve_level(mesh, functional, mu, target)
+
+    class Watched(_Barrier):
+        def slopes(self, x):
+            z = super().slopes(x)
+            inside.append(bool(((z > 0.0) & (z < 1.0)).all()))
+            return z
+
+    monkeypatch.setattr(varsolve, "_solve_level", recording)
+    levels = maximize(functional, mesh_n=64).levels
+    assert [level.phase1_steps for level in levels[1:]] == [1, 1]
+    for (mesh, f), level in zip(handed, levels):
+        inside = []
+        prob = Watched(mesh, functional)
+        x = f[prob.free]
+        assert prob.phase1(x) == level.phase1_steps > 0
+        # the start and every earlier step leave a slope on or past a bound
+        assert inside == [False] * level.phase1_steps + [True]
+
+
 def test_tiny_hexagon_meshes():
     # mesh 1 has no free node and mesh 2 has one
     functional = unit_hexagon_functional()
