@@ -524,8 +524,7 @@ def test_final_level_newton_budget(name, budget):
 def test_phase_one_stops_at_strict_feasibility(name, monkeypatch):
     # phase I returns after its first step that leaves every moving slope
     # in (0, 1); each warm mesh-64 level starts with a few slopes at 0, and
-    # one step lifts them (it took 1 and 1 on the hexagon, 3 and 5 on the
-    # hook, while phase I went on to a 1e-3 margin)
+    # one step lifts them
     functional = PROBLEMS[name]()
     handed = []
 
