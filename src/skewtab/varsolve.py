@@ -15,14 +15,14 @@ grid every slope is linear in the free node heights, so a log barrier
 mu A sum (log z + log(1 - z)) over the slopes turns the problem into a
 smooth concave one (Boyd and Vandenberghe, Convex Optimization, ch. 11).
 Damped Newton steps solve it for mu shrinking tenfold, each step one
-block tridiagonal solve by grid column.  Phase I, through the same linear
-algebra, stops at its first strictly feasible point; Newton starts at the
-point between it and the given heights with the best barrier value.  A
-finer mesh level starts from the interpolated coarse heights at the
-coarse level's final mu.  Each level stops at a certified optimality gap:
-weak duality with the multipliers that the Newton equation makes
-stationary bounds how far the heights' value lies below the discrete
-maximum.
+solve with an edge Laplacian that only `_EdgeLaplacian` eliminates, by
+grid column.  Phase I, through the same solve, stops at its first strictly
+feasible point; Newton starts at the point between it and the given
+heights with the best barrier value.  A finer mesh level starts from the
+interpolated coarse heights at the coarse level's final mu.  Each level
+stops at a certified optimality gap: weak duality with the multipliers
+that the Newton equation makes stationary bounds how far the heights'
+value lies below the discrete maximum.
 
 The growth constant of the family is then Psi_max - k(psi) - 1 in the
 normalization log f_N ~ 0.5 N log N + c N, where k(psi) is the integral
@@ -148,7 +148,7 @@ class Functional:
 
     polygon: list
     gamma: Callable
-    rho: Callable | None
+    rho: Callable
 
     @property
     def bbox(self) -> float:
@@ -183,7 +183,7 @@ def unit_hexagon_functional() -> Functional:
     which `exact.macmahon` approximates from below at finite n.
     """
     poly = [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0), (1.0, 2.0), (2.0, 2.0), (2.0, 1.0)]
-    return Functional(poly, _gamma_factory(1.0), None)
+    return Functional(poly, _gamma_factory(1.0), lambda x, y: np.zeros_like(x))
 
 
 # ---------------------------------------------------------------------------
@@ -318,75 +318,35 @@ def _build_mesh(poly, ell: float, gamma: Callable) -> MeshProfile:
 # barrier Newton solver
 
 
-def _sigma_clip(s, t):
-    s = np.clip(s, 0.0, 1.0)
-    t = np.clip(t, 0.0, 1.0)
-    u = np.clip(1.0 - s - t, 0.0, 1.0)
-    return (lobachevsky(s * _PI) + lobachevsky(t * _PI)
-            + lobachevsky(u * _PI)) / _PI
-
-
 def evaluate_psi(mesh: MeshProfile, functional: Functional) -> float:
     """Functional value of the mesh heights (slopes clipped to the triangle)."""
-    s, t = mesh.slopes()
-    u = np.clip(1.0 - np.clip(s, 0, 1) - np.clip(t, 0, 1), 0.0, 1.0)
-    vals = _sigma_clip(s, t)
-    if functional.rho is not None:
-        vals = vals + functional.rho(mesh.cent[:, 0], mesh.cent[:, 1]) * u
+    s, t = (np.clip(v, 0.0, 1.0) for v in mesh.slopes())
+    u = np.clip(1.0 - s - t, 0.0, 1.0)
+    vals = (lobachevsky(s * _PI) + lobachevsky(t * _PI)
+            + lobachevsky(u * _PI)) / _PI + functional.rho(*mesh.cent.T) * u
     return float(vals.sum() * 0.5 * mesh.ell ** 2)
 
 
-class _Barrier:
-    """The log-barrier problem of one mesh level, over its moving slopes.
+class _EdgeLaplacian:
+    """L = sum of w (e_a - e_b)(e_a - e_b)^T / ell^2 over a mesh's edges (a, b).
 
-    Each mesh edge carries one slope of every triangle it bounds: triangle
-    (v0, v1, v2) has (f1 - f0) / ell and (f2 - f1) / ell, its s and t in
-    some order, and u = (f0 - f2 + ell) / ell.  An edge in c triangles adds
-    phi(z) = A [c L(pi z) / pi + r z] + mu A c [log z + log(1 - z)], where
-    A = ell^2 / 2 and r is the sum of rho over its triangles on a u edge, 0
-    elsewhere.  Only edges with a free end move.  Free nodes are numbered
-    i-major, so minus the Hessian, a weighted graph Laplacian over them, is
-    block tridiagonal by grid column.  Pinned ends point at position nf.
+    Free nodes are numbered i-major, so L on them is block tridiagonal by
+    grid column; pinned ends point at position nf.
     """
 
-    def __init__(self, mesh: MeshProfile, functional: Functional):
-        n, ell = len(mesh.xy), mesh.ell
-        t0, t1, t2 = mesh.tris.T
-        # edge key 3 lo + kind: horizontal 0, vertical 1, diagonal 2
-        count = np.zeros(3 * n)
-        hi = np.zeros(3 * n, dtype=np.int64)
-        for lo, top, kind in ((t0, t1, ~mesh.up), (t1, t2, mesh.up),
-                              (t0, t2, 2)):
-            key = 3 * lo + kind
-            count += np.bincount(key, minlength=3 * n)
-            hi[key] = top
-        rho = (0.0 if functional.rho is None
-               else functional.rho(mesh.cent[:, 0], mesh.cent[:, 1]))
-        r = np.bincount(3 * t0 + 2, np.broadcast_to(rho, t0.shape), 3 * n)
-        lo, kind = np.divmod(np.flatnonzero(count), 3)
-        top = hi[3 * lo + kind]
-        move = mesh.free[lo] | mesh.free[top]
-        lo, top, key = lo[move], top[move], 3 * lo[move] + kind[move]
-        u = kind[move] == 2
-        # s and t are (f[top] - f[lo]) / ell, u is (f[lo] - f[top] + ell) / ell
-        a, b = np.where(u, lo, top), np.where(u, top, lo)
+    def __init__(self, mesh: MeshProfile, a: np.ndarray, b: np.ndarray):
         self.free = np.flatnonzero(mesh.free)
         self.nf = nf = len(self.free)
-        pos = np.full(n, nf)
+        pos = np.full(len(mesh.xy), nf)
         pos[self.free] = np.arange(nf)
-        self.pa, self.pb = pos[a], pos[b]
-        self.c, self.r = count[key], r[key]
-        self.ell, self.area = ell, 0.5 * ell * ell
-        pinned = np.where(mesh.free, 0.0, mesh.f)
-        self.base = u + (pinned[a] - pinned[b]) / ell
-
+        self.pa, self.pb, self.ell = pos[a], pos[b], mesh.ell
         # grid column k holds positions bounds[k]:bounds[k + 1]; its dense
         # block and its coupling to column k + 1 are filled from `vals` of
         # `solve` (the diagonal, then minus each free-free edge weight)
         i = mesh.ij[self.free, 0]
         cols, first = np.unique(i, return_index=True)
         self.bounds = np.append(first, nf)
-        size = np.append(np.diff(self.bounds), 0)
+        self.size = size = np.append(np.diff(self.bounds), 0)
         k_of = np.searchsorted(cols, i)
         local = np.arange(nf) - first[k_of]
         self.ff = np.flatnonzero((self.pa < nf) & (self.pb < nf))
@@ -415,11 +375,8 @@ class _Barrier:
         out.flat[dst[at[k]:at[k + 1]]] = vals[src[at[k]:at[k + 1]]]
         return out
 
-    def slopes(self, x: np.ndarray) -> np.ndarray:
-        return self.base + self.diff(x)
-
     def diff(self, x: np.ndarray) -> np.ndarray:
-        """Change of every moving slope under free height changes x."""
+        """(x_a - x_b) / ell on every edge, with x = 0 at pinned ends."""
         xe = np.append(x, 0.0)
         return (xe[self.pa] - xe[self.pb]) / self.ell
 
@@ -432,17 +389,15 @@ class _Barrier:
     def solve(self, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve L x = rhs for rhs shaped (nf, k), by block elimination.
 
-        L = sum over moving edges of w (e_a - e_b)(e_a - e_b)^T / ell^2 on
-        the free nodes.  Column k's block S_k and coupling B_k exist only
-        while it is eliminated; X_k = S_k^-1 B_k and Y_k, S_k^-1 times the
-        reduced right-hand side, are kept for the back substitution.
+        Column k's block S_k and coupling B_k exist only while it is
+        eliminated; X_k = S_k^-1 B_k and Y_k, S_k^-1 times the reduced
+        right-hand side, are kept for the back substitution.
         """
         n = self.nf + 1
         vals = np.concatenate([
             (np.bincount(self.pa, w, n) + np.bincount(self.pb, w, n))[:-1],
             -w[self.ff]]) / (self.ell * self.ell)
-        bounds = self.bounds
-        size = np.append(np.diff(bounds), 0)
+        bounds, size = self.bounds, self.size
         kept = []
         for k in range(len(size) - 1):
             block = self._fill(self.diag, vals, k, size[k])
@@ -462,6 +417,46 @@ class _Barrier:
             out[bounds[k]:bounds[k + 1]] = nxt
         return out
 
+
+class _Barrier:
+    """The log-barrier problem of one mesh level, over its moving slopes.
+
+    Each mesh edge carries one slope of every triangle it bounds: triangle
+    (v0, v1, v2) has (f1 - f0) / ell and (f2 - f1) / ell, its s and t in
+    some order, and u = (f0 - f2 + ell) / ell.  An edge in c triangles adds
+    phi(z) = A [c L(pi z) / pi + r z] + mu A c [log z + log(1 - z)], where
+    A = ell^2 / 2 and r is the sum of rho over its triangles on a u edge, 0
+    elsewhere.  Only edges with a free end move; minus the Hessian is the
+    Laplacian `lap` of those edges.
+    """
+
+    def __init__(self, mesh: MeshProfile, functional: Functional):
+        n, ell = len(mesh.xy), mesh.ell
+        t0, t1, t2 = mesh.tris.T
+        # edge key 3 lo + kind: horizontal 0, vertical 1, diagonal 2
+        count = np.zeros(3 * n)
+        hi = np.zeros(3 * n, dtype=np.int64)
+        for lo, top, kind in ((t0, t1, ~mesh.up), (t1, t2, mesh.up),
+                              (t0, t2, 2)):
+            key = 3 * lo + kind
+            count += np.bincount(key, minlength=3 * n)
+            hi[key] = top
+        r = np.bincount(3 * t0 + 2, functional.rho(*mesh.cent.T), 3 * n)
+        key = np.flatnonzero(count)
+        key = key[mesh.free[key // 3] | mesh.free[hi[key]]]  # the moving edges
+        lo, top, u = key // 3, hi[key], key % 3 == 2
+        # s and t are (f[top] - f[lo]) / ell, u is (f[lo] - f[top] + ell) / ell
+        a, b = np.where(u, lo, top), np.where(u, top, lo)
+        self.lap = _EdgeLaplacian(mesh, a, b)
+        self.free, self.nf = self.lap.free, self.lap.nf
+        self.c, self.r = count[key], r[key]
+        self.area = 0.5 * ell * ell
+        pinned = np.where(mesh.free, 0.0, mesh.f)
+        self.base = u + (pinned[a] - pinned[b]) / ell
+
+    def slopes(self, x: np.ndarray) -> np.ndarray:
+        return self.base + self.lap.diff(x)
+
     # -- the barrier problem at weight mu
 
     def value(self, z, mu) -> float:
@@ -473,7 +468,7 @@ class _Barrier:
     def gradient(self, z, mu) -> np.ndarray:
         """Gradient in the free heights at slopes z, with g'(z) = -log(2 sin pi z)."""
         zc = 1.0 - z
-        return self.scatter(self.area * (
+        return self.lap.scatter(self.area * (
             self.c * (mu * (1.0 / z - 1.0 / zc)
                       - np.log(2.0 * np.sin(_PI * np.minimum(z, zc))))
             + self.r))
@@ -487,8 +482,8 @@ class _Barrier:
         cot = np.copysign(_PI / np.tan(_PI * np.minimum(z, zc)), zc - z)
         curv = self.area * self.c * (cot + mu / (z * z) + mu / (zc * zc))
         grad = self.gradient(z, mu)
-        step = self.solve(curv, grad[:, None])[:, 0]
-        return step, self.diff(step), curv, float(grad @ step)
+        step = self.lap.solve(curv, grad[:, None])[:, 0]
+        return step, self.lap.diff(step), curv, float(grad @ step)
 
     def gap(self, z, dz, curv, mu) -> float:
         """Certified bound on how far the heights' value is from the maximum.
@@ -520,7 +515,10 @@ class _Barrier:
         from t below every slope's slack, up to the first step that leaves
         every moving slope in (0, 1); tau grows tenfold at each centre.  The
         t border is eliminated by a Schur complement: one solve with two
-        right-hand sides.  Returns the steps.
+        right-hand sides.  Returns the steps.  Raises ValueError that there
+        is no strictly feasible point when a step is singular or not finite,
+        after _MAX_STEPS, or when a centre (lambda^2 <= 1/4) bounds the best
+        t by t + 2 m / tau, over m = 2 len(z) log terms, below 0.
         """
         z = self.slopes(x)
         t = min(float(z.min(initial=1.0)), 1.0 - float(z.max(initial=0.0)))
@@ -530,15 +528,21 @@ class _Barrier:
         tau = 10.0 * len(z)
         for steps in range(1, _MAX_STEPS + 1):
             a, b = 1.0 / (z - t), 1.0 / (1.0 - z - t)
-            g = self.scatter(a - b)
+            g = self.lap.scatter(a - b)
             gt = tau - float(a.sum() + b.sum())
-            cvec = self.scatter(a * a - b * b)
+            cvec = self.lap.scatter(a * a - b * b)
             w = a * a + b * b
-            sol = self.solve(w, np.column_stack([g, cvec]))
+            try:
+                sol = self.lap.solve(w, np.column_stack([g, cvec]))
+            except np.linalg.LinAlgError:
+                break
             dt = (gt + cvec @ sol[:, 0]) / (float(w.sum()) - cvec @ sol[:, 1])
             step = sol[:, 0] + dt * sol[:, 1]
             lam2 = float(g @ step) + gt * dt
-            dz = self.diff(step)
+            if not math.isfinite(lam2) or (lam2 <= 0.25
+                                           and t + 4.0 * len(z) / tau < 0.0):
+                break
+            dz = self.lap.diff(step)
 
             def value(al):
                 tt = t + al * dt
@@ -554,7 +558,8 @@ class _Barrier:
                 return steps
             if lam2 <= 0.25:
                 tau *= 10.0
-        return _MAX_STEPS
+        raise ValueError("the boundary heights leave no strictly feasible "
+                         "interior: no heights have every slope in (0, 1)")
 
 
 def _open(z) -> bool:
@@ -588,7 +593,7 @@ def _blend(prob: _Barrier, x0: np.ndarray, x1: np.ndarray, mu: float) -> float:
     Ties, and a segment with no other strictly feasible candidate, keep
     theta = 1: phase I's point x1 itself.
     """
-    z0, dz = prob.slopes(x0), prob.diff(x1 - x0)
+    z0, dz = prob.slopes(x0), prob.lap.diff(x1 - x0)
     best, theta = -math.inf, 1.0
     for th in (10.0 ** -k for k in range(9)):
         z = z0 + th * dz
@@ -710,7 +715,8 @@ def maximize(functional: Functional, tol: float = DEFAULT_TOL,
     certified gap, the largest node move of the last Newton step
     (`kkt_residual`), its Newton steps (`sweeps`), the refinement gap
     between the last two levels and, in `levels`, one LevelTrace per mesh
-    level.
+    level.  Raises ValueError when the boundary heights leave no strictly
+    feasible interior (`_Barrier.phase1`).
     """
     mesh_n = _check_solve(tol, mesh_n)
     levels = [mesh_n]

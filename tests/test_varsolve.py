@@ -24,6 +24,7 @@ from skewtab import (
 from skewtab import varsolve
 from skewtab.varsolve import (
     DEFAULT_TOL,
+    Functional,
     MeshProfile,
     _Barrier,
     _build_mesh,
@@ -548,6 +549,47 @@ def test_phase_one_stops_at_strict_feasibility(name, monkeypatch):
         assert prob.phase1(x) == level.phase1_steps > 0
         # the start and every earlier step leave a slope on or past a bound
         assert inside == [False] * level.phase1_steps + [True]
+
+
+@pytest.mark.parametrize("mesh_n", [4, 8, 16, 32])
+@pytest.mark.parametrize("gamma", [
+    lambda x, y: np.zeros_like(x), lambda x, y: 2.0 * np.minimum(x, y)],
+    ids=["flat", "steep"])
+def test_no_strictly_feasible_interior(gamma, mesh_n):
+    # flat boundary heights pin every slope at 0 or 1, so phase I runs out
+    # of steps; steep ones leave no feasible heights at all, and a centred
+    # phase-I iterate certifies it; neither may end in a singular block
+    # solve, NaN heights or a silent gap of inf
+    hexagon = unit_hexagon_functional()
+    with pytest.raises(ValueError,
+                       match="no strictly feasible interior") as err:
+        maximize(Functional(hexagon.polygon, gamma, hexagon.rho),
+                 mesh_n=mesh_n)
+    assert err.type is ValueError
+
+
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_edge_laplacian_against_dense(name):
+    # the column elimination against a dense solve of the same Laplacian,
+    # with two right-hand sides as in phase I; the ribbon's grid columns
+    # have uneven lengths
+    functional = PROBLEMS[name]()
+    mesh = _build_mesh(functional.polygon, functional.bbox / 16,
+                       functional.gamma)
+    lap = _Barrier(mesh, functional).lap
+    rng = np.random.default_rng(16)
+    w = rng.uniform(0.1, 10.0, len(lap.pa))
+    dense = np.zeros((lap.nf + 1, lap.nf + 1))
+    for p, q, sign in [(lap.pa, lap.pa, 1.0), (lap.pb, lap.pb, 1.0),
+                       (lap.pa, lap.pb, -1.0), (lap.pb, lap.pa, -1.0)]:
+        np.add.at(dense, (p, q), sign * w)
+    dense = dense[:-1, :-1] / lap.ell ** 2
+    rhs = rng.standard_normal((lap.nf, 2))
+    want = np.linalg.solve(dense, rhs)
+    got = lap.solve(w, rhs)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    x, v = rng.standard_normal(lap.nf), rng.standard_normal(len(lap.pa))
+    assert v @ lap.diff(x) == pytest.approx(x @ lap.scatter(v), rel=1e-12)
 
 
 def test_tiny_hexagon_meshes():
