@@ -96,7 +96,7 @@ def _cmd_count(args, run: _Run) -> int:
     shape = load_shape(args.shape)
     method = args.method
     if method == "auto":
-        method = "det"
+        method = "hlf" if shape.is_straight else "nhlf"
     if method == "det":
         val = count_determinant(shape)
     elif method == "brute":
@@ -301,7 +301,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("count", help="standard tableau count of a skew shape")
     p.add_argument("--shape", required=True)
     p.add_argument("--method", default="auto",
-                   choices=["auto", "det", "brute", "nhlf", "hlf"])
+                   choices=["auto", "det", "brute", "nhlf", "hlf"],
+                   help="auto (default): hlf for a straight shape, else nhlf; "
+                        "det is the Aitken determinant, brute the layered "
+                        "enumeration")
     p.set_defaults(func=_cmd_count)
 
     p = add_parser("enumerate", help="list all tilings of a shape's region")

@@ -15,14 +15,14 @@ grid every slope is linear in the free node heights, so a log barrier
 mu A sum (log z + log(1 - z)) over the slopes turns the problem into a
 smooth concave one (Boyd and Vandenberghe, Convex Optimization, ch. 11).
 Damped Newton steps solve it for mu shrinking tenfold, each step one
-solve with an edge Laplacian that only `_EdgeLaplacian` eliminates, by
-grid column.  Phase I, through the same solve, stops at its first strictly
-feasible point; Newton starts at the point between it and the given
-heights with the best barrier value.  A finer mesh level starts from the
-interpolated coarse heights at the coarse level's final mu.  Each level
-stops at a certified optimality gap: weak duality with the multipliers
-that the Newton equation makes stationary bounds how far the heights'
-value lies below the discrete maximum.
+solve with an edge Laplacian that only `laplacian.EdgeLaplacian`
+eliminates, by nested dissection.  Phase I, through the same solve,
+stops at its first strictly feasible point; Newton starts at the point
+between it and the given heights with the best barrier value.  A finer
+mesh level starts from the interpolated coarse heights at the coarse
+level's final mu.  Each level stops at a certified optimality gap: weak
+duality with the multipliers that the Newton equation makes stationary
+bounds how far the heights' value lies below the discrete maximum.
 
 The growth constant of the family is then Psi_max - k(psi) - 1 in the
 normalization log f_N ~ 0.5 N log N + c N, where k(psi) is the integral
@@ -39,6 +39,7 @@ import numpy as np
 
 from .entropy import lobachevsky
 from .errors import check_count
+from .laplacian import EdgeLaplacian
 from .nhlf import count_nhlf
 from .shapes import StableProfile
 
@@ -48,6 +49,7 @@ DEFAULT_TOL = 1e-4
 _MAX_STEPS = 200  # Newton steps per phase and level
 _INSIDE = 1e-3  # slope margin below which phase I runs
 _MU_MIN = 1e-9  # smallest barrier weight: frozen slopes near mu lose precision
+_EPS = float(np.finfo(float).eps)
 _PI = math.pi
 
 
@@ -327,97 +329,6 @@ def evaluate_psi(mesh: MeshProfile, functional: Functional) -> float:
     return float(vals.sum() * 0.5 * mesh.ell ** 2)
 
 
-class _EdgeLaplacian:
-    """L = sum of w (e_a - e_b)(e_a - e_b)^T / ell^2 over a mesh's edges (a, b).
-
-    Free nodes are numbered i-major, so L on them is block tridiagonal by
-    grid column; pinned ends point at position nf.
-    """
-
-    def __init__(self, mesh: MeshProfile, a: np.ndarray, b: np.ndarray):
-        self.free = np.flatnonzero(mesh.free)
-        self.nf = nf = len(self.free)
-        pos = np.full(len(mesh.xy), nf)
-        pos[self.free] = np.arange(nf)
-        self.pa, self.pb, self.ell = pos[a], pos[b], mesh.ell
-        # grid column k holds positions bounds[k]:bounds[k + 1]; its dense
-        # block and its coupling to column k + 1 are filled from `vals` of
-        # `solve` (the diagonal, then minus each free-free edge weight)
-        i = mesh.ij[self.free, 0]
-        cols, first = np.unique(i, return_index=True)
-        self.bounds = np.append(first, nf)
-        self.size = size = np.append(np.diff(self.bounds), 0)
-        k_of = np.searchsorted(cols, i)
-        local = np.arange(nf) - first[k_of]
-        self.ff = np.flatnonzero((self.pa < nf) & (self.pb < nf))
-        p, q = self.pa[self.ff], self.pb[self.ff]
-        p, q = np.where(i[p] > i[q], q, p), np.where(i[p] > i[q], p, q)
-        lp, lq, k, src = local[p], local[q], k_of[p], nf + np.arange(len(p))
-        same = i[p] == i[q]
-        m, m2 = size[k], size[k + 1]
-        self.diag = self._group(
-            np.concatenate([k_of, k[same], k[same]]),
-            np.concatenate([np.arange(nf), src[same], src[same]]),
-            np.concatenate([local * size[k_of] + local,
-                            (lp * m + lq)[same], (lq * m + lp)[same]]))
-        self.couple = self._group(k[~same], src[~same],
-                                  (lp * m2 + lq)[~same])
-
-    def _group(self, k, src, dst):
-        """(src, dst) sorted by column k, and each column's offsets."""
-        order = np.argsort(k, kind="stable")
-        return (np.stack([src[order], dst[order]]),
-                np.searchsorted(k[order], np.arange(len(self.bounds))))
-
-    def _fill(self, group, vals, k, width):
-        (src, dst), at = group
-        out = np.zeros((self.bounds[k + 1] - self.bounds[k], width))
-        out.flat[dst[at[k]:at[k + 1]]] = vals[src[at[k]:at[k + 1]]]
-        return out
-
-    def diff(self, x: np.ndarray) -> np.ndarray:
-        """(x_a - x_b) / ell on every edge, with x = 0 at pinned ends."""
-        xe = np.append(x, 0.0)
-        return (xe[self.pa] - xe[self.pb]) / self.ell
-
-    def scatter(self, v: np.ndarray) -> np.ndarray:
-        """Transpose of `diff`: per free node, the sum of v d z / d x."""
-        n = self.nf + 1
-        return (np.bincount(self.pa, v, n)
-                - np.bincount(self.pb, v, n))[:-1] / self.ell
-
-    def solve(self, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve L x = rhs for rhs shaped (nf, k), by block elimination.
-
-        Column k's block S_k and coupling B_k exist only while it is
-        eliminated; X_k = S_k^-1 B_k and Y_k, S_k^-1 times the reduced
-        right-hand side, are kept for the back substitution.
-        """
-        n = self.nf + 1
-        vals = np.concatenate([
-            (np.bincount(self.pa, w, n) + np.bincount(self.pb, w, n))[:-1],
-            -w[self.ff]]) / (self.ell * self.ell)
-        bounds, size = self.bounds, self.size
-        kept = []
-        for k in range(len(size) - 1):
-            block = self._fill(self.diag, vals, k, size[k])
-            couple = self._fill(self.couple, vals, k, size[k + 1])
-            r = rhs[bounds[k]:bounds[k + 1]]
-            if kept:
-                block -= prev.T @ kept[-1][0]
-                r = r - prev.T @ kept[-1][1]
-            sol = np.linalg.solve(block, np.concatenate([couple, r], axis=1))
-            kept.append((sol[:, :size[k + 1]], sol[:, size[k + 1]:]))
-            prev = couple
-        out = np.empty_like(rhs)
-        nxt = rhs[:0]
-        for k in range(len(size) - 2, -1, -1):
-            x_k, y_k = kept.pop()
-            nxt = y_k - x_k @ nxt
-            out[bounds[k]:bounds[k + 1]] = nxt
-        return out
-
-
 class _Barrier:
     """The log-barrier problem of one mesh level, over its moving slopes.
 
@@ -447,7 +358,7 @@ class _Barrier:
         lo, top, u = key // 3, hi[key], key % 3 == 2
         # s and t are (f[top] - f[lo]) / ell, u is (f[lo] - f[top] + ell) / ell
         a, b = np.where(u, lo, top), np.where(u, top, lo)
-        self.lap = _EdgeLaplacian(mesh, a, b)
+        self.lap = EdgeLaplacian(mesh, a, b)
         self.free, self.nf = self.lap.free, self.lap.nf
         self.c, self.r = count[key], r[key]
         self.area = 0.5 * ell * ell
@@ -513,12 +424,15 @@ class _Barrier:
         Runs unless every moving slope lies in [_INSIDE, 1 - _INSIDE]: damped
         Newton steps on tau t + sum log(z - t) + log(1 - z - t) over (x, t),
         from t below every slope's slack, up to the first step that leaves
-        every moving slope in (0, 1); tau grows tenfold at each centre.  The
-        t border is eliminated by a Schur complement: one solve with two
-        right-hand sides.  Returns the steps.  Raises ValueError that there
-        is no strictly feasible point when a step is singular or not finite,
-        after _MAX_STEPS, or when a centre (lambda^2 <= 1/4) bounds the best
-        t by t + 2 m / tau, over m = 2 len(z) log terms, below 0.
+        every moving slope in (0, 1); tau grows a hundredfold at each
+        centre.  The t border is eliminated by a Schur complement: one solve
+        with two right-hand sides.  Returns the steps.  Raises ValueError
+        that there is no strictly feasible point when a step is singular or
+        not finite, after _MAX_STEPS, or when a centre (lambda^2 <= 1/4)
+        bounds the best t by t + 2 m / tau, over m = 2 len(z) log terms,
+        below 0, or 2 m / tau falls below the slopes' rounding: any interior
+        left is thinner than that, as when the boundary heights pin every
+        slope at 0 or 1.
         """
         z = self.slopes(x)
         t = min(float(z.min(initial=1.0)), 1.0 - float(z.max(initial=0.0)))
@@ -539,8 +453,9 @@ class _Barrier:
             dt = (gt + cvec @ sol[:, 0]) / (float(w.sum()) - cvec @ sol[:, 1])
             step = sol[:, 0] + dt * sol[:, 1]
             lam2 = float(g @ step) + gt * dt
-            if not math.isfinite(lam2) or (lam2 <= 0.25
-                                           and t + 4.0 * len(z) / tau < 0.0):
+            bound = 4.0 * len(z) / tau
+            if not math.isfinite(lam2) or (lam2 <= 0.25 and (
+                    t + bound < 0.0 or bound < _EPS * float(np.abs(z).max()))):
                 break
             dz = self.lap.diff(step)
 
@@ -557,7 +472,7 @@ class _Barrier:
             if _open(z):
                 return steps
             if lam2 <= 0.25:
-                tau *= 10.0
+                tau *= 100.0
         raise ValueError("the boundary heights leave no strictly feasible "
                          "interior: no heights have every slope in (0, 1)")
 

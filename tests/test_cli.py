@@ -35,6 +35,26 @@ def test_count_methods(capsys, data_dir):
         assert out.strip() == "16"
 
 
+def test_count_auto_takes_the_fast_route(capsys, tmp_path, monkeypatch):
+    # th(20) has 1200 cells: auto counts it with nhlf, never the determinant
+    from skewtab import cli, count_thick_hook, thick_hook_shape
+
+    def refuse(shape):
+        raise AssertionError("auto must not call count_determinant")
+
+    monkeypatch.setattr(cli, "count_determinant", refuse)
+    sh = thick_hook_shape(20, 20, 20)
+    path = tmp_path / "th20.json"
+    path.write_text(json.dumps({"outer": list(sh.outer), "inner": list(sh.inner)}))
+    code, out, _ = run(capsys, "--no-manifest", "count", "--shape", str(path))
+    assert code == 0
+    assert int(out.strip()) == count_thick_hook(20, 20, 20)
+    path.write_text(json.dumps({"outer": list(sh.outer)}))
+    code, out, _ = run(capsys, "--no-manifest", "count", "--shape", str(path),
+                       "--method", "auto")
+    assert code == 0 and int(out.strip()) == count_hlf(sh.outer)
+
+
 def test_count_empty(capsys, data_dir):
     code, out, _ = run(capsys, "--no-manifest", "count",
                        "--shape", str(data_dir / "empty.json"))

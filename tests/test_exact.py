@@ -1,5 +1,7 @@
 import random
+import time
 
+import numpy as np
 import pytest
 
 from _naive import naive_count
@@ -10,6 +12,7 @@ from skewtab import (
     count_brute_force,
     count_determinant,
     count_hlf,
+    count_nhlf,
     count_thick_hook,
     macmahon,
     superfactorial,
@@ -153,3 +156,31 @@ def test_divide_exactly_raises_on_remainder():
     assert _divide_exactly(12, 4, "12 / 4") == 3
     with pytest.raises(ArithmeticError, match="7 / 2"):
         _divide_exactly(7, 2, "7 / 2")
+
+
+def _random_connected_shape(rng, rows_max=25, cells=(100, 800)):
+    """A seeded random connected skew shape with 100-800 cells."""
+    while True:
+        k = int(rng.integers(5, rows_max + 1))
+        lam = sorted(rng.integers(1, 61, size=k).tolist(), reverse=True)
+        mu = [int(rng.integers(0, lam[-1]))]
+        for i in range(k - 2, -1, -1):
+            # row i overlaps row i + 1 exactly when mu_i < lam_{i+1}
+            mu.append(int(rng.integers(mu[-1], lam[i + 1])))
+        mu.reverse()
+        if cells[0] <= sum(lam) - sum(mu) <= cells[1]:
+            while mu and mu[-1] == 0:
+                mu.pop()
+            return SkewShape(lam, mu)
+
+
+def test_determinant_and_lgv_agree_at_scale():
+    # the two exact routes on 20 seeded random connected shapes of 100-800
+    # cells and at most 25 rows, far beyond c01's 20 cells
+    rng = np.random.default_rng(3101)
+    start = time.perf_counter()
+    for _ in range(20):
+        sh = _random_connected_shape(rng)
+        assert len(sh.outer) <= 25 and 100 <= sh.size <= 800
+        assert count_determinant(sh) == count_nhlf(sh)
+    assert time.perf_counter() - start < 1.0

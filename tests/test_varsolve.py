@@ -22,6 +22,7 @@ from skewtab import (
     unit_hexagon_functional,
 )
 from skewtab import varsolve
+from skewtab.laplacian import EdgeLaplacian
 from skewtab.varsolve import (
     DEFAULT_TOL,
     Functional,
@@ -568,15 +569,14 @@ def test_no_strictly_feasible_interior(gamma, mesh_n):
     assert err.type is ValueError
 
 
-@pytest.mark.parametrize("name", list(PROBLEMS))
-def test_edge_laplacian_against_dense(name):
-    # the column elimination against a dense solve of the same Laplacian,
-    # with two right-hand sides as in phase I; the ribbon's grid columns
-    # have uneven lengths
+def _laplacian(name, mesh_n):
     functional = PROBLEMS[name]()
-    mesh = _build_mesh(functional.polygon, functional.bbox / 16,
+    mesh = _build_mesh(functional.polygon, functional.bbox / mesh_n,
                        functional.gamma)
-    lap = _Barrier(mesh, functional).lap
+    return _Barrier(mesh, functional).lap
+
+
+def _check_against_dense(lap):
     rng = np.random.default_rng(16)
     w = rng.uniform(0.1, 10.0, len(lap.pa))
     dense = np.zeros((lap.nf + 1, lap.nf + 1))
@@ -587,9 +587,73 @@ def test_edge_laplacian_against_dense(name):
     rhs = rng.standard_normal((lap.nf, 2))
     want = np.linalg.solve(dense, rhs)
     got = lap.solve(w, rhs)
-    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    assert got.shape == rhs.shape
+    assert np.abs(got - want).max(initial=0.0) \
+        <= 1e-10 * np.abs(want).max(initial=0.0)
     x, v = rng.standard_normal(lap.nf), rng.standard_normal(len(lap.pa))
     assert v @ lap.diff(x) == pytest.approx(x @ lap.scatter(v), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_edge_laplacian_against_dense(name):
+    # the nested dissection against a dense solve of the same Laplacian,
+    # with two right-hand sides as in phase I; the ribbon's free nodes are
+    # uneven
+    for mesh_n in (16, 32):
+        _check_against_dense(_laplacian(name, mesh_n))
+
+
+def test_edge_laplacian_without_fronts_to_split():
+    # hexagon meshes 1 and 2 have 0 and 1 free nodes
+    for mesh_n, nodes in [(1, 0), (2, 1)]:
+        lap = _laplacian("hexagon", mesh_n)
+        assert lap.nf == nodes
+        _check_against_dense(lap)
+
+
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_edge_laplacian_zero_weight_component_is_singular(name):
+    # a free node whose edges all weigh 0 leaves L singular, which phase I
+    # catches as LinAlgError
+    lap = _laplacian(name, 16)
+    node = lap.nf // 2
+    w = np.ones(len(lap.pa))
+    w[(lap.pa == node) | (lap.pb == node)] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        lap.solve(w, np.ones((lap.nf, 1)))
+    with pytest.raises(np.linalg.LinAlgError):
+        lap.solve(np.zeros(len(lap.pa)), np.ones((lap.nf, 1)))
+
+
+def test_edge_laplacian_keeps_less_than_column_elimination():
+    # [X 0 y] of every front, kept for the back substitution of one
+    # right-hand side, holds no more floats than the grid-column
+    # elimination kept, sum m_k m_k+1
+    lap = _laplacian("hexagon", 64)
+    kept = sum(fr.n * fr.s * (fr.r - fr.s + 2) for fr in lap.fronts)
+    functional = PROBLEMS["hexagon"]()
+    mesh = _build_mesh(functional.polygon, functional.bbox / 64,
+                       functional.gamma)
+    m = np.unique(mesh.ij[mesh.free, 0], return_counts=True)[1]
+    assert kept <= int(m[:-1] @ m[1:])
+
+
+def test_phase_one_gives_up_without_interior(monkeypatch):
+    # gamma = 0 pins every slope at 0 or 1, so the best slack is exactly
+    # 0; phase I stops once its bound on that slack is below the slopes'
+    # rounding, within 30 of its 200 steps
+    hexagon = unit_hexagon_functional()
+    flat = Functional(hexagon.polygon, lambda x, y: np.zeros_like(x),
+                      hexagon.rho)
+    solves = []
+    solve = EdgeLaplacian.solve
+    monkeypatch.setattr(EdgeLaplacian, "solve",
+                        lambda self, w, rhs: solves.append(1) or solve(self, w, rhs))
+    for mesh_n in (4, 8, 16, 32):
+        solves.clear()
+        with pytest.raises(ValueError, match="no strictly feasible interior"):
+            maximize(flat, mesh_n=mesh_n)
+        assert 0 < len(solves) <= 30
 
 
 def test_tiny_hexagon_meshes():
