@@ -5,13 +5,19 @@ equals N! divided by the outer hook product, times the sum over all
 tilings of the product of hook lengths at cells carrying a horizontal
 lozenge.  One engine, `_tiling_sum`, evaluates every such sum exactly and
 in polynomial time as a Lindström–Gessel–Viennot determinant of lattice
-path sums, in integer arithmetic with one exact division at the end.
+path sums, in integer arithmetic with one exact division at the end.  The
+paths are the region's one path family, `Region.paths()`, built once per
+region and reused by every sum on it (`cap_gaps` makes 1 + len(eps) sums).
 `count_nhlf` feeds it integer hooks; `partition_function` and `cap_gaps`
 feed it each log weight x as the exact rational 1 / exp(-x), so that every
 node weight 1/w is a dyadic rational.
 
 A weight field is a plain mapping from cell to log weight (`WeightField`
-is a dict); a cell it does not list weighs 1, i.e. has log weight 0.
+is dict[Cell, float]); a cell it does not list weighs 1, i.e. has log
+weight 0.  `partition_function`, `sampler.sample` and
+`sampler.estimate_logZ` refuse, with a ValueError naming the cell, a log
+weight x whose exp(-x) is not a positive finite float: NaN, an infinity,
+or x below about -709.8 or above about 745.
 """
 from __future__ import annotations
 
@@ -24,10 +30,7 @@ from .shapes import Cell, SkewShape, hook_table
 from .tiling import Region, Tiling, _as_region
 
 
-class WeightField(dict):
-    """Log weight per horizontal-lozenge cell; unlisted cells weigh 1."""
-
-    __slots__ = ()
+WeightField = dict[Cell, float]  # log weight per horizontal-lozenge cell
 
 
 def uniform_weights() -> WeightField:
@@ -62,76 +65,57 @@ def tiling_weight(t: Tiling, w: WeightField) -> float:
     return total
 
 
+def _check_weights(w: WeightField) -> None:
+    """Raise ValueError at the first cell whose log weight x has no
+    positive finite exp(-x), the float that `partition_function` inverts."""
+    for cell, x in w.items():
+        try:
+            ok = 0.0 < math.exp(-x) < math.inf
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError(f"log weight {x!r} at cell {cell} has no "
+                             f"positive finite exp(-x)")
+
+
 def _tiling_sum(region: Region,
                 cell_weight: Callable[[Cell], int | Fraction]) -> Fraction:
     """Exact sum over the region's tilings of the product of positive cell
     weights over the flat cells (horizontal lozenges).
 
-    With D = region.depth, chain d has k_d + D steps, of which D rise.
-    Level line l = 1..D crosses chain d at the step p_d(l) where the height
-    reaches l; p_d strictly increases in l, and from chain d to chain d + 1
-    it moves by -1 or 0 when d >= 0 and by 0 or +1 when d < 0 (the e1 and
-    e2 edge rules).  Masked steps must rise and form a suffix of the chain,
-    so level l is forced onto step k_d + l when that step is masked or
-    k_d = 0, and the free levels 1..f_d ride on the unmasked steps.  Each
-    maximal run of chains on which a level is free becomes one lattice path
-    from the forced node before the run to the forced node after it, and
-    tilings correspond to vertex-disjoint families of these paths.  Flat
-    cells are the unmasked steps no path visits, so with node weight 1/w
-    the sum is prod(w over the unmasked steps of chains with k_d > 0) times
-    det[path sums from sources to sinks] (Lindström–Gessel–Viennot; see
-    Morales–Pak–Panova, arXiv:1512.08348, section 3).
-
-    The arithmetic is in ints: chain c scales its node weights 1/w, w = p/q
-    an int or Fraction, by L_c = lcm(p) to the ints L_c q / p.  Each source
-    carries its path sums over one denominator, times L_c per chain and
-    reduced by a gcd; each row is cleared by the lcm of its denominators
-    for the fraction-free Bareiss determinant.
+    With node weight 1/w on the cells of `region.paths()`, the sum is
+    prod(w over those cells) times det[path sums from sources to sinks]
+    (Lindström–Gessel–Viennot).  The arithmetic is in ints: chain c scales
+    its node weights 1/w, w = p/q an int or Fraction, by L_c = lcm(p) to
+    the ints L_c q / p.  Each source carries its path sums over one
+    denominator, times L_c per chain and reduced by a gcd; each row is
+    cleared by the lcm of its denominators for the fraction-free Bareiss
+    determinant.
     """
-    depth = region.depth
-    outer = region.shape.outer
-    ds = sorted(region.chains)
+    chains, sources = region.paths()
     pnum = pden = 1
-    ks, free, node_w, scale = [], [], [], []
-    for d in ds:
-        chain = region.chains[d]
-        k = len(chain) - 1 - depth
-        # chains with k_d = 0 are pinned ramps: no flat cell, no free level
-        ws = [cell_weight(c) for c in chain[1:] if c in outer] if k else []
+    node_w, scale = [], []
+    for cells, _, _ in chains:
+        ws = [cell_weight(c) for c in cells]
         lc = math.lcm(*(w.numerator for w in ws))
         pnum *= math.prod(w.numerator for w in ws)
         pden *= math.prod(w.denominator for w in ws)
-        ks.append(k)
-        free.append(len(ws) - k)
         scale.append(lc)
         node_w.append([None] + [lc // w.numerator * w.denominator
                                 for w in ws])
-
-    sources, sinks = [], []
-    for level in range(1, depth + 1):
-        for c in range(1, len(ds)):
-            inside = level <= free[c]
-            if inside != (level <= free[c - 1]):
-                if inside:
-                    sources.append((c - 1, ks[c - 1] + level))
-                else:
-                    sinks.append((c, ks[c] + level))
-    sinks_on: dict[int, list] = {}
-    for j, (c, t) in enumerate(sinks):
-        sinks_on.setdefault(c, []).append((j, t))
 
     n = len(sources)
     m = [[(0, 1)] * n for _ in range(n)]
     for i, (c, t) in enumerate(sources):
         sums, q = {t: 1}, 1  # weighted path count by step on chain c, over q
         while sums:
-            moves = (-1, 0) if ds[c] >= 0 else (0, 1)
+            moves = chains[c][1]
             c += 1
-            for j, s in sinks_on.get(c, ()):
+            for j, s in chains[c][2]:
                 v = sum(sums.get(s - dt, 0) for dt in moves)
                 g = math.gcd(v, q)
                 m[i][j] = (v // g, q // g)
-            top, wts = ks[c] + free[c], node_w[c]
+            top, wts = len(chains[c][0]), node_w[c]
             nxt: dict[int, int] = {}
             for s, val in sums.items():
                 for dt in moves:
@@ -174,6 +158,7 @@ def partition_function(shape, w: WeightField) -> PartitionFunction:
     raise them.  The sum over tilings is then exact, so nothing is rounded
     after the weights themselves.
     """
+    _check_weights(w)
     return PartitionFunction(_tiling_sum(
         _as_region(shape),
         lambda c: 1 / Fraction(math.exp(-w.get(c, 0.0)))))

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_count
-from .nhlf import (WeightField, partition_function, tiling_weight,
-                   uniform_weights)
+from .nhlf import (WeightField, _check_weights, partition_function,
+                   tiling_weight, uniform_weights)
 from .tiling import Tiling, _as_region, _extension
 
 CHUNK = 4096  # proposals per block of drawn randomness
@@ -149,6 +149,7 @@ def sample(shape, w: WeightField | None = None, burn_in: int | None = None,
     region = _as_region(shape)
     if w is None:
         w = uniform_weights()
+    _check_weights(w)
     if burn_in is None:
         burn_in = _burn_in(region)
     if thin is None:
@@ -248,6 +249,7 @@ def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
     region = _as_region(shape)
     if w is None:
         w = uniform_weights()
+    _check_weights(w)
     sched = _check_schedule(schedule if schedule is not None
                             else np.linspace(0.0, 1.0, 17))
     particles = check_count("particles", particles, 2)

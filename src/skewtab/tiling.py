@@ -146,7 +146,7 @@ class Region:
     """Vertex set, pinned boundary and mask for one skew shape."""
 
     __slots__ = ("shape", "vertices", "fixed", "free", "masked", "chains",
-                 "depth", "_up", "_down", "_moves")
+                 "depth", "_up", "_down", "_moves", "_paths")
 
     def __init__(self, shape, vertices, fixed, free, masked, chains, depth):
         self.shape = shape
@@ -159,6 +159,7 @@ class Region:
         self._up = None
         self._down = None
         self._moves = None
+        self._paths = None
 
     def up_triangles(self) -> tuple[Vertex, ...]:
         """Roots p of upward triangles {p, p+e1, p+e3} inside the region."""
@@ -185,6 +186,46 @@ class Region:
         if self._moves is None:
             self._moves = MoveTable(self)
         return self._moves
+
+    def paths(self) -> tuple:
+        """The region's lattice paths, built on first use: (chains,
+        sources), with chains[c] = (cells, moves, sinks) for the c-th chain
+        by diagonal.
+
+        Chain d has k_d + D steps, D = depth, of which D rise.  Level line
+        l = 1..D crosses chain d at the step p_d(l) where the height reaches
+        l; p_d strictly increases in l and moves by one of `moves` to chain
+        d + 1: -1 or 0 when d >= 0, 0 or +1 when d < 0 (the e1 and e2 edge
+        rules).  Masked steps rise and form a suffix, so level l is forced
+        onto step k_d + l when that step is masked or k_d = 0, and the free
+        levels ride on the unmasked steps t = 1, 2, ..., step t's cell being
+        cells[t - 1] (no cells when k_d = 0).  Each maximal run of chains on
+        which a level is free is one path, from the forced node before the
+        run, source i = (c, t), to the forced node after it, sink (i, t) on
+        its chain; the outermost chains have k_d = 0, so every run ends
+        inside the region.  Tilings are the vertex-disjoint path families,
+        and a tiling's flat cells are the cells no path visits (Morales–
+        Pak–Panova, arXiv:1512.08348, section 3).
+        """
+        if self._paths is None:
+            ds = sorted(self.chains)
+            ks = [len(self.chains[d]) - 1 - self.depth for d in ds]
+            # chains with k_d = 0 are pinned ramps: no flat cell, no free level
+            cells = [[c for c in self.chains[d][1:] if c not in self.masked]
+                     if k else [] for d, k in zip(ds, ks)]
+            sources, sinks = [], [()] * len(ds)
+            for level in range(1, self.depth + 1):
+                for c in range(1, len(ds)):
+                    # a level is free on a chain where its node is unmasked
+                    inside = ks[c] + level <= len(cells[c])
+                    if inside != (ks[c - 1] + level <= len(cells[c - 1])):
+                        if inside:
+                            sources.append((c - 1, ks[c - 1] + level))
+                        else:  # the end of the last source's path
+                            sinks[c] += ((len(sources) - 1, ks[c] + level),)
+            moves = [(-1, 0) if d >= 0 else (0, 1) for d in ds]
+            self._paths = tuple(zip(cells, moves, sinks)), tuple(sources)
+        return self._paths
 
     def mask_ok(self, h) -> bool:
         """True if no flat cell of the height vector h is masked."""

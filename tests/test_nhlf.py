@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from skewtab import (
 from skewtab.exact import _bareiss_det
 from skewtab.nhlf import _log_ratio, _tiling_sum, cap_gaps
 from skewtab.shapes import hook_table
-from skewtab.tiling import enumerate_H, iter_flat_cells, build_region
+from skewtab.tiling import Region, enumerate_H, iter_flat_cells, build_region
 
 
 def test_logsum_matches_direct():
@@ -315,3 +316,94 @@ def test_partition_function_matches_fraction_engine():
         assert abs(pf.value - ref_log) <= 1e-12 * abs(ref_log), k
         assert abs(pf.value - math.log(float(pf.z))) \
             <= 2 * math.ulp(pf.value), k
+
+
+@pytest.mark.parametrize("x", [746.0, math.inf, -710.0, -math.inf, math.nan])
+def test_partition_function_refuses_log_weights_out_of_range(s332_21, x):
+    # 1 / exp(-x) needs a positive finite exp(-x): above about 745 it
+    # underflowed to 0 (ZeroDivisionError), below about -709.8 it
+    # overflowed (OverflowError), and NaN failed without naming the cell
+    cell = (2, 3)
+    w = {**hook_weights(s332_21), cell: x}
+    with pytest.raises(ValueError, match=re.escape(str(cell))):
+        partition_function(s332_21, w)
+
+
+def test_partition_function_takes_log_weights_near_the_float_range(s332_21):
+    # exp(-745) is subnormal and exp(709) near the largest float: both are
+    # exact dyadic rationals, so these sums stay exact
+    cell = (2, 3)
+    flat = [cell in flats for flats in iter_flat_cells(build_region(s332_21))]
+    assert 0 < sum(flat) < len(flat)
+    for x in (745.0, -709.0):
+        z = partition_function(s332_21, {cell: x}).z
+        assert z == flat.count(False) \
+            + flat.count(True) / Fraction(math.exp(-x)), x
+
+
+def _paths_ok(region):
+    chains, sources = region.paths()
+    sinks = [(c, j, t) for c, (_, _, on) in enumerate(chains) for j, t in on]
+    assert len(sinks) == len(sources)
+    assert sorted(j for _, j, _ in sinks) == list(range(len(sources)))
+    for c, j, t in sinks:
+        assert sources[j][0] < c  # each path runs forward
+        assert t > len(chains[c][0])  # sinks are forced: above the cells
+    for c, t in sources:
+        assert t > len(chains[c][0])
+    return len(sources)
+
+
+def test_path_family_dimension_is_depth():
+    for k in range(1, 21):
+        region = build_region(thick_hook_shape(k, k, k))
+        assert _paths_ok(region) == region.depth, k
+    for k in range(2, 41, 2):
+        region = build_region(thick_ribbon_shape(k))
+        assert _paths_ok(region) == region.depth, k
+    for k in range(1, 41, 2):  # odd ribbons: no dimension pinned
+        _paths_ok(build_region(thick_ribbon_shape(k)))
+
+
+def test_path_family_sources_match_sinks_on_random_shapes():
+    rng = random.Random(21)
+    done = 0
+    while done < 60:
+        lam = sorted((rng.randint(1, 9) for _ in range(rng.randint(1, 9))),
+                     reverse=True)
+        mu = sorted((rng.randint(0, v) for v in lam), reverse=True)
+        try:
+            sh = SkewShape(lam, mu)
+        except ValueError:
+            continue
+        _paths_ok(build_region(sh))
+        done += 1
+
+
+def test_path_family_weighted_cells_are_the_outer_cells():
+    # the family reads the mask; on a built region that is the outer shape
+    for sh in (SkewShape([5, 4, 4, 2], [2, 1]), thick_ribbon_shape(7),
+               SkewShape([2, 2], [2])):
+        region = build_region(sh)
+        for d, (cells, _, _) in zip(sorted(region.chains), region.paths()[0]):
+            chain = region.chains[d]
+            k = len(chain) - 1 - region.depth
+            assert list(cells) == ([c for c in chain[1:] if c in sh.outer]
+                                   if k else []), (sh, d)
+
+
+def test_cap_gaps_builds_the_path_family_once(monkeypatch):
+    sh = thick_hook_shape(3, 3, 3)
+    region = build_region(sh)
+    calls = []
+    real = Region.paths
+
+    def spy(self):
+        calls.append(self._paths is None)
+        return real(self)
+
+    monkeypatch.setattr(Region, "paths", spy)
+    gaps = cap_gaps(region, sh.size, [0.5, 0.25, 0.1])
+    assert calls == [True, False, False, False]
+    assert cap_gaps(region, sh.size, [0.5, 0.25, 0.1]) == gaps
+    assert calls.count(True) == 1 and len(calls) == 8

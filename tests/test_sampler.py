@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,27 @@ def test_estimate_logZ_schedule_validation(s332_21):
             estimate_logZ(thick_hook_shape(2, 2, 2), **kwargs)
     with pytest.raises(ValueError):
         estimate_logZ(s332_21, particles=2.5)
+
+
+def test_nan_log_weight_is_refused(s332_21):
+    # a NaN used to leave every Metropolis test false (a uniform chain)
+    # and make the AIS estimate NaN
+    cell = (2, 2)
+    w = {**hook_weights(s332_21), cell: math.nan}
+    with pytest.raises(ValueError, match=re.escape(str(cell))):
+        sample(s332_21, w, n_samples=2)
+    with pytest.raises(ValueError, match=re.escape(str(cell))):
+        estimate_logZ(s332_21, w, particles=2)
+
+
+def test_infinite_log_weight_is_refused(s332_21):
+    cell = (3, 1)
+    for x in (math.inf, -math.inf):
+        w = {cell: x}
+        with pytest.raises(ValueError, match=re.escape(str(cell))):
+            sample(s332_21, w, n_samples=2)
+        with pytest.raises(ValueError, match=re.escape(str(cell))):
+            estimate_logZ(s332_21, w, particles=2)
 
 
 def test_sample_count_validation(s332_21):
