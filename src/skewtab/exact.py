@@ -30,8 +30,6 @@ def _divide_exactly(num: int, den: int, what: str) -> int:
 def count_hlf(lam) -> int:
     """Number of standard fillings of a straight shape: N! over hook product."""
     lam = Partition(lam)
-    if not lam:
-        return 1
     return _divide_exactly(factorial(lam.size), hook_table(lam).product(),
                            "N! over the hook product")
 
@@ -109,8 +107,6 @@ def count_determinant(shape: SkewShape) -> int:
     """
     lam = shape.outer.parts
     n = len(lam)
-    if n == 0:
-        return 1
     a = [lam[i] - (i + 1) for i in range(n)]
     b = [shape.inner.row(j + 1) - (j + 1) for j in range(n)]
     det = _bareiss_det([[perm(ai + n, bj + n) for bj in b] for ai in a])

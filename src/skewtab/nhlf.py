@@ -9,8 +9,9 @@ path sums, in integer arithmetic with one exact division at the end.  The
 paths are the region's one path family, `Region.paths()`, built once per
 region and reused by every sum on it (`cap_gaps` makes 1 + len(eps) sums).
 `count_nhlf` feeds it integer hooks; `partition_function` and `cap_gaps`
-feed it each log weight x as the exact rational 1 / exp(-x), so that every
-node weight 1/w is a dyadic rational.
+feed it each log weight x as the exact rational 1 / exp(-x), read off the
+float exp(-x) as d / n from its integer ratio n / d, so that every node
+weight 1/w is a dyadic rational.
 
 A weight field is a plain mapping from cell to log weight (`WeightField`
 is dict[Cell, float]); a cell it does not list weighs 1, i.e. has log
@@ -159,9 +160,10 @@ def partition_function(shape, w: WeightField) -> PartitionFunction:
     after the weights themselves.
     """
     _check_weights(w)
+    # exp(-x) = n / d in lowest terms, so the weight is d / n with no division
     return PartitionFunction(_tiling_sum(
         _as_region(shape),
-        lambda c: 1 / Fraction(math.exp(-w.get(c, 0.0)))))
+        lambda c: Fraction(*math.exp(-w.get(c, 0.0)).as_integer_ratio()[::-1])))
 
 
 def count_nhlf(shape) -> int:
@@ -172,8 +174,6 @@ def count_nhlf(shape) -> int:
     """
     region = _as_region(shape)
     shape = region.shape
-    if not shape.outer:
-        return 1
     table = hook_table(shape.outer)
     total = _tiling_sum(region, table.__getitem__)
     return _divide_exactly(math.factorial(shape.size) * total.numerator,

@@ -23,8 +23,10 @@ lies below its acceptance probability.  The same draws give the same
 chain as the dict-keyed loop on the neighbour-by-neighbour flip interval
 and `_delta_logw` (kept as `mix_reference` in the test oracles).
 
-Both public chains start at the pointwise lowest height function and
-burn in for `_burn_in(region)` = 20 * (number of vertices)^2 proposals.
+Both public chains start at the pointwise lowest height function, whose
+flat cells are the inner shape (`MoveTable.heights`), and burn in for
+`_burn_in(region)` = 20 * (number of vertices)^2 proposals.  On a
+straight or empty shape that state is the only one.
 `sample` runs the kernel at beta = 1 for burn-in and thinning and hands
 out `Tiling`s of the chain's height vector.
 `estimate_logZ` is an annealed importance sampler (Neal, Stat. Comput.
@@ -46,7 +48,7 @@ import numpy as np
 from .errors import check_count
 from .nhlf import (WeightField, _check_weights, partition_function,
                    tiling_weight, uniform_weights)
-from .tiling import Tiling, _as_region, _extension
+from .tiling import Tiling, _as_region
 
 CHUNK = 4096  # proposals per block of drawn randomness
 
@@ -80,11 +82,9 @@ def _burn_in(region) -> int:
 
 
 def _lowest(region) -> list[int]:
-    """The pointwise lowest height vector, checked against the mask."""
-    h = _extension(region.fixed, region, maximal=False)
-    if not region.mask_ok(h):
-        raise ValueError("lowest extension leaves the support mask")
-    return h
+    """The pointwise lowest height vector: the one whose flat cells are the
+    inner shape's, all inside the outer shape."""
+    return region.moves().heights(frozenset(region.shape.inner.cells()))
 
 
 def _kernel(region, w: WeightField, beta: float):
@@ -95,13 +95,10 @@ def _kernel(region, w: WeightField, beta: float):
     rows = region.moves().rows
     # acceptance probability of a rise and of a fall, per row: a rise
     # unflattens the cell at v and flattens the one at v + e3
-    if beta:
-        gain = [beta * (w.get((i + 1, j + 1), 0.0) - w.get((i, j), 0.0))
-                for i, j in free]
-        rise = [math.exp(min(0.0, g)) for g in gain]
-        fall = [math.exp(min(0.0, -g)) for g in gain]
-    else:
-        rise = fall = [1.0] * len(free)
+    gain = [beta * (w.get((i + 1, j + 1), 0.0) - w.get((i, j), 0.0))
+            for i, j in free]
+    rise = [math.exp(min(0.0, g)) for g in gain]
+    fall = [math.exp(min(0.0, -g)) for g in gain]
 
     def run(h: list, rng: np.random.Generator, nsteps: int) -> int:
         if not free:

@@ -79,9 +79,9 @@ def save_profile(profile: StableProfile, path) -> None:
 def load_tiling(path, shape: SkewShape) -> Tiling:
     """Read a tiling of the shape's region, checked to be one.
 
-    The heights rise up each chain from its pinned head except at the
-    file's horizontal lozenges; they must be a height function within the
-    mask whose lozenges are exactly the file's.
+    The heights are those whose flat cells are the file's horizontal
+    lozenges (`MoveTable.heights`); they must be a height function on the
+    pins and within the mask whose lozenges are exactly the file's.
     """
     data = _read_json(path)
     if not isinstance(data, list):
@@ -94,12 +94,7 @@ def load_tiling(path, shape: SkewShape) -> Tiling:
             raise ValueError(f"{path}: bad lozenge entry {item!r}") from None
     region = build_region(shape)
     at = region.moves().index
-    flat = {(l.x, l.y) for l in loz if l.type == 3}
-    h = [0] * len(at)
-    for chain in region.chains.values():
-        z = h[at[chain[0]]] = region.fixed[chain[0]]
-        for v in chain[1:]:
-            z = h[at[v]] = z + (v not in flat)
+    h = region.moves().heights({(l.x, l.y) for l in loz if l.type == 3})
     _check_edges(region, h)
     tiling = Tiling(region, h)
     if (any(h[at[v]] != val for v, val in region.fixed.items())

@@ -159,11 +159,9 @@ class HookTable(dict):
 def hook_table(lam) -> HookTable:
     """Hook lengths h(x, y) = lam_x + lam'_y - x - y + 1 over all cells.
 
-    Raises ValueError for the empty partition.
+    The empty partition has the empty table, whose hook product is 1.
     """
     lam = Partition(lam)
-    if not lam:
-        raise ValueError("hook table of the empty partition is undefined")
     conj = lam.conjugate().parts
     return HookTable(((x, y), p + conj[y - 1] - x - y + 1)
                      for x, p in enumerate(lam.parts, start=1)

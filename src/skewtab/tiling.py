@@ -21,7 +21,11 @@ diagonal and the depth D is the largest legal excitation over all chains.
 Heights are pinned to 0 at chain heads and to D at chain tails; chains
 with k_d = 0 are pinned to the full ramp.  Chain cells falling outside
 the outer shape are masked: the e3 edge into them must gain 1, which
-forbids a horizontal lozenge there.
+forbids a horizontal lozenge there.  A straight shape, the empty one
+included, has the single chain (0, 0) and one tiling.  A tiling's flat
+cells form an excited diagram of the inner shape (Morales–Pak–Panova,
+arXiv:1512.08348), the lowest tiling's being the inner shape itself;
+`MoveTable.heights` is the inverse of `MoveTable.flat_cells`.
 
 Each lozenge is identified by the unique upward triangle it covers.  For
 the triangle at p (vertices p, p + e1, p + e3) the height gains
@@ -80,9 +84,10 @@ class MoveTable:
     of p, p + e1, p + e3 and for types 1, 2, 3 the lozenge and the index
     of its down triangle in `Region.down_triangles` (-1 if absent);
     `below()`, per vertex, the (index, least gain) of each of its -e1,
-    -e2, -e3 neighbours, which all come before it in `order`; and for
-    `flat_cells`, the chain steps (index of v - e3, index of v, v) from
-    head to tail, flat where the height does not rise.
+    -e2, -e3 neighbours, which all come before it in `order`; and
+    `steps()`, the chain steps (index of v - e3, index of v, v) from head
+    to tail, flat where the height does not rise, which `flat_cells` and
+    `heights` read.
     """
 
     __slots__ = ("region", "order", "index", "rows", "_ups", "_below",
@@ -132,14 +137,27 @@ class MoveTable:
                 for i, j in self.order)
         return self._below
 
-    def flat_cells(self, h) -> list[Vertex]:
-        """Flat cells of the height vector h, in chain order."""
+    def steps(self) -> tuple:
+        """The chain-step table, built on first use."""
         if self._steps is None:
             at = self.index
             self._steps = tuple((at[c[t - 1]], at[c[t]], c[t])
                                 for c in self.region.chains.values()
                                 for t in range(1, len(c)))
-        return [v for a, b, v in self._steps if h[a] == h[b]]
+        return self._steps
+
+    def flat_cells(self, h) -> list[Vertex]:
+        """Flat cells of the height vector h, in chain order."""
+        return [v for a, b, v in self.steps() if h[a] == h[b]]
+
+    def heights(self, flat) -> list[int]:
+        """The height vector whose flat cells are `flat`, the inverse of
+        `flat_cells`: 0 at every chain head, +1 at every step into a cell
+        not in `flat`.  Pins and mask are the caller's to check."""
+        h = [0] * len(self.order)
+        for a, b, v in self.steps():
+            h[b] = h[a] + (v not in flat)
+        return h
 
 
 class Region:
@@ -241,11 +259,6 @@ class Region:
 def build_region(shape: SkewShape) -> Region:
     """Chain-of-diagonals region whose height functions encode the tilings."""
     lam, mu = shape.outer, shape.inner
-    if not mu:
-        # no inner shape: a single fully pinned state with no excitation room
-        v = (0, 0)
-        return Region(shape, frozenset([v]), {v: 0}, (), frozenset(),
-                      {0: (v,)}, 0)
     s, w = len(mu), mu.width
     kd, ud = {}, {}
     for d in range(-s, w + 1):
@@ -273,9 +286,8 @@ def build_region(shape: SkewShape) -> Region:
         else:
             fixed[chain[0]] = 0
             fixed[chain[-1]] = depth
-        for t in range(1, len(chain)):
-            if chain[t] not in lam:
-                masked.add(chain[t])
+        # the diagonal's cells in the outer shape are its first ud[d]
+        masked.update(chain[ud[d] + 1:])
     free = tuple(sorted(v for v in vertices if v not in fixed))
     return Region(shape, frozenset(vertices), fixed, free, frozenset(masked),
                   chains, depth)

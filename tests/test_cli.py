@@ -361,3 +361,79 @@ def test_repro_thick_hook_series_limit(capsys):
     assert code == 0
     line = next(l for l in out.splitlines() if "finite-N" in l)
     assert float(line.split("|diff|")[1].split()[0]) < 1e-6, line
+
+
+@pytest.mark.parametrize("target, lines", [("hexagon", 1), ("ribbon", 2)])
+def test_repro_target_passes(capsys, target, lines):
+    code, out, _ = run(capsys, "--no-manifest", "repro", "--target", target)
+    assert code == 0
+    assert [l.split()[-1] for l in out.splitlines()] == ["PASS"] * lines
+
+
+def test_repro_failure_exits_2(capsys, monkeypatch):
+    from types import SimpleNamespace
+
+    from skewtab import cli
+
+    monkeypatch.setattr(cli, "maximize",
+                        lambda *a, **k: SimpleNamespace(psi_value=0.5))
+    code, out, err = run(capsys, "--no-manifest", "repro", "--target",
+                         "hexagon")
+    assert code == 2
+    assert out.startswith("hexagon entropy 0.5 ") and out.rstrip().endswith(
+        "FAIL")
+    assert json.loads(err)["error"] == "1 repro target(s) FAILED"
+
+
+@pytest.mark.parametrize("weights", ["hook", "hook-scaled"])
+def test_sample_weight_families(capsys, data_dir, tmp_path, weights):
+    # the CLI's density is the library's under the same weight field, and
+    # not the uniform one
+    from skewtab import density, hook_weights, sample
+    from skewtab.serialize import load_shape, save_density
+
+    shape = load_shape(data_dir / "s332_21.json")
+    dens, ref, flat = (tmp_path / name for name in ("d.csv", "r.csv",
+                                                    "u.csv"))
+    code, out, _ = run(capsys, "--no-manifest", "sample", "--shape",
+                       str(data_dir / "s332_21.json"), "--samples", "20",
+                       "--seed", "4", "--weights", weights,
+                       "--density", str(dens))
+    assert code == 0 and out.strip() == "samples 20 type_totals 40 40 60"
+    w = hook_weights(shape, scale=shape.size if weights == "hook-scaled"
+                     else None)
+    save_density(density(sample(shape, w, n_samples=20, seed=4)), ref)
+    save_density(density(sample(shape, n_samples=20, seed=4)), flat)
+    assert dens.read_text() == ref.read_text() != flat.read_text()
+
+
+def test_sample_hook_weights_on_the_empty_shape(capsys, data_dir):
+    code, out, _ = run(capsys, "--no-manifest", "sample", "--shape",
+                       str(data_dir / "empty.json"), "--samples", "3",
+                       "--weights", "hook")
+    assert code == 0 and out.strip() == "samples 3 type_totals 0 0 0"
+
+
+def test_render_density(capsys, data_dir, tmp_path):
+    dens, svg = tmp_path / "d.csv", tmp_path / "d.svg"
+    code, _, _ = run(capsys, "--no-manifest", "sample", "--shape",
+                     str(data_dir / "s332_21.json"), "--samples", "30",
+                     "--density", str(dens))
+    assert code == 0
+    code, _, _ = run(capsys, "--no-manifest", "render", "--density",
+                     str(dens), "--out", str(svg))
+    text = svg.read_text()
+    assert code == 0 and text.startswith("<svg ")
+    assert text.count("<polygon") == len(dens.read_text().splitlines()) - 1
+
+
+def test_render_tiling_needs_shape(capsys, data_dir, tmp_path):
+    tiling = tmp_path / "t.json"
+    code, _, _ = run(capsys, "--no-manifest", "sample", "--shape",
+                     str(data_dir / "s332_21.json"), "--samples", "1",
+                     "--out", str(tiling))
+    assert code == 0
+    code, out, err = run(capsys, "--no-manifest", "render", "--tiling",
+                         str(tiling), "--out", str(tmp_path / "t.svg"))
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "--tiling also needs --shape"

@@ -184,3 +184,8 @@ def test_determinant_and_lgv_agree_at_scale():
         assert len(sh.outer) <= 25 and 100 <= sh.size <= 800
         assert count_determinant(sh) == count_nhlf(sh)
     assert time.perf_counter() - start < 1.0
+
+
+def test_macmahon_refuses_a_negative_side():
+    with pytest.raises(ValueError, match="box sides must be nonnegative"):
+        macmahon(2, -1, 2)

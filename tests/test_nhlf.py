@@ -27,7 +27,8 @@ from skewtab import (
     tiling_weight,
     uniform_weights,
 )
-from skewtab.exact import _bareiss_det
+from skewtab.exact import _bareiss_det, count_brute_force, count_hlf
+from skewtab.sampler import estimate_logZ, sample
 from skewtab.nhlf import _log_ratio, _tiling_sum, cap_gaps
 from skewtab.shapes import hook_table
 from skewtab.tiling import Region, enumerate_H, iter_flat_cells, build_region
@@ -407,3 +408,31 @@ def test_cap_gaps_builds_the_path_family_once(monkeypatch):
     assert calls == [True, False, False, False]
     assert cap_gaps(region, sh.size, [0.5, 0.25, 0.1]) == gaps
     assert calls.count(True) == 1 and len(calls) == 8
+
+
+def test_empty_shape_counts_weighs_and_samples():
+    """The empty shape runs the general code: one tiling, count 1, Z = 1."""
+    assert hook_table(()) == {} and hook_table(()).product() == 1
+    empty = SkewShape()
+    assert hook_weights(empty) == {}
+    assert (count_hlf(empty.outer), count_nhlf(empty),
+            count_determinant(empty), count_brute_force(empty),
+            len(enumerate_H(empty))) == (1,) * 5
+    w = hook_weights(empty)
+    assert partition_function(empty, w).z == 1
+    (only,) = enumerate_H(empty)
+    assert sample(empty, w, n_samples=3) == [only] * 3
+    est = estimate_logZ(empty, w, particles=4)
+    assert est.value == 0.0 and est.stderr == 0.0
+
+
+def test_partition_function_weights_are_exact_reciprocals():
+    """Each cell weighs exactly 1 / Fraction(exp(-x)), x over the whole
+    accepted range, subnormal exp(-x) included."""
+    rng = random.Random(33)
+    for shape in (SkewShape([3, 3, 2], [2, 1]), thick_hook_shape(3, 3, 3)):
+        region = build_region(shape)
+        for lo, hi in ((-700.0, 740.0), (-3.0, 3.0), (744.0, 745.0)):
+            w = {c: rng.uniform(lo, hi) for c in shape.outer.cells()}
+            ref = _tiling_sum(region, lambda c: 1 / Fraction(math.exp(-w[c])))
+            assert partition_function(region, w).z == ref

@@ -1,6 +1,8 @@
+import pytest
+
 from skewtab import density, sample
 from skewtab.render import render_density, render_tiling
-from skewtab.tiling import enumerate_H, heights_to_tiling
+from skewtab.tiling import Lozenge, enumerate_H, heights_to_tiling
 
 
 def test_tiling_svg_structure(tmp_path, s332_21):
@@ -32,3 +34,11 @@ def test_density_svg(tmp_path, s332_21):
     text = out.read_text()
     assert text.count("<polygon") == len(field.anchors)
     assert "rgb(" in text
+
+
+def test_render_refuses_an_unknown_lozenge_type(tmp_path):
+    class Fake:
+        lozenges = (Lozenge(3, 1, 1), Lozenge(4, 1, 2))
+
+    with pytest.raises(ValueError, match="unknown lozenge type 4"):
+        render_tiling(Fake(), tmp_path / "t.svg")

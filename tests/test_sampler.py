@@ -269,6 +269,23 @@ def test_estimate_logZ_exact_baseline_beyond_enumeration():
     assert math.isfinite(est.value)
 
 
+def test_density_refuses_samples_from_two_regions(s332_21):
+    mixed = (sample(s332_21, n_samples=2)
+             + sample(thick_hook_shape(2, 2, 2), n_samples=2))
+    with pytest.raises(ValueError, match="share one region"):
+        density(mixed)
+
+
+def test_estimate_logZ_refuses_an_empty_schedule(s332_21):
+    with pytest.raises(ValueError, match="must not be empty"):
+        estimate_logZ(s332_21, schedule=[], particles=4)
+
+
+def test_estimate_logZ_refuses_a_schedule_ending_above_one(s332_21):
+    with pytest.raises(ValueError, match="end at or below 1"):
+        estimate_logZ(s332_21, schedule=[0.0, 0.5, 1.5], particles=4)
+
+
 def test_estimate_logZ_schedule_validation(s332_21):
     with pytest.raises(ValueError):
         estimate_logZ(s332_21, schedule=[0.5, 1.0], particles=4, seed=0)

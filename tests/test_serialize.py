@@ -4,6 +4,7 @@ import math
 import pytest
 
 from skewtab import SkewShape, hook_weights, sample, density
+from skewtab.cli import main
 from skewtab.serialize import (
     load_density,
     load_profile,
@@ -137,3 +138,39 @@ def test_load_tiling_rejects_non_tilings(tmp_path, s332_21):
         _write_lozenges(p, t.lozenges)
         with pytest.raises(ValueError):
             load_tiling(p, shape)
+
+
+def _exits_2(capsys, *argv):
+    """Run the CLI; assert exit 2 and one JSON error line, and return it."""
+    code = main(["--no-manifest", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out, argv
+    return json.loads(captured.err)["error"]
+
+
+def test_profile_file_needs_psi(tmp_path, capsys):
+    p = tmp_path / "p.json"
+    p.write_text('{"phi": [[0, 1], [1, 0]]}')
+    with pytest.raises(ValueError, match="expected an object with 'psi'"):
+        load_profile(p)
+    assert "'psi'" in _exits_2(capsys, "constant", "--profile", str(p))
+
+
+def test_tiling_file_must_be_a_list(tmp_path, capsys, data_dir, s332_21):
+    p = tmp_path / "t.json"
+    p.write_text('{"type": 3, "x": 1, "y": 1}')
+    with pytest.raises(ValueError, match="expected a list of lozenges"):
+        load_tiling(p, s332_21)
+    assert "list of lozenges" in _exits_2(
+        capsys, "render", "--tiling", str(p),
+        "--shape", str(data_dir / "s332_21.json"),
+        "--out", str(tmp_path / "t.svg"))
+
+
+def test_density_rows_need_six_columns(tmp_path, capsys):
+    p = tmp_path / "d.csv"
+    p.write_text("x,y,freq1,freq2,freq3,n\n1,1,0.5,0.5,0.0\n")
+    with pytest.raises(ValueError, match="density rows need 6 columns"):
+        load_density(p)
+    assert "6 columns" in _exits_2(capsys, "render", "--density", str(p),
+                                   "--out", str(tmp_path / "d.svg"))

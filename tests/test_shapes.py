@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from _naive import connected_reference
 from test_acceptance import _all_partitions_up_to, _subpartitions
 from skewtab import Partition, SkewShape, StableProfile, hook_table
+from skewtab.cli import main
 from skewtab.shapes import (
     square_profile,
     stable_family,
@@ -78,6 +80,39 @@ def test_hook_table_332():
               (3, 1): 2, (3, 2): 1}
     assert dict(ht.items()) == expect
     assert ht.product() == 5 * 4 * 2 * 4 * 3 * 1 * 2 * 1
+
+
+@pytest.mark.parametrize("psi, phi, why", [
+    ([(0.0, 1.0), (-1.0, 0.0)], [], "psi breakpoints must be nonnegative"),
+    ([(0.0, 1.0), (1.0, 0.5), (0.5, 0.0)], [],
+     "psi breakpoint x-values must be nondecreasing"),
+    ([], [], "psi needs at least one breakpoint"),
+    ([(0.0, 2.0), (2.0, 0.0)], [(0.5, 1.0), (1.0, 0.0)],
+     "phi must start at x = 0"),
+], ids=["negative", "decreasing-x", "empty-psi", "phi-off-zero"])
+def test_profile_refusals(psi, phi, why, tmp_path, capsys):
+    with pytest.raises(ValueError, match=why):
+        StableProfile(psi, phi)
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps({"psi": psi, "phi": phi}))
+    assert main(["--no-manifest", "constant", "--profile", str(p)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith(f"{p}: {why}"), err
+
+
+def test_stable_family_needs_a_positive_size():
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        stable_family(square_profile(), 0)
+
+
+def test_family_constructors_refuse_bad_arguments():
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        thick_hook_profile(-0.5, 1.0)
+    for a, b, c in ((-1, 1, 1), (1, -1, 1), (1, 1, 0)):
+        with pytest.raises(ValueError, match=r"need a, b >= 0 and c >= 1"):
+            thick_hook_shape(a, b, c)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        thick_ribbon_shape(0)
 
 
 def test_profile_normalization():

@@ -18,9 +18,10 @@ from skewtab import (
 from skewtab.nhlf import hook_weights, tiling_weight
 from skewtab.serialize import load_tiling, save_tiling
 from skewtab.shapes import thick_hook_shape
-from skewtab.tiling import _check_edges, iter_flat_cells
+from skewtab.tiling import _as_region, _check_edges, iter_flat_cells
 
 from _naive import heights_to_tiling_reference
+from test_acceptance import _all_partitions_up_to, _subpartitions
 
 
 def region_332_21():
@@ -40,10 +41,12 @@ def test_region_structure_332_21():
 
 
 def test_region_empty_inner_degenerate():
-    reg = build_region(SkewShape([3, 2], []))
-    assert len(reg.vertices) == 1
-    assert not reg.free
-    assert len(enumerate_H(reg.shape)) == 1
+    for shape in (SkewShape([3, 2], []), SkewShape()):
+        reg = build_region(shape)
+        assert (reg.vertices, reg.fixed, reg.free, reg.masked, reg.chains,
+                reg.depth) == ({(0, 0)}, {(0, 0): 0}, (), set(),
+                               {0: ((0, 0),)}, 0)
+        assert len(enumerate_H(reg.shape)) == 1
 
 
 def test_enumerate_heights_332_21():
@@ -167,6 +170,53 @@ def test_extension_rejects_contradiction():
     bad[(1, 1)] = 5  # too high for its neighbors
     with pytest.raises(ValueError):
         extend(bad, reg)
+
+
+def test_extension_needs_pins():
+    with pytest.raises(ValueError, match="at least one pinned value"):
+        extend({}, region_332_21())
+
+
+def test_extension_refuses_pins_outside_the_region():
+    with pytest.raises(ValueError, match="outside the region"):
+        minimal_extension({(9, 9): 0}, region_332_21())
+
+
+def test_as_region_refuses_a_non_shape():
+    with pytest.raises(TypeError, match="expected SkewShape or Region"):
+        _as_region([[3, 3, 2], [2, 1]])
+
+
+def test_heights_invert_flat_cells():
+    """heights(flat_cells(h)) is h on every tiling, and the inner shape's
+    cells give the lowest tiling, which the minimal extension of the pins
+    also reaches."""
+    for shape in oracle_shapes() + [SkewShape(), SkewShape([3, 2]),
+                                    SkewShape([2, 2], [2, 2])]:
+        reg = build_region(shape)
+        table = reg.moves()
+        states = enumerate_H(reg)
+        for t in states:
+            assert table.heights(set(table.flat_cells(t.heights))) == \
+                list(t.heights)
+        low = table.heights(set(shape.inner.cells()))
+        assert low == [min(t.heights[k] for t in states)
+                       for k in range(len(low))]
+        assert low == list(minimal_extension(reg.fixed, reg).heights)
+
+
+def test_mask_is_the_chain_cells_outside_the_outer_shape():
+    shapes = [SkewShape()]
+    for lam in _all_partitions_up_to(7):
+        for mu in _subpartitions(lam):
+            try:
+                shapes.append(SkewShape(lam, mu))
+            except ValueError:
+                continue
+    for shape in shapes:
+        reg = build_region(shape)
+        assert reg.masked == {v for c in reg.chains.values() for v in c[1:]
+                              if v not in shape.outer}, shape
 
 
 def test_enumeration_guard():

@@ -28,6 +28,7 @@ from skewtab.varsolve import (
     Functional,
     MeshProfile,
     _Barrier,
+    _armijo,
     _build_mesh,
     _diag_chord,
     _grid_triangles,
@@ -730,3 +731,43 @@ def test_solve_mesh_independent_of_start(functional):
     assert phase1 > 0 and gap <= TARGET and moved_gap <= TARGET
     assert abs(evaluate_psi(mesh, functional)
                - evaluate_psi(base, functional)) <= gap + moved_gap
+
+
+def test_profile_depth_refuses_a_straight_profile():
+    with pytest.raises(ValueError, match="straight profile"):
+        profile_depth(square_profile())
+
+
+def test_finite_n_constant_refuses_a_family_of_the_wrong_size():
+    with pytest.raises(ValueError, match="family produced 12 cells for size 13"):
+        finite_n_constant(lambda n: thick_hook_shape_of_size(12), [12, 13])
+
+
+def test_armijo_halves_until_the_gain_holds():
+    """On the concave v(a) = a - 10 a^2 with slope 1 the rule
+    v(a) >= 0.01 a holds iff a <= 0.099: from a = 1 it halves four times."""
+    tried = []
+
+    def value(a):
+        tried.append(a)
+        return a - 10.0 * a * a
+
+    alpha, got = _armijo(value, 0.0, 1.0, 1.0)
+    assert tried == [1.0, 0.5, 0.25, 0.125, 0.0625]
+    assert (alpha, got) == (0.0625, value(0.0625))
+    assert all(value(a) < 0.01 * a for a in tried[:4])
+
+
+def test_armijo_stops_at_its_floor():
+    """A concave value that falls from the start never gains: the search
+    returns the first halving below 1e-12, 2^-40, with its value."""
+    tried = []
+
+    def value(a):
+        tried.append(a)
+        return -a - a * a
+
+    alpha, got = _armijo(value, 0.0, 1.0, 1.0)
+    assert alpha == 2.0 ** -40 and 2 * alpha >= 1e-12
+    assert got == value(alpha)
+    assert tried[:-1] == [2.0 ** -k for k in range(41)]
