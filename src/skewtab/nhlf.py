@@ -42,8 +42,11 @@ def hook_weights(shape: SkewShape, scale: float | None = None) -> WeightField:
     """log hook length on horizontal lozenges.
 
     With `scale` = N the hook is divided by sqrt(N) first (the weighting
-    under which the partition function has an N-independent scale).
+    under which the partition function has an N-independent scale); a
+    scale that is not > 0 raises ValueError.
     """
+    if scale is not None and not scale > 0:
+        raise ValueError(f"scale must be > 0, got {scale}")
     half_log = 0.5 * math.log(scale) if scale is not None else 0.0
     return WeightField((cell, math.log(hv) - half_log)
                        for cell, hv in hook_table(shape.outer).items())
@@ -51,6 +54,8 @@ def hook_weights(shape: SkewShape, scale: float | None = None) -> WeightField:
 
 def capped_weights(shape: SkewShape, N: int, eps: float) -> WeightField:
     """Scaled hook weights with the log clipped from below at log(eps)."""
+    if not N > 0:
+        raise ValueError(f"N must be > 0, got {N}")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     flo = math.log(eps)

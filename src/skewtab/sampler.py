@@ -9,10 +9,11 @@ log weight, in which an unlisted cell has log weight 0.
 
 A chain's state is one int list from start to finish, the height vector
 in `Region.moves().order`; the move table gives each free vertex its
-index, those of its six neighbours and the mask bits of v and v + e3.
-In a valid state every neighbour differs from h(v) by 0 or 1, so the
-legal interval reduces to equality tests: v can rise only if
-h(v - e3) = h(v), and fall only otherwise.  A flip toggles only the
+index and those of its six neighbours; the mask needs no term, since
+the region pins every vertex it touches.  In a valid state every
+neighbour differs from h(v) by 0 or 1, so the legal interval reduces to
+equality tests: v can rise only if h(v - e3) = h(v), and fall only
+otherwise.  A flip toggles only the
 horizontal lozenges at v and v + e3, so a rise changes the log weight by
 logw(v + e3) - logw(v) and a fall by the negative; the two acceptance
 probabilities of every row are computed once per (region, w, beta).
@@ -111,18 +112,17 @@ def _kernel(region, w: WeightField, beta: float):
             picks = rng.integers(len(free), size=m).tolist()
             us = rng.random(m).tolist()
             for r, u in zip(picks, us):
-                k, a, b, c, x, y, z, mv, mq = rows[r]
+                k, a, b, c, x, y, z = rows[r]
                 old = h[k]
-                hz = h[z]
                 if h[c] == old:  # only a rise can be legal
                     if (h[a] != old or h[b] != old or h[x] == old
-                            or h[y] == old or hz - mq == old):
+                            or h[y] == old or h[z] == old):
                         continue
                     if u < rise[r]:
                         h[k] = old + 1
                         accepted += 1
                 else:  # only a fall can be legal
-                    if (mv or hz != old or h[a] == old or h[b] == old
+                    if (h[z] != old or h[a] == old or h[b] == old
                             or h[x] != old or h[y] != old):
                         continue
                     if u < fall[r]:

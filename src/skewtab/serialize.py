@@ -81,7 +81,7 @@ def load_tiling(path, shape: SkewShape) -> Tiling:
 
     The heights are those whose flat cells are the file's horizontal
     lozenges (`MoveTable.heights`); they must be a height function on the
-    pins and within the mask whose lozenges are exactly the file's.
+    pins, which hold the mask, whose lozenges are exactly the file's.
     """
     data = _read_json(path)
     if not isinstance(data, list):
@@ -98,7 +98,7 @@ def load_tiling(path, shape: SkewShape) -> Tiling:
     _check_edges(region, h)
     tiling = Tiling(region, h)
     if (any(h[at[v]] != val for v, val in region.fixed.items())
-            or not region.mask_ok(h) or tiling.lozenges != tuple(sorted(loz))):
+            or tiling.lozenges != tuple(sorted(loz))):
         raise ValueError(f"{path}: the lozenges do not tile the shape's region")
     return tiling
 

@@ -18,14 +18,18 @@ diagonal chains, one per diagonal of the inner staircase.  The chain of
 diagonal d starts at (0, d) for d >= 0 and at (-d, 0) otherwise, and runs
 k_d + D steps down the diagonal, where k_d counts inner cells on that
 diagonal and the depth D is the largest legal excitation over all chains.
-Heights are pinned to 0 at chain heads and to D at chain tails; chains
-with k_d = 0 are pinned to the full ramp.  Chain cells falling outside
-the outer shape are masked: the e3 edge into them must gain 1, which
-forbids a horizontal lozenge there.  A straight shape, the empty one
-included, has the single chain (0, 0) and one tiling.  A tiling's flat
-cells form an excited diagram of the inner shape (Morales–Pak–Panova,
-arXiv:1512.08348), the lowest tiling's being the inner shape itself;
-`MoveTable.heights` is the inverse of `MoveTable.flat_cells`.
+Chain cells falling outside the outer shape are masked: no horizontal
+lozenge may sit there, so the e3 edge into them must gain 1.  They form
+a suffix of the chain, so each chain has a pinned suffix: from its step
+u_d, the diagonal's last cell inside the outer shape, to the tail, the
+height at step t is forced to t - k_d, the tail's being D.  Heads are
+pinned to 0, and chains with k_d = 0 are pinned to the full ramp.  With
+the mask held by the pins, no move of a free vertex reads it.  A
+straight shape, the empty one included, has the single chain (0, 0) and
+one tiling.  A tiling's flat cells form an excited diagram of the inner
+shape (Morales–Pak–Panova, arXiv:1512.08348), the lowest tiling's being
+the inner shape itself; `MoveTable.heights` is the inverse of
+`MoveTable.flat_cells`.
 
 Each lozenge is identified by the unique upward triangle it covers.  For
 the triangle at p (vertices p, p + e1, p + e3) the height gains
@@ -67,24 +71,25 @@ class MoveTable:
     `order` lists the region's vertices sorted, and a height vector is a
     sequence of ints indexed like it (`index` maps a vertex to its
     position).  Row r of `rows` belongs to free[r] and reads
-    (k, a, b, c, x, y, z, m_v, m_q): k is the vertex's index, a, b, c
-    index its -e1, -e2, -e3 neighbours and x, y, z its +e1, +e2, +e3
-    neighbours, and m_v, m_q are 1 when v and v + e3 are masked.  Every
+    (k, a, b, c, x, y, z): k is the vertex's index, a, b, c index its -e1,
+    -e2, -e3 neighbours and x, y, z its +e1, +e2, +e3 neighbours.  Every
     free vertex sits inside a chain, so its -e3 and +e3 neighbours exist;
     a missing -e1 or -e2 neighbour is replaced by the -e3 one and a
     missing +e1 or +e2 neighbour by the +e3 one, which bound nothing the
     e3 neighbours do not already bound.  So with heights h,
 
-        lo = max(h[a], h[b], h[c] + m_v, h[x] - 1, h[y] - 1, h[z] - 1)
-        hi = min(h[a] + 1, h[b] + 1, h[c] + 1, h[x], h[y], h[z] - m_q)
+        lo = max(h[a], h[b], h[c], h[x] - 1, h[y] - 1, h[z] - 1)
+        hi = min(h[a] + 1, h[b] + 1, h[c] + 1, h[x], h[y], h[z])
 
-    is the closed interval of heights v may take, all else fixed.
+    is the closed interval of heights v may take, all else fixed.  The
+    mask takes no part: a region whose free vertex, or its +e3 neighbour,
+    is masked is refused with ValueError, since its moves would need it.
 
     Built on first use: `ups()`, per up triangle p (sorted), the indices
     of p, p + e1, p + e3 and for types 1, 2, 3 the lozenge and the index
     of its down triangle in `Region.down_triangles` (-1 if absent);
-    `below()`, per vertex, the (index, least gain) of each of its -e1,
-    -e2, -e3 neighbours, which all come before it in `order`; and
+    `below()`, per vertex, the indices of its -e1, -e2, -e3 neighbours,
+    which all come before it in `order`; and
     `steps()`, the chain steps (index of v - e3, index of v, v) from head
     to tail, flat where the height does not rise, which `flat_cells` and
     `heights` read.
@@ -101,11 +106,12 @@ class MoveTable:
         for v in region.free:
             i, j = v
             q = (i + 1, j + 1)
+            if v in region.masked or q in region.masked:
+                raise ValueError(f"free vertex {v} or its +e3 neighbour is masked")
             c, z = at[(i - 1, j - 1)], at[q]
             rows.append((at[v], at.get((i - 1, j), c),
                          at.get((i, j - 1), c), c, at.get((i + 1, j), z),
-                         at.get((i, j + 1), z), z,
-                         int(v in region.masked), int(q in region.masked)))
+                         at.get((i, j + 1), z), z))
         self.rows = tuple(rows)
         self._ups = self._below = self._steps = None
 
@@ -126,14 +132,12 @@ class MoveTable:
         return self._ups
 
     def below(self) -> tuple:
-        """The lower-neighbour table, built on first use: an e3 edge into a
-        masked vertex must gain 1, every other edge 0 or 1."""
+        """The lower-neighbour table, built on first use."""
         if self._below is None:
-            at, masked = self.index, self.region.masked
+            at = self.index
             self._below = tuple(
-                tuple((at[p], g) for p, g in (
-                    ((i - 1, j), 0), ((i, j - 1), 0),
-                    ((i - 1, j - 1), int((i, j) in masked))) if p in at)
+                tuple(at[p] for p in ((i - 1, j), (i, j - 1), (i - 1, j - 1))
+                      if p in at)
                 for i, j in self.order)
         return self._below
 
@@ -153,7 +157,8 @@ class MoveTable:
     def heights(self, flat) -> list[int]:
         """The height vector whose flat cells are `flat`, the inverse of
         `flat_cells`: 0 at every chain head, +1 at every step into a cell
-        not in `flat`.  Pins and mask are the caller's to check."""
+        not in `flat`.  The pins, which hold the mask, are the caller's to
+        check."""
         h = [0] * len(self.order)
         for a, b, v in self.steps():
             h[b] = h[a] + (v not in flat)
@@ -245,10 +250,6 @@ class Region:
             self._paths = tuple(zip(cells, moves, sinks)), tuple(sources)
         return self._paths
 
-    def mask_ok(self, h) -> bool:
-        """True if no flat cell of the height vector h is masked."""
-        return self.masked.isdisjoint(self.moves().flat_cells(h))
-
     def __repr__(self) -> str:
         return (
             f"Region({self.shape!r}, {len(self.vertices)} vertices, "
@@ -258,16 +259,15 @@ class Region:
 
 def build_region(shape: SkewShape) -> Region:
     """Chain-of-diagonals region whose height functions encode the tilings."""
-    lam, mu = shape.outer, shape.inner
-    s, w = len(mu), mu.width
+    lam = shape.outer.parts
+    mu = shape.inner.parts + (0,) * (len(lam) - len(shape.inner))
     kd, ud = {}, {}
-    for d in range(-s, w + 1):
+    for d in range(-len(shape.inner), shape.inner.width + 1):
         hx, hy = (0, d) if d >= 0 else (-d, 0)
-        k = 0
-        while (hx + k + 1, hy + k + 1) in mu:
-            k += 1
-        u = 0
-        while (hx + u + 1, hy + u + 1) in lam:
+        # the diagonal's cells in lam are its first u; those in mu, its first k
+        k = u = 0
+        while hx + u < len(lam) and lam[hx + u] > hy + u:
+            k += mu[hx + u] > hy + u
             u += 1
         kd[d], ud[d] = k, u
     depth = max((ud[d] - kd[d] for d in kd if kd[d] > 0), default=0)
@@ -277,17 +277,16 @@ def build_region(shape: SkewShape) -> Region:
     chains: dict[int, tuple[Vertex, ...]] = {}
     for d in sorted(kd):
         hx, hy = (0, d) if d >= 0 else (-d, 0)
-        chain = tuple((hx + t, hy + t) for t in range(kd[d] + depth + 1))
+        k, u = kd[d], ud[d]
+        chain = tuple((hx + t, hy + t) for t in range(k + depth + 1))
         chains[d] = chain
         vertices.update(chain)
-        if kd[d] == 0:
-            for t, v in enumerate(chain):
-                fixed[v] = t
-        else:
-            fixed[chain[0]] = 0
-            fixed[chain[-1]] = depth
-        # the diagonal's cells in the outer shape are its first ud[d]
-        masked.update(chain[ud[d] + 1:])
+        # the steps past u are masked and must rise, so from step u on (from
+        # the head when k = 0) the heights are forced to reach D at the tail
+        start = u if k else 0
+        fixed[chain[0]] = 0
+        fixed.update(zip(chain[start:], range(start - k, depth + 1)))
+        masked.update(chain[u + 1:])
     free = tuple(sorted(v for v in vertices if v not in fixed))
     return Region(shape, frozenset(vertices), fixed, free, frozenset(masked),
                   chains, depth)
@@ -306,7 +305,7 @@ def _check_edges(region: Region, h) -> None:
     every edge of the region."""
     table = region.moves()
     for k, near in enumerate(table.below()):
-        for a, _ in near:
+        for a in near:
             if not 0 <= h[k] - h[a] <= 1:
                 raise ValueError(f"edge rule broken on {table.order[a]} -> "
                                  f"{table.order[k]}: {h[a]} -> {h[k]}")
@@ -424,8 +423,9 @@ def extend(partial: dict, region: Region) -> Tiling:
     The partial data must satisfy the pairwise growth bound
     g(y) - g(x) <= max(y1 - x1, y2 - x2, 0); a violating pair is reported.
     The result dominates every other extension pointwise.  Only the edge
-    rule is validated here: agreement with the region's pins and mask is
-    up to the caller's choice of partial data.
+    rule is validated here: agreement with the region's pins is up to the
+    caller's choice of partial data.  Through `region.fixed`, whose pinned
+    suffixes hold the mask, it is the region's highest tiling.
     """
     h = _extension(partial, region, maximal=True)
     _check_edges(region, h)
@@ -451,10 +451,10 @@ def flip(t: Tiling, v: Vertex) -> Tiling | None:
         raise ValueError(f"vertex {v} is not in the region")
     if v in region.fixed:
         raise ValueError(f"vertex {v} is pinned to the boundary")
-    k, a, b, c, x, y, z, mv, mq = region.moves().rows[region.free.index(v)]
+    k, a, b, c, x, y, z = region.moves().rows[region.free.index(v)]
     h = list(t.heights)
-    lo = max(h[a], h[b], h[c] + mv, h[x] - 1, h[y] - 1, h[z] - 1)
-    hi = min(h[a] + 1, h[b] + 1, h[c] + 1, h[x], h[y], h[z] - mq)
+    lo = max(h[a], h[b], h[c], h[x] - 1, h[y] - 1, h[z] - 1)
+    hi = min(h[a] + 1, h[b] + 1, h[c] + 1, h[x], h[y], h[z])
     if hi <= lo:
         return None
     h[k] = lo + hi - h[k]
@@ -484,8 +484,8 @@ def _height_vectors(region: Region, guard: int | None) -> Iterator[list]:
     h = [0] * len(table.order)
 
     def options(k: int):
-        lo = max([0] + [h[a] + g for a, g in below[k]])
-        hi = min([depth] + [h[a] + 1 for a, _ in below[k]])
+        lo = max([0] + [h[a] for a in below[k]])
+        hi = min([depth] + [h[a] + 1 for a in below[k]])
         if pins[k] is None:
             return iter(range(lo, hi + 1))
         return iter((pins[k],) if lo <= pins[k] <= hi else ())

@@ -414,6 +414,15 @@ def test_sample_hook_weights_on_the_empty_shape(capsys, data_dir):
     assert code == 0 and out.strip() == "samples 3 type_totals 0 0 0"
 
 
+def test_sample_hook_scaled_weights_on_the_empty_shape(capsys, data_dir):
+    # hook / sqrt(N) has no meaning at N = 0, and the refusal says why
+    code, out, err = run(capsys, "--no-manifest", "sample", "--shape",
+                         str(data_dir / "empty.json"), "--samples", "3",
+                         "--weights", "hook-scaled")
+    assert code == 2 and not out
+    assert json.loads(err.strip())["error"] == "scale must be > 0, got 0"
+
+
 def test_render_density(capsys, data_dir, tmp_path):
     dens, svg = tmp_path / "d.csv", tmp_path / "d.svg"
     code, _, _ = run(capsys, "--no-manifest", "sample", "--shape",

@@ -105,6 +105,14 @@ def test_weight_fields_are_cell_log_mappings(s332_21):
         capped_weights(s332_21, n, 0.0)
 
 
+@pytest.mark.parametrize("bad", [0, -3, float("nan")])
+def test_weight_scales_must_be_positive(s332_21, bad):
+    with pytest.raises(ValueError, match=f"scale must be > 0, got {bad}"):
+        hook_weights(s332_21, scale=bad)
+    with pytest.raises(ValueError, match=f"N must be > 0, got {bad}"):
+        capped_weights(s332_21, bad, 0.5)
+
+
 def test_tiling_weight_paths_agree(s332_21):
     # chain-walk fast path vs full decode must give identical sums
     w = hook_weights(s332_21)

@@ -18,8 +18,8 @@ from skewtab import (
 )
 from skewtab.sampler import CHUNK, _delta_logw, _kernel, _rng
 from skewtab.shapes import thick_hook_shape
-from skewtab.tiling import (Region, Tiling, build_region, enumerate_H,
-                            extend, flip, minimal_extension)
+from skewtab.tiling import (Region, Tiling, build_region, enumerate_H, flip,
+                            minimal_extension)
 
 from _naive import density_reference, flip_interval_reference, mix_reference
 from test_tiling import oracle_shapes
@@ -42,12 +42,10 @@ def _check_flips(t) -> int:
 
 
 def _trimmed(region):
-    """The region without its two outermost chains, masked only at the top
-    masked vertex of each chain.
+    """The region without its two outermost chains, its pinned mask kept.
 
     No region of a skew shape looks like this: free vertices next to the
-    dropped chains lose -e1, -e2 or +e1 neighbours, and a masked vertex
-    can sit above an unmasked one.
+    dropped chains lose -e1, -e2 or +e1 neighbours.
     """
     drop = set(region.chains[min(region.chains)])
     drop |= set(region.chains[max(region.chains)])
@@ -55,22 +53,26 @@ def _trimmed(region):
     chains = {d: c for d, c in region.chains.items()
               if not drop.issuperset(c)}
     fixed = {v: x for v, x in region.fixed.items() if v not in drop}
-    masked = {next(v for v in c if v in region.masked)
-              for c in chains.values() if region.masked.intersection(c)}
     return Region(region.shape, region.vertices - drop, fixed, region.free,
-                  frozenset(masked), chains, region.depth)
+                  region.masked - drop, chains, region.depth)
 
 
-def _lone_chain():
-    """One chain of six vertices from height 0 to 3, masked at (2, 2) only.
-
-    A fall at (2, 2) from 1 to 0 is barred by its own mask bit alone when
-    h(3, 3) = 1, and there is no e1 or e2 neighbour anywhere.
-    """
+def _lone_chain(masked=frozenset()):
+    """One chain of six vertices from height 0 to 3, with no e1 or e2
+    neighbour anywhere."""
     chain = tuple((t, t) for t in range(6))
     return Region(SkewShape([1], []), frozenset(chain),
                   {chain[0]: 0, chain[-1]: 3}, chain[1:-1],
-                  frozenset([(2, 2)]), {0: chain}, 3)
+                  frozenset(masked), {0: chain}, 3)
+
+
+def test_move_table_refuses_a_masked_free_vertex():
+    """A mask on a free vertex or its +e3 neighbour is refused, not
+    simulated: build_region pins every vertex the mask touches."""
+    assert len(_lone_chain().moves().rows) == 4
+    for v in [(1, 1), (2, 2), (5, 5)]:
+        with pytest.raises(ValueError, match="is masked"):
+            _lone_chain([v]).moves()
 
 
 def _kernel_regions():
@@ -109,7 +111,8 @@ def test_move_table_interval_matches_flip_interval():
             assert [v for v, _ in t.items()] == list(table.order)
             assert [t[v] for v in table.order] == list(t.heights)
             moved += _check_flips(t)
-        # 2,2/2 has one state, held in place by the mask bit of (2, 3)
+        # 2,2/2 has one state: its one free vertex (1, 1) is held in place
+        # by (1, 2), pinned on the masked suffix of its chain
         assert moved > 0 or reg.masked, shape
         sizes.append((len(states), bool(reg.masked)))
     assert sizes[0] == (20, False) and sizes[-1] == (1, True)
@@ -127,8 +130,6 @@ def test_mix_matches_dict_reference():
                        for p in ((i - 1, j), (i, j - 1), (i + 1, j), (i, j + 1)))
         for seed, beta in enumerate([1.0, 0.0, 0.4, 2.5]):
             start = minimal_extension(reg.fixed, reg)
-            if not reg.mask_ok(start.heights):
-                start = extend(reg.fixed, reg)
             slow = dict(start.items())
             h = list(start.heights)
             n = CHUNK + 5

@@ -124,13 +124,17 @@ def test_load_tiling_rejects_non_tilings(tmp_path, s332_21):
         _write_lozenges(p, bad)
         with pytest.raises(ValueError):
             load_tiling(p, s332_21)
-    # a flat lozenge outside the outer shape: the heights of 2,2/2 without
-    # its mask, at a state the mask forbids
+    # a flat lozenge outside the outer shape: the heights of 2,2/2 pinned
+    # only at its chain heads and tails, at a state the mask forbids
     shape = SkewShape([2, 2], [2])
     reg = build_region(shape)
-    unmasked = Region(shape, reg.vertices, reg.fixed, reg.free, frozenset(),
+    ends = {v: x for c in reg.chains.values()
+            for v, x in ((c[0], 0), (c[-1], reg.depth))}
+    unmasked = Region(shape, reg.vertices, ends,
+                      tuple(sorted(reg.vertices - ends.keys())), frozenset(),
                       reg.chains, reg.depth)
-    outside = [h for h in enumerate_H(unmasked) if not reg.mask_ok(h.heights)]
+    outside = [h for h in enumerate_H(unmasked)
+               if not reg.masked.isdisjoint(h.type3_cells())]
     assert outside
     for h in outside:
         t = heights_to_tiling(h)

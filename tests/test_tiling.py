@@ -219,6 +219,52 @@ def test_mask_is_the_chain_cells_outside_the_outer_shape():
                               if v not in shape.outer}, shape
 
 
+def test_masked_suffix_is_pinned():
+    """From the diagonal's last cell in the outer shape to the tail, every
+    chain vertex is pinned to t - k_d at step t, so no move touches the
+    mask, and the maximal extension of the pins is the highest tiling."""
+    shapes = []
+    for lam in _all_partitions_up_to(7):
+        for mu in _subpartitions(lam):
+            try:
+                shapes.append(SkewShape(lam, mu))
+            except ValueError:
+                continue
+    rng = random.Random(20261020)
+    for _ in range(300):
+        while True:
+            lam = sorted((rng.randint(1, 9)
+                          for _ in range(rng.randint(1, 8))), reverse=True)
+            mu = sorted((rng.randint(0, v) for v in lam), reverse=True)
+            try:
+                shapes.append(SkewShape(lam, mu))
+                break
+            except ValueError:
+                continue
+    extended = 0
+    for shape in shapes:
+        reg = build_region(shape)
+        for chain in reg.chains.values():
+            k = len(chain) - 1 - reg.depth
+            u = sum(1 for v in chain[1:] if v in shape.outer)
+            for t, v in enumerate(chain):
+                if v in reg.masked or t == u or k == 0:
+                    assert reg.fixed.get(v) == t - k, (shape, v)
+        assert not any(v in reg.masked or (v[0] + 1, v[1] + 1) in reg.masked
+                       for v in reg.free), shape
+        if shape.size > 12:
+            continue
+        top = extend(reg.fixed, reg)
+        assert all(top[v] == x for v, x in reg.fixed.items()), shape
+        assert len(top.lozenges) == len(reg.up_triangles())
+        assert reg.masked.isdisjoint(top.type3_cells()), shape
+        states = enumerate_H(reg)
+        assert list(top.heights) == [max(t.heights[i] for t in states)
+                                     for i in range(len(top.heights))], shape
+        extended += 1
+    assert extended == 483
+
+
 def test_enumeration_guard():
     with pytest.raises(ResourceGuardError) as ei:
         enumerate_H(SkewShape([8] * 8, [4] * 4), guard=50)
