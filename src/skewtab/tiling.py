@@ -47,6 +47,7 @@ decode read the integer tables of `Region.moves()`.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -166,7 +167,11 @@ class MoveTable:
 
 
 class Region:
-    """Vertex set, pinned boundary and mask for one skew shape."""
+    """Vertex set, pinned boundary and mask for one skew shape.
+
+    `free` holds the unpinned vertices in sorted order; `flip` finds a
+    vertex's move-table row by bisecting it.
+    """
 
     __slots__ = ("shape", "vertices", "fixed", "free", "masked", "chains",
                  "depth", "_up", "_down", "_moves", "_paths")
@@ -451,7 +456,7 @@ def flip(t: Tiling, v: Vertex) -> Tiling | None:
         raise ValueError(f"vertex {v} is not in the region")
     if v in region.fixed:
         raise ValueError(f"vertex {v} is pinned to the boundary")
-    k, a, b, c, x, y, z = region.moves().rows[region.free.index(v)]
+    k, a, b, c, x, y, z = region.moves().rows[bisect_left(region.free, v)]
     h = list(t.heights)
     lo = max(h[a], h[b], h[c], h[x] - 1, h[y] - 1, h[z] - 1)
     hi = min(h[a] + 1, h[b] + 1, h[c] + 1, h[x], h[y], h[z])

@@ -3,7 +3,10 @@
 `naive_count` counts standard fillings of a skew diagram by peeling
 removable corners in decreasing entry order, memoized on the remaining
 outer rows: deliberately a different algorithm from anything in the
-package, so agreement is meaningful.  `connected_reference` tests a skew
+package, so agreement is meaningful.  `thick_hook_constant` is the
+closed-form growth constant c(alpha, beta) of the thick hooks, and
+`rotated_complement` turns a rectangle minus a partition into the
+straight shape with the same count.  `connected_reference` tests a skew
 shape's cells for 4-connectivity by breadth-first search, the route the
 closed row-interval rule in `SkewShape` replaces.  `enumerated_sum` and
 `LogSum` sum weights over every enumerated tiling, the exponential
@@ -65,6 +68,34 @@ def naive_count(outer, inner=()) -> int:
     result = ways(outer)
     ways.cache_clear()
     return result
+
+
+def thick_hook_constant(alpha: float, beta: float) -> float:
+    """c(alpha, beta) = lim (log f - N log N / 2) / N on (a+c)^(b+c) / a^b.
+
+    a = alpha c, b = beta c and c grows.  It is the limit of
+    `count_thick_hook`'s superfactorial product, with log prod_{k<n} k! =
+    n^2 log n / 2 - 3 n^2 / 4 + O(n log n) and s = alpha + beta.
+    """
+    s = alpha + beta
+
+    def xlogx2(x):
+        return x * x * math.log(x) if x > 0.0 else 0.0
+
+    return 0.5 + 0.5 * math.log1p(s) + (
+        xlogx2(alpha) + xlogx2(beta) + 2.0 * xlogx2(1.0 + s) - xlogx2(s)
+        - xlogx2(1.0 + alpha) - xlogx2(1.0 + beta) - xlogx2(2.0 + s)
+    ) / (2.0 * (1.0 + s))
+
+
+def rotated_complement(rows: int, cols: int, mu) -> list[int]:
+    """nu: the cells of the rows x cols rectangle outside mu, turned by 180 degrees.
+
+    Reversing the entries of a filling of R/mu and turning it over gives a
+    filling of nu, so f^{R/mu} = f^nu.
+    """
+    mu = list(mu) + [0] * (rows - len(mu))
+    return [cols - m for m in reversed(mu) if cols - m > 0]
 
 
 def connected_reference(shape) -> bool:

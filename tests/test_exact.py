@@ -1,10 +1,11 @@
+import math
 import random
 import time
 
 import numpy as np
 import pytest
 
-from _naive import naive_count
+from _naive import naive_count, rotated_complement, thick_hook_constant
 from skewtab import (
     Partition,
     ResourceGuardError,
@@ -189,3 +190,39 @@ def test_determinant_and_lgv_agree_at_scale():
 def test_macmahon_refuses_a_negative_side():
     with pytest.raises(ValueError, match="box sides must be nonnegative"):
         macmahon(2, -1, 2)
+
+
+def test_thick_hook_constant_closed_form():
+    # repro's thick-hook target is c(1, 1)
+    repro = 3.5 * math.log(3.0) - (22.0 / 3.0) * math.log(2.0) + 0.5
+    assert abs(thick_hook_constant(1.0, 1.0) - repro) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 0.5)])
+def test_thick_hook_series_approaches_the_constant(alpha, beta):
+    # (log f - N log N / 2) / N on (a+c)^(b+c) / a^b, a = alpha c and
+    # b = beta c; the error falls about 3.5x per doubling of c
+    errors = []
+    for c in (20, 40, 80):
+        a, b = round(alpha * c), round(beta * c)
+        n = c * (a + b + c)
+        f = count_thick_hook(a, b, c)
+        series = (math.log(f) - 0.5 * n * math.log(n)) / n
+        errors.append(abs(series - thick_hook_constant(alpha, beta)))
+    assert errors[0] < 5e-3
+    assert errors[0] >= 3.0 * errors[1] and errors[1] >= 3.0 * errors[2]
+
+
+def test_rectangle_minus_partition_counts_as_its_rotated_complement():
+    rng = random.Random(1701)
+    checked = 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        mu = sorted((rng.randint(0, cols) for _ in range(rows)), reverse=True)
+        nu = rotated_complement(rows, cols, mu)
+        if not nu:
+            continue
+        assert sum(nu) == rows * cols - sum(mu)
+        assert count_nhlf(SkewShape([cols] * rows, mu)) == count_hlf(nu)
+        checked += 1
+    assert checked >= 50

@@ -20,7 +20,7 @@ from skewtab.serialize import load_tiling, save_tiling
 from skewtab.shapes import thick_hook_shape
 from skewtab.tiling import _as_region, _check_edges, iter_flat_cells
 
-from _naive import heights_to_tiling_reference
+from _naive import flip_interval_reference, heights_to_tiling_reference
 from test_acceptance import _all_partitions_up_to, _subpartitions
 
 
@@ -115,6 +115,33 @@ def test_flip_involution_and_interval():
     with pytest.raises(ValueError):
         flip(heights[0], (99, 99))
     _ = rng  # rng reserved for shapes below
+
+
+def test_flip_reads_the_row_of_its_vertex():
+    # th(30,30,30) has 2,611 free vertices; flip finds a vertex's move-table
+    # row by bisection in the sorted free tuple, checked at both ends and in
+    # the middle against the dict route, on tilings where each can and
+    # cannot flip
+    reg = build_region(thick_hook_shape(30, 30, 30))
+    free = reg.free
+    assert list(free) == sorted(free) and len(free) == 2611
+    lowest = minimal_extension(reg.fixed, reg)
+    highest = extend(reg.fixed, reg)
+    for v in (free[0], free[len(free) // 2], free[-1]):
+        flippable = 0
+        for t in (lowest, highest,
+                  extend({**reg.fixed, v: lowest[v]}, reg),
+                  minimal_extension({**reg.fixed, v: highest[v]}, reg)):
+            hd = dict(t.items())
+            lo, hi = flip_interval_reference(reg, hd, v)
+            out = flip(t, v)
+            if hi <= lo:
+                assert out is None
+                continue
+            flippable += 1
+            hd[v] = lo + hi - hd[v]
+            assert dict(out.items()) == hd
+        assert flippable >= 2
 
 
 def test_flip_graph_connected():

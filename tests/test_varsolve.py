@@ -33,6 +33,7 @@ from skewtab.varsolve import (
     _diag_chord,
     _grid_triangles,
     _interp_init,
+    _levels,
     _solve_level,
     evaluate_psi,
 )
@@ -694,6 +695,28 @@ def test_gradient_against_oracle(functional):
             assert abs(got[pos] - want) <= 1e-12 * abs(want), v
             checked += 1
     assert checked > 0.5 * prob.nf
+
+
+def test_level_schedule():
+    # up to mesh 35 the cold level is mesh 8, as it was at mesh_n / 4; from
+    # 36 up it runs at mesh_n / 8, a quarter of the middle level
+    assert {n: _levels(n) for n in (4, 16, 24, 32, 35, 36, 48, 64, 128)} == {
+        4: [4], 16: [8, 12, 16], 24: [8, 12, 24], 32: [8, 16, 32],
+        35: [8, 17, 35], 36: [8, 18, 36], 48: [8, 24, 48],
+        64: [8, 32, 64], 128: [16, 64, 128]}
+
+
+@pytest.mark.parametrize("name", ["hexagon", "thick-hook"])
+def test_cold_level_mesh_keeps_the_value(name, monkeypatch):
+    # each value lies within its certified gap below the discrete maximum,
+    # so two solves of one mesh differ by at most the sum of their gaps
+    functional, mesh = _solved(name, 64)
+    assert mesh.levels[0].nodes == 37
+    monkeypatch.setattr(varsolve, "_levels", lambda mesh_n: [16, 32, 64])
+    old = maximize(functional, mesh_n=64)
+    assert old.levels[0].nodes == 169
+    assert all(level.converged for level in mesh.levels + old.levels)
+    assert abs(mesh.psi_value - old.psi_value) <= mesh.gap + old.gap
 
 
 def test_level_traces_match_the_result():
