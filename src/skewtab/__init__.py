@@ -84,6 +84,7 @@ from .serialize import (
     save_shape,
     save_terms,
     save_tiling,
+    save_tilings,
 )
 from .render import render_density, render_tiling
 

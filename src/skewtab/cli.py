@@ -1,9 +1,12 @@
 """Command line interface.
 
-Every run can leave a manifest (default skewtab_run.json) recording the
-subcommand, its flags, any seeds, the package version, wall time, and a
-sha256 of each file written, so results can be traced back to the exact
-invocation.  Exit codes: 0 success, 2 bad input, 3 resource guard.
+Each verb is one path: its flags, one library call, then its print.  It
+returns the files it wrote, in write order, and `main` turns that list into
+the run's manifest (default skewtab_run.json): the subcommand, its flags,
+the seed of a sampling run, the package version, wall time, and a sha256 of
+each file written, so results can be traced back to the exact invocation.
+Exit codes: 0 success, 2 bad input, 3 resource guard; only a successful run
+leaves a manifest.
 """
 from __future__ import annotations
 
@@ -17,12 +20,14 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ResourceGuardError
+from .errors import ResourceGuardError, check_eps
 from .exact import count_brute_force, count_determinant, count_hlf
 from .nhlf import count_nhlf, hook_weights, tiling_weight, uniform_weights
+from .render import render_density, render_tiling
 from .sampler import density, sample
 from .serialize import (load_density, load_profile, load_shape, load_tiling,
-                        save_density, save_mesh, save_terms, save_tiling)
+                        save_density, save_mesh, save_terms, save_tiling,
+                        save_tilings)
 from .shapes import (thick_hook_profile, thick_hook_shape_of_size,
                      thick_ribbon_profile, thick_ribbon_shape_of_size)
 from .tiling import ENUM_GUARD, enumerate_H
@@ -31,37 +36,6 @@ from .varsolve import (DEFAULT_EPS, DEFAULT_MESH, DEFAULT_TOL,
                        maximize, unit_hexagon_functional)
 
 _G = "{:.12g}".format
-
-
-class _Run:
-    """Collects outputs and seeds for the manifest."""
-
-    def __init__(self, args):
-        self.args = args
-        self.outputs: list[str] = []
-        self.seeds: list[int] = []
-        self.t0 = time.monotonic()
-
-    def wrote(self, path) -> None:
-        if path:
-            self.outputs.append(str(path))
-
-    def finish(self) -> None:
-        if self.args.no_manifest:
-            return
-        flags = {k: v for k, v in vars(self.args).items()
-                 if k not in ("func", "manifest", "no_manifest") and v is not None}
-        doc = {
-            "subcommand": self.args.command,
-            "flags": flags,
-            "seeds": self.seeds,
-            "version": __version__,
-            "wall_time_s": round(time.monotonic() - self.t0, 3),
-            "outputs": {p: _sha256(p) for p in self.outputs},
-        }
-        with open(self.args.manifest, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _sha256(path) -> str:
@@ -89,81 +63,58 @@ def _decimal(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the paths it wrote, in write order
 
 
-def _cmd_count(args, run: _Run) -> int:
+def _cmd_count(args) -> list[str]:
     shape = load_shape(args.shape)
     method = args.method
     if method == "auto":
         method = "hlf" if shape.is_straight else "nhlf"
-    if method == "det":
-        val = count_determinant(shape)
-    elif method == "brute":
-        val = count_brute_force(shape)
-    elif method == "nhlf":
-        val = count_nhlf(shape)
-    elif method == "hlf":
-        if not shape.is_straight:
-            raise ValueError("--method hlf needs a straight shape (empty inner)")
-        val = count_hlf(shape.outer)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown method {method}")
-    print(_decimal(val))
-    return 0
+    if method == "hlf" and not shape.is_straight:
+        raise ValueError("--method hlf needs a straight shape (empty inner)")
+    count = {"det": count_determinant, "brute": count_brute_force,
+             "nhlf": count_nhlf, "hlf": lambda s: count_hlf(s.outer)}[method]
+    print(_decimal(count(shape)))
+    return []
 
 
-def _cmd_enumerate(args, run: _Run) -> int:
+def _cmd_enumerate(args) -> list[str]:
     shape = load_shape(args.shape)
     tilings = enumerate_H(shape, guard=args.guard)
     print(len(tilings))
     if args.out:
-        doc = [[{"type": lz.type, "x": lz.x, "y": lz.y} for lz in t.lozenges]
-               for t in tilings]
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
-        run.wrote(args.out)
+        save_tilings(tilings, args.out)
     if args.terms:
         w = hook_weights(shape)
         rows = [(i, tiling_weight(t, w), sorted(t.type3_cells()))
                 for i, t in enumerate(tilings)]
         save_terms(rows, args.terms)
-        run.wrote(args.terms)
-    return 0
+    return [p for p in (args.out, args.terms) if p]
 
 
-def _weights_for(shape, name: str):
-    if name == "uniform":
-        return uniform_weights()
-    if name == "hook":
-        return hook_weights(shape)
-    if name == "hook-scaled":
-        return hook_weights(shape, scale=shape.size)
-    raise ValueError(f"unknown weight family {name}")
-
-
-def _cmd_sample(args, run: _Run) -> int:
+def _cmd_sample(args) -> list[str]:
     shape = load_shape(args.shape)
-    run.seeds.append(args.seed)
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
-    w = _weights_for(shape, args.weights)
+    w = {"uniform": uniform_weights,
+         "hook": lambda: hook_weights(shape),
+         "hook-scaled": lambda: hook_weights(shape, scale=shape.size),
+         }[args.weights]()
     samples = sample(shape, w, burn_in=args.burn, n_samples=args.samples,
                      thin=args.thin, seed=args.seed)
     c1, c2, c3 = np.sum([t.counts() for t in samples], axis=0).tolist()
     print(f"samples {len(samples)} type_totals {c1} {c2} {c3}")
     if args.density:
         save_density(density(samples), args.density)
-        run.wrote(args.density)
     if args.out:
         save_tiling(samples[-1], args.out)
-        run.wrote(args.out)
-    return 0
+    return [p for p in (args.density, args.out) if p]
 
 
-def _cmd_solve(args, run: _Run) -> int:
+def _cmd_solve(args) -> list[str]:
     if args.profile == "hexagon":
+        check_eps(args.eps)
         functional = unit_hexagon_functional()
     else:
         functional = build_functional(load_profile(args.profile), eps=args.eps)
@@ -181,11 +132,10 @@ def _cmd_solve(args, run: _Run) -> int:
               f"seconds {level.seconds:.3g} converged {level.converged}")
     if args.out:
         save_mesh(mesh, args.out)
-        run.wrote(args.out)
-    return 0
+    return [args.out] if args.out else []
 
 
-def _cmd_constant(args, run: _Run) -> int:
+def _cmd_constant(args) -> list[str]:
     profile = load_profile(args.profile)
     res = constant(profile, eps=args.eps, tol=args.tol, mesh_n=args.mesh)
     if args.json:
@@ -194,34 +144,53 @@ def _cmd_constant(args, run: _Run) -> int:
         print(json.dumps(doc, sort_keys=True))
     else:
         print(_G(res.value))
-    return 0
+    return []
 
 
-def _cmd_render(args, run: _Run) -> int:
-    from .render import render_density, render_tiling
-
+def _cmd_render(args) -> list[str]:
     if bool(args.tiling) == bool(args.density):
         raise ValueError("render needs exactly one of --tiling or --density")
-    if args.tiling:
-        if not args.shape:
-            raise ValueError("--tiling also needs --shape")
-        tiling = load_tiling(args.tiling, load_shape(args.shape))
-        render_tiling(tiling, args.out)
-    else:
+    if args.density:
         render_density(load_density(args.density), args.out)
-    run.wrote(args.out)
-    return 0
+    elif not args.shape:
+        raise ValueError("--tiling also needs --shape")
+    else:
+        render_tiling(load_tiling(args.tiling, load_shape(args.shape)),
+                      args.out)
+    return [args.out]
 
 
-def _series_limit(sides, vals) -> float:
-    """Limit of a finite-N constant series: log f = N log N / 2 + cN +
-    a sqrt(N) + b log N + d with N ~ k^2 fits {1, 1/k, log k / k^2, 1/k^2}."""
+def _series_limit(family, sides, size) -> float:
+    """Limit of family's finite-N constants at N = size(k), k in sides:
+    log f = N log N / 2 + cN + a sqrt(N) + b log N + d with N ~ k^2 fits
+    {1, 1/k, log k / k^2, 1/k^2}."""
+    vals = finite_n_constant(family, [size(k) for k in sides])
     basis = np.array([[1.0, 1.0 / k, math.log(k) / k ** 2, 1.0 / k ** 2]
                       for k in sides])
     return float(np.linalg.lstsq(basis, np.array(vals), rcond=None)[0][0])
 
 
-def _cmd_repro(args, run: _Run) -> int:
+def _check(label: str, value: float, target, tol: float = 0.0,
+           quote: bool = True) -> bool:
+    """Print one repro line, ending PASS or FAIL, and return whether it passed.
+
+    A tuple target is a band (lo, hi) that value must lie in; a number is a
+    closed form that value must be within tol of, quoted in the line unless
+    quote is False.
+    """
+    if isinstance(target, tuple):
+        ok = target[0] <= value <= target[1]
+        test = f"band [{target[0]}, {target[1]}]"
+    else:
+        err = abs(value - target)
+        ok = err < tol
+        test = (f"closed form {_G(target)} " if quote else "") + \
+            f"|diff| {_G(err)}"
+    print(f"{label} {_G(value)} {test} {'PASS' if ok else 'FAIL'}")
+    return ok
+
+
+def _cmd_repro(args) -> list[str]:
     """Re-derive the headline numbers and report PASS/FAIL per target."""
     targets = ["hexagon", "thick-hook", "ribbon"] if args.target == "all" \
         else [args.target]
@@ -230,50 +199,27 @@ def _cmd_repro(args, run: _Run) -> int:
         if name == "hexagon":
             mesh = maximize(unit_hexagon_functional(), mesh_n=args.mesh)
             # entropy of unit boxed plane partitions, lim log M(n,n,n) / n^2
-            target = 4.5 * math.log(3.0) - 6.0 * math.log(2.0)
-            err = abs(mesh.psi_value - target)
-            ok = err < 5e-3
-            print(f"hexagon entropy {_G(mesh.psi_value)} "
-                  f"closed form {_G(target)} |diff| {_G(err)} "
-                  f"{'PASS' if ok else 'FAIL'}")
+            ok = _check("hexagon entropy", mesh.psi_value,
+                        4.5 * math.log(3.0) - 6.0 * math.log(2.0), 5e-3)
         elif name == "thick-hook":
-            res = constant(thick_hook_profile(1.0, 1.0), mesh_n=args.mesh)
             target = 3.5 * math.log(3.0) - (22.0 / 3.0) * math.log(2.0) + 0.5
-            err = abs(res.value - target)
-            ok = err < 1e-2
-            print(f"thick-hook constant {_G(res.value)} "
-                  f"closed form {_G(target)} |diff| {_G(err)} "
-                  f"{'PASS' if ok else 'FAIL'}")
-            sides = list(range(12, 21))
-            vals = finite_n_constant(thick_hook_shape_of_size,
-                                     [3 * k * k for k in sides])
-            limit = _series_limit(sides, vals)
-            err2 = abs(limit - target)
-            ok2 = err2 < 2e-2
-            print(f"thick-hook finite-N extrapolation {_G(limit)} "
-                  f"|diff| {_G(err2)} {'PASS' if ok2 else 'FAIL'}")
-            ok = ok and ok2
-        elif name == "ribbon":
-            lo, hi = -0.3237, -0.0621
-            res = constant(thick_ribbon_profile(), mesh_n=args.mesh)
-            ok = lo <= res.value <= hi
-            print(f"ribbon constant {_G(res.value)} "
-                  f"band [{lo}, {hi}] {'PASS' if ok else 'FAIL'}")
-            sides = list(range(4, 13))
-            vals = finite_n_constant(thick_ribbon_shape_of_size,
-                                     [k * (3 * k - 1) // 2 for k in sides])
-            limit = _series_limit(sides, vals)
-            ok2 = lo <= limit <= hi
-            print(f"ribbon finite-N extrapolation {_G(limit)} "
-                  f"band [{lo}, {hi}] {'PASS' if ok2 else 'FAIL'}")
-            ok = ok and ok2
+            res = constant(thick_hook_profile(1.0, 1.0), mesh_n=args.mesh)
+            ok = _check("thick-hook constant", res.value, target, 1e-2)
+            limit = _series_limit(thick_hook_shape_of_size, range(12, 21),
+                                  lambda k: 3 * k * k)
+            ok = _check("thick-hook finite-N extrapolation", limit, target,
+                        2e-2, quote=False) and ok
         else:
-            raise ValueError(f"unknown repro target {name}")
-        if not ok:
-            failures += 1
+            band = (-0.3237, -0.0621)
+            res = constant(thick_ribbon_profile(), mesh_n=args.mesh)
+            ok = _check("ribbon constant", res.value, band)
+            limit = _series_limit(thick_ribbon_shape_of_size, range(4, 13),
+                                  lambda k: k * (3 * k - 1) // 2)
+            ok = _check("ribbon finite-N extrapolation", limit, band) and ok
+        failures += not ok
     if failures:
         raise ValueError(f"{failures} repro target(s) FAILED")
-    return 0
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +234,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--no-manifest", action="store_true",
                         default=argparse.SUPPRESS,
                         help="skip writing the run manifest")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--mesh", type=int, default=DEFAULT_MESH)
+    solver.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    solver.add_argument("--eps", type=float, default=DEFAULT_EPS)
 
     ap = argparse.ArgumentParser(
         prog="skewtab",
@@ -295,8 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, *parents, **kw):
+        return sub.add_parser(name, parents=[common, *parents], **kw)
 
     p = add_parser("count", help="standard tableau count of a skew shape")
     p.add_argument("--shape", required=True)
@@ -326,20 +276,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the last sample as tiling JSON")
     p.set_defaults(func=_cmd_sample)
 
-    p = add_parser("solve", help="maximize the limit shape functional")
+    p = add_parser("solve", solver, help="maximize the limit shape functional")
     p.add_argument("--profile", required=True,
                    help="profile JSON, or the literal 'hexagon'")
-    p.add_argument("--mesh", type=int, default=DEFAULT_MESH)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--out", help="write solved node heights as CSV")
     p.set_defaults(func=_cmd_solve)
 
-    p = add_parser("constant", help="growth constant of a profile family")
+    p = add_parser("constant", solver,
+                   help="growth constant of a profile family")
     p.add_argument("--profile", required=True)
-    p.add_argument("--mesh", type=int, default=DEFAULT_MESH)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--json", action="store_true",
                    help="print value, parts and error budget as JSON")
     p.set_defaults(func=_cmd_constant)
@@ -361,13 +306,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    args.manifest = getattr(args, "manifest", "skewtab_run.json")
-    args.no_manifest = getattr(args, "no_manifest", False)
-    run = _Run(args)
+    t0 = time.monotonic()
     try:
-        code = args.func(args, run)
-        run.finish()
-        return code
+        outputs = args.func(args)
+        if not getattr(args, "no_manifest", False):
+            flags = {k: v for k, v in vars(args).items()
+                     if k not in ("func", "manifest", "no_manifest")
+                     and v is not None}
+            doc = {
+                "subcommand": args.command,
+                "flags": flags,
+                "seeds": [args.seed] if "seed" in flags else [],
+                "version": __version__,
+                "wall_time_s": round(time.monotonic() - t0, 3),
+                "outputs": {p: _sha256(p) for p in outputs},
+            }
+            with open(getattr(args, "manifest", "skewtab_run.json"),
+                      "w") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        return 0
     except ResourceGuardError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3

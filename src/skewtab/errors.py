@@ -29,3 +29,10 @@ def check_count(name: str, value, least: int) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def check_eps(eps: float) -> float:
+    """eps, the weight cap, rejecting values outside (0, 1] (nan too)."""
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    return eps

@@ -26,6 +26,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
+from .errors import check_eps
 from .exact import _bareiss_det, _divide_exactly
 from .shapes import Cell, SkewShape, hook_table
 from .tiling import Region, Tiling, _as_region
@@ -56,9 +57,7 @@ def capped_weights(shape: SkewShape, N: int, eps: float) -> WeightField:
     """Scaled hook weights with the log clipped from below at log(eps)."""
     if not N > 0:
         raise ValueError(f"N must be > 0, got {N}")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    flo = math.log(eps)
+    flo = math.log(check_eps(eps))
     return WeightField((cell, max(lw, flo))
                        for cell, lw in hook_weights(shape, scale=N).items())
 
@@ -175,7 +174,7 @@ def count_nhlf(shape) -> int:
     """Exact filling count: N!/hookproduct * sum over tilings of hook products.
 
     The hook product sum runs over the horizontal-lozenge cells of every
-    tiling and is evaluated exactly by the determinant engine.
+    tiling and is evaluated exactly by the LGV engine, `_tiling_sum`.
     """
     region = _as_region(shape)
     shape = region.shape

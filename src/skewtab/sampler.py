@@ -32,9 +32,10 @@ straight or empty shape that state is the only one.
 out `Tiling`s of the chain's height vector.
 `estimate_logZ` is an annealed importance sampler (Neal, Stat. Comput.
 11, 2001) whose base measure is the uniform one, with its log state count
-taken exactly from the determinant engine.  One beta = 0 chain supplies
-the particle starts, one every sweeps_per_level sweeps after its burn-in,
-so each start is marginally uniform and each importance weight unbiased;
+taken exactly from `partition_function`'s LGV engine (`nhlf._tiling_sum`).
+One beta = 0 chain supplies the particle starts, one every
+sweeps_per_level sweeps after its burn-in, so each start is marginally
+uniform and each importance weight unbiased;
 each particle then anneals on its own generator along the inverse
 temperature schedule beta.  Jackknife resampling over particles gives the
 standard error, and the estimate carries the run's acceptance rate.
@@ -234,8 +235,9 @@ def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
     """Annealed importance sampling estimate of log Z with standard error.
 
     The anneal runs from the uniform measure, whose log normalizer is the
-    exact state count from the determinant engine (it enumerates nothing,
-    so it needs no guard), to the weight field's Gibbs measure.  One
+    exact state count from `partition_function`'s LGV engine (it
+    enumerates nothing, so it needs no guard), to the weight field's Gibbs
+    measure.  One
     beta = 0 chain, burned in for `sample`'s default burn-in, hands out a
     particle start every sweeps_per_level sweeps; each particle then
     anneals on its own generator with sweeps_per_level sweeps per schedule

@@ -3,6 +3,7 @@
 Shape files:    {"outer": [4, 2], "inner": [1]}
 Profile files:  {"psi": [[x, y], ...], "phi": [[x, y], ...]}
 Tiling files:   [{"type": 1|2|3, "x": int, "y": int}, ...]
+Tilings files:  [tiling, ...]                    one tiling file's list each
 Density CSV:    x,y,freq1,freq2,freq3,n          one row per anchor cell
 Terms CSV:      tiling_id,log_weight,flat_cells  flat cells joined "x,y;x,y"
 Mesh CSV:       node_x,node_y,f
@@ -103,9 +104,17 @@ def load_tiling(path, shape: SkewShape) -> Tiling:
     return tiling
 
 
+def _lozenges(tiling: Tiling) -> list[dict]:
+    return [{"type": lz.type, "x": lz.x, "y": lz.y} for lz in tiling.lozenges]
+
+
 def save_tiling(tiling: Tiling, path) -> None:
-    doc = [{"type": lz.type, "x": lz.x, "y": lz.y} for lz in tiling.lozenges]
-    Path(path).write_text(json.dumps(doc) + "\n")
+    Path(path).write_text(json.dumps(_lozenges(tiling)) + "\n")
+
+
+def save_tilings(tilings: Iterable[Tiling], path) -> None:
+    """Write a list of tilings, each as a tiling file's lozenge list."""
+    Path(path).write_text(json.dumps([_lozenges(t) for t in tilings]) + "\n")
 
 
 def save_density(field, path) -> None:

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .entropy import lobachevsky
-from .errors import check_count
+from .errors import check_count, check_eps
 from .laplacian import EdgeLaplacian
 from .nhlf import count_nhlf
 from .shapes import StableProfile
@@ -160,8 +160,7 @@ class Functional:
 
 def build_functional(profile: StableProfile, eps: float = DEFAULT_EPS) -> Functional:
     """Entropy-plus-hook-weight functional of a profile pair with inner part."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    check_eps(eps)
     if not profile.phi:
         raise ValueError(
             "straight profiles pin the height profile completely; "

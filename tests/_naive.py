@@ -4,7 +4,8 @@
 removable corners in decreasing entry order, memoized on the remaining
 outer rows: deliberately a different algorithm from anything in the
 package, so agreement is meaningful.  `thick_hook_constant` is the
-closed-form growth constant c(alpha, beta) of the thick hooks, and
+closed-form growth constant c(alpha, beta) of the thick hooks,
+`ribbon_floor` the closed-form lower end of the thick ribbon's band, and
 `rotated_complement` turns a rectangle minus a partition into the
 straight shape with the same count.  `connected_reference` tests a skew
 shape's cells for 4-connectivity by breadth-first search, the route the
@@ -86,6 +87,22 @@ def thick_hook_constant(alpha: float, beta: float) -> float:
         xlogx2(alpha) + xlogx2(beta) + 2.0 * xlogx2(1.0 + s) - xlogx2(s)
         - xlogx2(1.0 + alpha) - xlogx2(1.0 + beta) - xlogx2(2.0 + s)
     ) / (2.0 * (1.0 + s))
+
+
+def ribbon_floor() -> float:
+    """The thick ribbon's floor -1 - integral of log hbar over psi minus phi.
+
+    The largest excited-diagram term (D = mu) bounds the constant from
+    below (Morales-Pak-Panova).  The ribbon's psi minus phi is the band
+    a <= x + y <= 2a, with a = sqrt(2/3) making its area 1, and there
+    hbar = 2(2a - x - y).  So the integral is that of r log(2(2a - r)) on
+    [a, 2a], which u = 2a - r turns into
+    2a (a log 2a - a) - (a^2/2 log 2a - a^2/4).
+    """
+    a = math.sqrt(2.0 / 3.0)
+    log2a = math.log(2.0 * a)
+    return -1.0 - (2.0 * a * (a * log2a - a) - (a * a / 2.0 * log2a
+                                                 - a * a / 4.0))
 
 
 def rotated_complement(rows: int, cols: int, mu) -> list[int]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -446,3 +447,147 @@ def test_render_tiling_needs_shape(capsys, data_dir, tmp_path):
                          str(tiling), "--out", str(tmp_path / "t.svg"))
     assert code == 2 and not out
     assert json.loads(err)["error"] == "--tiling also needs --shape"
+
+
+@pytest.mark.parametrize("eps", ["7", "0", "nan"])
+def test_solve_checks_eps_on_the_hexagon_too(capsys, data_dir, eps):
+    # the hexagon has no weights to cap, but a bad --eps is still bad input
+    want = {"error": f"eps must lie in (0, 1], got {float(eps)}"}
+    for profile in ("hexagon", str(data_dir / "thick_hook_profile.json")):
+        code, out, err = run(capsys, "--no-manifest", "solve", "--profile",
+                             profile, "--eps", eps)
+        assert code == 2 and not out, profile
+        assert json.loads(err) == want, profile
+
+
+# verb: (argv, the files it writes in write order, argv that exits 2)
+CONTRACT = {
+    "count": (["--shape", "{shape}"], [], ["--shape", "none.json"]),
+    "enumerate": (["--shape", "{shape}", "--out", "t.json", "--terms",
+                   "t.csv"], ["t.json", "t.csv"],
+                  ["--shape", "{shape}", "--guard", "-1"]),
+    "sample": (["--shape", "{shape}", "--samples", "5", "--seed", "7",
+                "--density", "d.csv", "--out", "s.json"], ["d.csv", "s.json"],
+               ["--shape", "{shape}", "--samples", "0"]),
+    "render": (["--tiling", "in.json", "--shape", "{shape}", "--out",
+                "t.svg"], ["t.svg"], ["--out", "t.svg"]),
+    "solve": (["--profile", "hexagon", "--mesh", "4", "--out", "m.csv"],
+              ["m.csv"], ["--profile", "hexagon", "--eps", "7"]),
+    "constant": (["--profile", "{square}", "--mesh", "8"], [],
+                 ["--profile", "none.json"]),
+    "repro": (["--target", "hexagon"], [],
+              ["--target", "hexagon", "--mesh", "0"]),
+}
+
+
+@pytest.mark.parametrize("verb", list(CONTRACT))
+def test_manifest_contract(capsys, data_dir, tmp_path, monkeypatch, verb):
+    from skewtab import cli, enumerate_H, load_shape, save_tiling
+
+    monkeypatch.chdir(tmp_path)
+    names = {"shape": str(data_dir / "s332_21.json"),
+             "square": str(data_dir / "square_profile.json")}
+    good, files, bad = ([a.format(**names) for a in argv]
+                        for argv in CONTRACT[verb])
+    save_tiling(enumerate_H(load_shape(names["shape"]))[0], "in.json")
+    hashed = []
+    sha256 = cli._sha256
+    monkeypatch.setattr(cli, "_sha256",
+                        lambda path: hashed.append(path) or sha256(path))
+    manifest = tmp_path / "skewtab_run.json"
+
+    assert run(capsys, "--no-manifest", verb, *good)[0] == 0
+    assert not manifest.exists() and not hashed
+    assert sorted(os.listdir()) == sorted(["in.json", *files])
+    for name in files:
+        os.remove(name)
+
+    assert run(capsys, verb, *good)[0] == 0
+    assert sorted(os.listdir()) == sorted(["in.json", "skewtab_run.json",
+                                           *files])
+    doc = json.loads(manifest.read_text())
+    assert sorted(doc) == ["flags", "outputs", "seeds", "subcommand",
+                           "version", "wall_time_s"]
+    assert doc["subcommand"] == verb
+    assert hashed == files  # hashed in the order the verb wrote them
+    assert doc["outputs"] == {
+        name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+        for name in files}
+    assert doc["seeds"] == ([7] if verb == "sample" else [])
+
+    manifest.unlink()
+    code, out, err = run(capsys, verb, *bad)
+    assert code == 2 and "error" in json.loads(err)
+    assert not manifest.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--shape", "{shape}", "--guard", "1"],
+    ["count", "--shape", "cells26.json", "--method", "brute"]])
+def test_a_guarded_run_leaves_no_manifest(capsys, data_dir, tmp_path,
+                                          monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("cells26.json").write_text('{"outer": [6, 5, 5, 5, 5]}')
+    shape = str(data_dir / "s332_21.json")
+    code, out, err = run(capsys, *(a.format(shape=shape) for a in argv))
+    assert code == 3 and not out and "error" in json.loads(err)
+    assert os.listdir() == ["cells26.json"]
+
+
+@pytest.mark.parametrize("verb", [None, *CONTRACT])
+def test_help_lists_the_shared_flags(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"] if verb else ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    flags = ["--manifest MANIFEST", "--no-manifest"]
+    if verb in ("solve", "constant"):
+        flags += ["--mesh MESH", "--tol TOL", "--eps EPS"]
+    assert all(flag in out for flag in flags), out
+
+
+def _repro_with(capsys, monkeypatch, hexagon, hook, hook_series, ribbon,
+                ribbon_series):
+    """repro --target all with its solver calls stubbed by fixed values."""
+    from types import SimpleNamespace
+
+    from skewtab import cli, thick_hook_shape_of_size, thick_ribbon_profile
+
+    ribbon_psi = thick_ribbon_profile().psi
+    monkeypatch.setattr(cli, "maximize", lambda *a, **k: SimpleNamespace(
+        psi_value=hexagon))
+    monkeypatch.setattr(cli, "constant", lambda profile, **k: SimpleNamespace(
+        value=ribbon if profile.psi == ribbon_psi else hook))
+    monkeypatch.setattr(cli, "finite_n_constant", lambda family, sizes: [
+        hook_series if family is thick_hook_shape_of_size
+        else ribbon_series] * len(sizes))
+    return run(capsys, "--no-manifest", "repro")
+
+
+def test_repro_line_formats(capsys, monkeypatch):
+    code, out, err = _repro_with(capsys, monkeypatch, 0.78, -0.739, -0.74,
+                                 -0.18, -0.2)
+    assert code == 0 and not err
+    assert out == (
+        "hexagon entropy 0.78 closed form 0.784872215647 "
+        "|diff| 0.00487221564682 PASS\n"
+        "thick-hook constant -0.739 closed form -0.737936313768 "
+        "|diff| 0.00106368623212 PASS\n"
+        "thick-hook finite-N extrapolation -0.74 "
+        "|diff| 0.00206368623212 PASS\n"
+        "ribbon constant -0.18 band [-0.3237, -0.0621] PASS\n"
+        "ribbon finite-N extrapolation -0.2 band [-0.3237, -0.0621] PASS\n")
+    # a target fails when either of its lines does, and every line prints
+    code, out, err = _repro_with(capsys, monkeypatch, 0.5, -0.739, -0.5,
+                                 -0.5, -0.2)
+    assert code == 2
+    assert json.loads(err) == {"error": "3 repro target(s) FAILED"}
+    assert out == (
+        "hexagon entropy 0.5 closed form 0.784872215647 "
+        "|diff| 0.284872215647 FAIL\n"
+        "thick-hook constant -0.739 closed form -0.737936313768 "
+        "|diff| 0.00106368623212 PASS\n"
+        "thick-hook finite-N extrapolation -0.5 "
+        "|diff| 0.237936313768 FAIL\n"
+        "ribbon constant -0.5 band [-0.3237, -0.0621] FAIL\n"
+        "ribbon finite-N extrapolation -0.2 band [-0.3237, -0.0621] PASS\n")

@@ -46,6 +46,7 @@ from _naive import (
     node_derivative,
     profile_depth_reference,
     profile_domain_reference,
+    ribbon_floor,
 )
 
 
@@ -198,6 +199,36 @@ def test_k_psi_matches_quadrature():
     for profile in profiles:
         assert abs(k_psi(profile) - k_psi_reference(profile)) <= 1e-12, \
             profile.psi
+
+
+def test_ribbon_floor_matches_quadrature():
+    from scipy import integrate
+
+    a = math.sqrt(2.0 / 3.0)
+    quad, _ = integrate.quad(lambda r: r * math.log(2.0 * (2.0 * a - r)),
+                             a, 2.0 * a, epsabs=1e-14, epsrel=1e-14)
+    assert abs(ribbon_floor() - (-1.0 - quad)) <= 1e-12
+    assert abs(ribbon_floor() - -0.32374795983919635) <= 1e-15
+
+
+def test_ribbon_band_starts_at_the_floor(capsys, monkeypatch):
+    # c08's band and repro's quote the floor to 4 decimals
+    from types import SimpleNamespace
+
+    from skewtab import cli
+    from test_acceptance import RIBBON_BAND
+
+    assert RIBBON_BAND[0] == round(ribbon_floor(), 4)
+    monkeypatch.setattr(cli, "constant",
+                        lambda *a, **k: SimpleNamespace(value=-0.2))
+    monkeypatch.setattr(cli, "finite_n_constant",
+                        lambda family, sizes: [-0.2] * len(sizes))
+    assert cli.main(["--no-manifest", "repro", "--target", "ribbon"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        lo = float(line.split("band [")[1].split(",")[0])
+        assert lo == round(ribbon_floor(), 4), line
 
 
 def test_mesh_build_hexagon():
