@@ -98,9 +98,7 @@ def _cmd_sample(args) -> list[str]:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     w = {"uniform": uniform_weights,
-         "hook": lambda: hook_weights(shape),
-         "hook-scaled": lambda: hook_weights(shape, scale=shape.size),
-         }[args.weights]()
+         "hook": lambda: hook_weights(shape)}[args.weights]()
     samples = sample(shape, w, burn_in=args.burn, n_samples=args.samples,
                      thin=args.thin, seed=args.seed)
     c1, c2, c3 = np.sum([t.counts() for t in samples], axis=0).tolist()
@@ -271,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thin", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weights", default="uniform",
-                   choices=["uniform", "hook", "hook-scaled"])
+                   choices=["uniform", "hook"])
     p.add_argument("--density", help="write type frequencies as CSV")
     p.add_argument("--out", help="write the last sample as tiling JSON")
     p.set_defaults(func=_cmd_sample)

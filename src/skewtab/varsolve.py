@@ -678,79 +678,33 @@ def maximize(functional: Functional, tol: float = DEFAULT_TOL,
 
 
 def _anti_ulogu(u: float) -> float:
-    """H(u) = u^2 (log u - 3/2) / 2, an antiderivative of u (log u - 1); H(0) = 0."""
-    return 0.5 * u * u * (math.log(u) - 1.5) if u >= 1e-300 else 0.0
+    """H(u) = u^2 (log u - 3/2) / 2, an antiderivative of u (log u - 1).
 
-
-def _mean_ulogu(ua: float, ub: float) -> float:
-    """Mean of g(u) = u (log u - 1) over u between ua and ub (0 where u <= 0).
-
-    It is (H(ub) - H(ua)) / (ub - ua).  When the two ends nearly agree
-    that difference cancels, so the midpoint series g(c) + g''(c) d^2 / 24
-    takes over; its first omitted term is d^4 / (960 c^3).
+    So H'' = log; H(u) = 0 for u <= 0.
     """
-    c = 0.5 * (ua + ub)
-    d = ub - ua
-    if c > 0.0 and abs(d) <= 1e-3 * c:
-        return c * (math.log(c) - 1.0) + d * d / (24.0 * c)
-    if d == 0.0:
-        return 0.0
-    return (_anti_ulogu(ub) - _anti_ulogu(ua)) / d
+    return 0.5 * u * u * (math.log(u) - 1.5) if u >= 1e-300 else 0.0
 
 
 def k_psi(profile: StableProfile) -> float:
     """Integral of log hbar over the full hypograph of psi, in closed form.
 
-    On each linear piece of psi^{-1} the inner y integral is
-    [(u / b)(log u - 1)] with u = psi^{-1}(y) - x + psi(x) - y linear in y
-    and b its slope.  Splitting each psi segment where psi(x) crosses a
-    piece's ends makes every bound of that bracket linear in x, and a
-    u (log u - 1) term with u linear in x integrates exactly.
+    Walk psi's boundary chain by tau = x - y.  The hypograph point
+    (x(s), y(t)) with s < t has hook t - s and area element
+    x'(s) |y'(t)| ds dt (Logan and Shepp, Adv. Math. 26, 1977).  On chain
+    segment i = [a, b] the rates p_i = dx/dtau and q_i = -dy/dtau are
+    constant, so with j = [c, d] and H'' = log,
+    k = sum_{i <= j} p_i q_j [H(d - a) - H(c - a) - H(d - b) + H(c - b)].
     """
     pts = _boundary(profile.psi).tolist()
-    pieces = []  # (y_lo, y_hi, alpha, beta): psi^{-1}(y) = alpha + beta y
+    segs = []  # (a, b, p, q) per segment of positive length
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if y1 >= y0 - 1e-15:
-            continue  # flat piece: no inverse mass
-        if x1 == x0:
-            pieces.append((y1, y0, x0, 0.0))
-        else:
-            beta = (x1 - x0) / (y1 - y0)
-            alpha = x0 - beta * y0
-            pieces.append((y1, y0, alpha, beta))
-
-    total = 0.0
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if x1 <= x0 + 1e-15:
-            continue
-        m = (y1 - y0) / (x1 - x0)
-        cuts = {x0, x1}
-        if m < 0.0:
-            for ylo, yhi, _, _ in pieces:
-                for v in (ylo, yhi):
-                    xc = x0 + (v - y0) / m
-                    if x0 < xc < x1:
-                        cuts.add(xc)
-        cuts = sorted(cuts)
-        for xa, xb in zip(cuts, cuts[1:]):
-            pa = y0 + m * (xa - x0)
-            pb = y0 + m * (xb - x0)
-            pm = y0 + m * (0.5 * (xa + xb) - x0)
-            for ylo, yhi, alpha, beta in pieces:
-                lo = max(ylo, 0.0)
-                if min(yhi, pm) <= lo:
-                    continue
-                bb = beta - 1.0
-                # u = alpha - x + psi(x) + bb y at the bracket's bounds
-                bot = (alpha - xa + pa + bb * lo, alpha - xb + pb + bb * lo)
-                if yhi <= pm:
-                    top = (alpha - xa + pa + bb * yhi,
-                           alpha - xb + pb + bb * yhi)
-                else:  # y = psi(x): u = psi^{-1}(psi(x)) - x
-                    top = (alpha - xa + beta * pa, alpha - xb + beta * pb)
-                total += (xb - xa) * (_mean_ulogu(*top)
-                                      - _mean_ulogu(*bot)) / bb
-    return total
+        a, b = x0 - y0, x1 - y1
+        if b > a:
+            segs.append((a, b, (x1 - x0) / (b - a), (y0 - y1) / (b - a)))
+    h = _anti_ulogu
+    return sum(p * q * (h(d - a) - h(c - a) - h(d - b) + h(c - b))
+               for i, (a, b, p, _) in enumerate(segs)
+               for c, d, _, q in segs[i:])
 
 
 @dataclass
@@ -777,6 +731,7 @@ def constant(profile: StableProfile, eps: float = DEFAULT_EPS,
     to `maximize`.  Straight profiles (empty phi) have a fully pinned
     height profile, so Psi_max = 0 there and no solve is run.
     """
+    check_eps(eps)
     _check_solve(tol, mesh_n)
     k = k_psi(profile)
     if not profile.phi:
@@ -797,9 +752,7 @@ def finite_n_constant(shape_family: Callable, sizes) -> list[float]:
 
     shape_family maps a size N to a SkewShape of exactly that size.
     """
-    sizes = [int(n) for n in sizes]
-    if any(n < 1 for n in sizes):
-        raise ValueError("sizes must be positive")
+    sizes = [check_count("size", n, 1) for n in sizes]
     out = []
     for n in sizes:
         shape = shape_family(n)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -386,7 +387,7 @@ def test_repro_failure_exits_2(capsys, monkeypatch):
     assert json.loads(err)["error"] == "1 repro target(s) FAILED"
 
 
-@pytest.mark.parametrize("weights", ["hook", "hook-scaled"])
+@pytest.mark.parametrize("weights", ["hook"])
 def test_sample_weight_families(capsys, data_dir, tmp_path, weights):
     # the CLI's density is the library's under the same weight field, and
     # not the uniform one
@@ -401,8 +402,7 @@ def test_sample_weight_families(capsys, data_dir, tmp_path, weights):
                        "--seed", "4", "--weights", weights,
                        "--density", str(dens))
     assert code == 0 and out.strip() == "samples 20 type_totals 40 40 60"
-    w = hook_weights(shape, scale=shape.size if weights == "hook-scaled"
-                     else None)
+    w = hook_weights(shape)
     save_density(density(sample(shape, w, n_samples=20, seed=4)), ref)
     save_density(density(sample(shape, n_samples=20, seed=4)), flat)
     assert dens.read_text() == ref.read_text() != flat.read_text()
@@ -415,13 +415,15 @@ def test_sample_hook_weights_on_the_empty_shape(capsys, data_dir):
     assert code == 0 and out.strip() == "samples 3 type_totals 0 0 0"
 
 
-def test_sample_hook_scaled_weights_on_the_empty_shape(capsys, data_dir):
-    # hook / sqrt(N) has no meaning at N = 0, and the refusal says why
-    code, out, err = run(capsys, "--no-manifest", "sample", "--shape",
-                         str(data_dir / "empty.json"), "--samples", "3",
-                         "--weights", "hook-scaled")
-    assert code == 2 and not out
-    assert json.loads(err.strip())["error"] == "scale must be > 0, got 0"
+def test_sample_has_no_hook_scaled_weights(capsys, data_dir, tmp_path,
+                                          monkeypatch):
+    # hook / sqrt(N) scales every tiling's weight alike: it was --weights hook
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--shape", str(data_dir / "s332_21.json"),
+              "--weights", "hook-scaled"])
+    assert exc.value.code == 2
+    assert not os.listdir()
 
 
 def test_render_density(capsys, data_dir, tmp_path):
@@ -458,6 +460,23 @@ def test_solve_checks_eps_on_the_hexagon_too(capsys, data_dir, eps):
                              profile, "--eps", eps)
         assert code == 2 and not out, profile
         assert json.loads(err) == want, profile
+
+
+@pytest.mark.parametrize("eps", ["7", "0", "nan"])
+def test_constant_checks_eps_on_straight_profiles_too(
+        capsys, data_dir, tmp_path, monkeypatch, eps):
+    # a straight profile needs no solve, but a bad --eps is still bad input
+    from skewtab import constant, square_profile
+
+    want = f"eps must lie in (0, 1], got {float(eps)}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        constant(square_profile(), eps=float(eps))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "constant", "--profile",
+                         str(data_dir / "square_profile.json"), "--eps", eps)
+    assert code == 2 and not out
+    assert json.loads(err) == {"error": want}
+    assert not os.listdir()
 
 
 # verb: (argv, the files it writes in write order, argv that exits 2)

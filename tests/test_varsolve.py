@@ -2,6 +2,7 @@ import math
 import random
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -102,6 +103,44 @@ def test_k_psi_closed_forms():
     assert abs(k_psi(thick_hook_profile(1.0, 1.0)) - K_THICK) < 1e-9
     assert abs(k_psi(thick_ribbon_profile()) - K_RIBBON) < 1e-9
     assert abs(k_psi(square_profile()) - K_SQUARE) < 1e-9
+
+
+def _mp_rectangle_k(w, h) -> float:
+    """int_0^w int_0^h log(x + y) dy dx = H(w + h) - H(w) - H(h), where
+    H(u) = u^2 (log u - 3/2) / 2, at 30 digits and rounded once."""
+    def anti(u):
+        return u * u * (mpmath.log(u) - 1.5) / 2
+
+    with mpmath.workdps(30):
+        w, h = mpmath.mpf(w), mpmath.mpf(h)
+        return float(anti(w + h) - anti(w) - anti(h))
+
+
+GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+@pytest.mark.parametrize("alpha", GRID)
+@pytest.mark.parametrize("beta", GRID)
+def test_k_psi_on_rectangles(alpha, beta):
+    # a rectangle minus any phi: k is the rectangle's closed form, read at
+    # the corner (w, h) of the profile's own psi
+    k = k_psi(thick_hook_profile(alpha, beta))
+    w, h = thick_hook_profile(alpha, beta).psi[-1]
+    assert type(k) is float
+    assert abs(k - _mp_rectangle_k(w, h)) <= 1e-15
+    assert abs(k - k_psi(thick_hook_profile(beta, alpha))) <= 1e-15
+
+
+def test_k_psi_on_the_ribbon_and_the_square():
+    # the ribbon's psi is one slope -1 segment from (0, a) to (a, 0): with
+    # both chain rates 1/2 over tau in [-a, a], k = H(2a) / 4
+    a = thick_ribbon_profile().psi[0][1]
+    with mpmath.workdps(30):
+        a = mpmath.mpf(a)
+        ribbon = float(a * a * (mpmath.log(2 * a) - 1.5) / 2)
+    assert abs(k_psi(thick_ribbon_profile()) - ribbon) <= 1e-15
+    w, h = square_profile().psi[-1]
+    assert abs(k_psi(square_profile()) - _mp_rectangle_k(w, h)) <= 1e-15
 
 
 def _random_psi(rng: random.Random) -> StableProfile:
@@ -338,6 +377,12 @@ def test_finite_n_constant_values():
         assert abs(v - (math.log(f) - 0.5 * n * math.log(n)) / n) < 1e-12
     with pytest.raises(ValueError):
         finite_n_constant(thick_hook_shape_of_size, [0])
+
+
+@pytest.mark.parametrize("size", [12.7, True, "12"])
+def test_finite_n_constant_takes_integer_sizes(size):
+    with pytest.raises(ValueError, match="size must be an integer"):
+        finite_n_constant(thick_hook_shape_of_size, [size])
 
 
 def test_eps_validation():
