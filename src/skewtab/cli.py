@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ResourceGuardError, check_eps
-from .exact import count_brute_force, count_determinant, count_hlf
+from .exact import count_brute_force, count_determinant
 from .nhlf import count_nhlf, hook_weights, tiling_weight, uniform_weights
 from .render import render_density, render_tiling
 from .sampler import density, sample
@@ -67,15 +67,9 @@ def _decimal(n: int) -> str:
 
 
 def _cmd_count(args) -> list[str]:
-    shape = load_shape(args.shape)
-    method = args.method
-    if method == "auto":
-        method = "hlf" if shape.is_straight else "nhlf"
-    if method == "hlf" and not shape.is_straight:
-        raise ValueError("--method hlf needs a straight shape (empty inner)")
-    count = {"det": count_determinant, "brute": count_brute_force,
-             "nhlf": count_nhlf, "hlf": lambda s: count_hlf(s.outer)}[method]
-    print(_decimal(count(shape)))
+    count = {"nhlf": count_nhlf, "det": count_determinant,
+             "brute": count_brute_force}[args.method]
+    print(_decimal(count(load_shape(args.shape))))
     return []
 
 
@@ -248,10 +242,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("count", help="standard tableau count of a skew shape")
     p.add_argument("--shape", required=True)
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "det", "brute", "nhlf", "hlf"],
-                   help="auto (default): hlf for a straight shape, else nhlf; "
-                        "det is the Aitken determinant, brute the layered "
+    p.add_argument("--method", default="nhlf",
+                   choices=["nhlf", "det", "brute"],
+                   help="nhlf (default): the hook sum over tilings; det is "
+                        "the Aitken determinant, brute the layered "
                         "enumeration")
     p.set_defaults(func=_cmd_count)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Iterable
 
@@ -30,15 +31,18 @@ def _read_json(path) -> object:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
+def _is_int(v) -> bool:
+    # bool is a subclass of int, so JSON true would otherwise count as 1
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_shape(path) -> SkewShape:
     data = _read_json(path)
     if not isinstance(data, dict) or "outer" not in data:
         raise ValueError(f"{path}: expected an object with 'outer' (and 'inner')")
     rows = {"outer": data["outer"], "inner": data.get("inner", [])}
     for field, parts in rows.items():
-        # bool is a subclass of int, so JSON true would otherwise count as 1
-        if not isinstance(parts, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in parts):
+        if not isinstance(parts, list) or not all(map(_is_int, parts)):
             raise ValueError(f"{path}: '{field}' must be a list of integer "
                              f"row lengths")
     try:
@@ -89,10 +93,12 @@ def load_tiling(path, shape: SkewShape) -> Tiling:
         raise ValueError(f"{path}: expected a list of lozenges")
     loz = []
     for item in data:
-        try:
-            loz.append(Lozenge(int(item["type"]), int(item["x"]), int(item["y"])))
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"{path}: bad lozenge entry {item!r}") from None
+        fields = [item.get(k) for k in Lozenge._fields] \
+            if isinstance(item, dict) else [None]
+        if not all(map(_is_int, fields)):
+            raise ValueError(f"{path}: bad lozenge entry {item!r} (type, x "
+                             f"and y must be integers)")
+        loz.append(Lozenge(*fields))
     region = build_region(shape)
     at = region.moves().index
     h = region.moves().heights({(l.x, l.y) for l in loz if l.type == 3})
@@ -135,11 +141,17 @@ def load_density(path) -> DensityField:
         if header is None or header[:2] != ["x", "y"]:
             raise ValueError(f"{path}: not a density CSV")
         for row in rd:
-            if len(row) < 6:
-                raise ValueError(f"{path}: density rows need 6 columns")
-            anchors.append((int(row[0]), int(row[1])))
-            freqs.append((float(row[2]), float(row[3]), float(row[4])))
-            n = int(row[5])
+            try:
+                if len(row) < 6:
+                    raise ValueError("density rows need 6 columns")
+                fr = (float(row[2]), float(row[3]), float(row[4]))
+                if not all(map(math.isfinite, fr)):
+                    raise ValueError(f"frequencies must be finite, got {fr}")
+                anchors.append((int(row[0]), int(row[1])))
+                n = int(row[5])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {rd.line_num}: {exc}") from None
+            freqs.append(fr)
     return DensityField(None, tuple(anchors), np.array(freqs).reshape(-1, 3),
                         n)
 

@@ -194,10 +194,8 @@ def _pl_left(pts, x: float) -> float:
         return 0.0
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         if x <= x1:
-            if x1 == x0:
-                return y0
             return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    return pts[-1][1]
+    return pts[-1][1]  # only a NaN x fails every comparison
 
 
 def _curve_area(pts) -> float:

@@ -427,21 +427,21 @@ def extend(partial: dict, region: Region) -> Tiling:
 
     The partial data must satisfy the pairwise growth bound
     g(y) - g(x) <= max(y1 - x1, y2 - x2, 0); a violating pair is reported.
-    The result dominates every other extension pointwise.  Only the edge
-    rule is validated here: agreement with the region's pins is up to the
-    caller's choice of partial data.  Through `region.fixed`, whose pinned
-    suffixes hold the mask, it is the region's highest tiling.
+    The result dominates every other extension pointwise.  It keeps the
+    edge rule with no check: every edge steps by e in {e1, e2, e3}, and
+    the cone max(d1, d2, 0) is subadditive with cone(e) = 1 and
+    cone(-e) = 0, so min over pins of g + cone gains 0 or 1 along e.
+    Agreement with the region's pins is up to the caller's choice of
+    partial data.  Through `region.fixed`, whose pinned suffixes hold the
+    mask, it is the region's highest tiling.
     """
-    h = _extension(partial, region, maximal=True)
-    _check_edges(region, h)
-    return Tiling(region, h)
+    return Tiling(region, _extension(partial, region, maximal=True))
 
 
 def minimal_extension(partial: dict, region: Region) -> Tiling:
-    """Smallest height function through the given partial values."""
-    h = _extension(partial, region, maximal=False)
-    _check_edges(region, h)
-    return Tiling(region, h)
+    """Smallest height function through the given partial values; it keeps
+    the edge rule as `extend`'s does."""
+    return Tiling(region, _extension(partial, region, maximal=False))
 
 
 def flip(t: Tiling, v: Vertex) -> Tiling | None:
@@ -514,10 +514,10 @@ def _height_vectors(region: Region, guard: int | None) -> Iterator[list]:
             yield h
 
 
-def iter_flat_cells(region: Region, guard: int | None = None) -> Iterator[list]:
+def iter_flat_cells(region: Region) -> Iterator[list]:
     """Stream, per height function, the cells carrying a horizontal lozenge."""
     table = region.moves()
-    for h in _height_vectors(region, guard):
+    for h in _height_vectors(region, None):
         yield table.flat_cells(h)
 
 

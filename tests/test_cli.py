@@ -30,7 +30,7 @@ def test_import_loads_no_scipy():
 
 def test_count_methods(capsys, data_dir):
     shape = str(data_dir / "s332_21.json")
-    for method in ("auto", "det", "brute", "nhlf"):
+    for method in ("det", "brute", "nhlf"):
         code, out, _ = run(capsys, "--no-manifest", "count",
                            "--shape", shape, "--method", method)
         assert code == 0
@@ -38,11 +38,12 @@ def test_count_methods(capsys, data_dir):
 
 
 def test_count_auto_takes_the_fast_route(capsys, tmp_path, monkeypatch):
-    # th(20) has 1200 cells: auto counts it with nhlf, never the determinant
+    # th(20) has 1200 cells: the default counts it with nhlf, never the
+    # determinant
     from skewtab import cli, count_thick_hook, thick_hook_shape
 
     def refuse(shape):
-        raise AssertionError("auto must not call count_determinant")
+        raise AssertionError("count must not call count_determinant")
 
     monkeypatch.setattr(cli, "count_determinant", refuse)
     sh = thick_hook_shape(20, 20, 20)
@@ -52,9 +53,23 @@ def test_count_auto_takes_the_fast_route(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert int(out.strip()) == count_thick_hook(20, 20, 20)
     path.write_text(json.dumps({"outer": list(sh.outer)}))
-    code, out, _ = run(capsys, "--no-manifest", "count", "--shape", str(path),
-                       "--method", "auto")
+    code, out, _ = run(capsys, "--no-manifest", "count", "--shape", str(path))
     assert code == 0 and int(out.strip()) == count_hlf(sh.outer)
+
+
+def test_count_has_three_routes(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{nhlf,det,brute}" in out and "nhlf (default)" in out
+    for method in ("auto", "hlf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--shape", "s.json", "--method", method])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+    assert not os.listdir()
 
 
 def test_count_empty(capsys, data_dir):
@@ -72,14 +87,6 @@ def test_global_flags_accepted_after_subcommand(capsys, data_dir, tmp_path):
                        "--manifest", str(manifest))
     assert code == 0 and out.strip() == "16"
     assert json.loads(manifest.read_text())["subcommand"] == "count"
-
-
-def test_count_hlf_requires_straight(capsys, data_dir):
-    code, _, err = run(capsys, "--no-manifest", "count",
-                       "--shape", str(data_dir / "s332_21.json"),
-                       "--method", "hlf")
-    assert code == 2
-    assert json.loads(err.strip())["error"]
 
 
 def test_bad_shape_file_exits_2(capsys, tmp_path):
@@ -157,8 +164,7 @@ def test_count_beyond_str_digit_limit(capsys, tmp_path):
     p = tmp_path / "square.json"
     p.write_text(json.dumps({"outer": [80] * 80}))
     limit = sys.get_int_max_str_digits()
-    code, out, _ = run(capsys, "--no-manifest", "count", "--shape", str(p),
-                       "--method", "hlf")
+    code, out, _ = run(capsys, "--no-manifest", "count", "--shape", str(p))
     assert code == 0
     assert sys.get_int_max_str_digits() == limit
     digits = out.strip()

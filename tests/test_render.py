@@ -42,3 +42,18 @@ def test_render_refuses_an_unknown_lozenge_type(tmp_path):
 
     with pytest.raises(ValueError, match="unknown lozenge type 4"):
         render_tiling(Fake(), tmp_path / "t.svg")
+
+
+def test_nothing_to_draw_is_a_blank_picture(tmp_path, data_dir):
+    from skewtab.cli import main
+
+    tiling, dens = tmp_path / "t.json", tmp_path / "d.csv"
+    tiling.write_text("[]")
+    dens.write_text("x,y,freq1,freq2,freq3,n\n")
+    blank = '<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10"/>\n'
+    for argv in (["--tiling", str(tiling), "--shape",
+                  str(data_dir / "empty.json")], ["--density", str(dens)]):
+        out = tmp_path / "out.svg"
+        assert main(["--no-manifest", "render", *argv, "--out", str(out)]) == 0
+        assert out.read_text() == blank
+        out.unlink()

@@ -178,3 +178,43 @@ def test_density_rows_need_six_columns(tmp_path, capsys):
         load_density(p)
     assert "6 columns" in _exits_2(capsys, "render", "--density", str(p),
                                    "--out", str(tmp_path / "d.svg"))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("x", 0.9), ("type", True), ("x", "0"), ("type", "x")])
+def test_tiling_fields_must_be_json_integers(tmp_path, capsys, monkeypatch,
+                                             data_dir, s332_21, field,
+                                             value):
+    # the first entry is (1, 0, 2): int() read 0.9, true and "0" as a
+    # valid tiling, and "x" failed without naming the file
+    monkeypatch.chdir(tmp_path)
+    entries = [{"type": l.type, "x": l.x, "y": l.y}
+               for l in heights_to_tiling(enumerate_H(s332_21)[0]).lozenges]
+    entries[0][field] = value
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps(entries))
+    with pytest.raises(ValueError) as exc:
+        load_tiling(p, s332_21)
+    assert str(exc.value).startswith(f"{p}: bad lozenge entry "), exc.value
+    code = main(["render", "--tiling", str(p), "--shape",
+                 str(data_dir / "s332_21.json"), "--out", "t.svg"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert json.loads(captured.err) == {"error": str(exc.value)}
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["t.json"]
+
+
+@pytest.mark.parametrize("row, why", [
+    ("1,1,a,0.5,0.0,4", "could not convert string to float: 'a'"),
+    ("1.5,1,0.5,0.5,0.0,4", "invalid literal for int() with base 10: '1.5'"),
+    ("1,1,nan,0.5,0.0,4", "frequencies must be finite")],
+    ids=["frequency", "anchor", "nan"])
+def test_density_rows_are_checked_at_load(tmp_path, capsys, row, why):
+    p, svg = tmp_path / "d.csv", tmp_path / "d.svg"
+    p.write_text(f"x,y,freq1,freq2,freq3,n\n2,1,0.0,1.0,0.0,4\n{row}\n")
+    with pytest.raises(ValueError) as exc:
+        load_density(p)
+    assert str(exc.value).startswith(f"{p}: line 3: {why}"), exc.value
+    msg = _exits_2(capsys, "render", "--density", str(p), "--out", str(svg))
+    assert str(p) in msg and msg == str(exc.value)
+    assert not svg.exists()

@@ -209,6 +209,38 @@ def test_extension_refuses_pins_outside_the_region():
         minimal_extension({(9, 9): 0}, region_332_21())
 
 
+def test_extensions_keep_the_edge_rule():
+    """Both extensions of any partial data that passes the growth check
+    gain 0 or 1 along every edge, with or without the region's pins."""
+    rng = random.Random(4040)
+    regions = []
+    while len(regions) < 60:
+        lam = sorted((rng.randint(1, 8) for _ in range(rng.randint(1, 7))),
+                     reverse=True)
+        mu = sorted((rng.randint(0, v) for v in lam), reverse=True)
+        try:
+            regions.append(build_region(SkewShape(lam, mu)))
+        except ValueError:
+            continue
+    checked = 0
+    for reg in regions:
+        order = reg.moves().order
+        for _ in range(40):
+            partial = {v: rng.randint(-2, reg.depth + 2)
+                       for v in rng.sample(order, min(len(order),
+                                                      rng.randint(1, 6)))}
+            for ext in (extend, minimal_extension):
+                try:
+                    t = ext(partial, reg)
+                except ValueError as exc:
+                    assert "grows too fast" in str(exc)
+                    continue
+                _check_edges(reg, t.heights)
+                assert all(t[v] == x for v, x in partial.items())
+                checked += 1
+    assert checked == 1550
+
+
 def test_as_region_refuses_a_non_shape():
     with pytest.raises(TypeError, match="expected SkewShape or Region"):
         _as_region([[3, 3, 2], [2, 1]])

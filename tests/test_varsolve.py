@@ -230,7 +230,7 @@ def test_k_psi_matches_quadrature():
     profiles = [thick_hook_profile(a, b) for a, b in
                 [(1.0, 1.0), (0.5, 2.0), (2.0, 0.5), (0.1, 3.0), (3.0, 3.0)]]
     profiles += [thick_ribbon_profile(), square_profile()]
-    # a short slope or flat: its sub-intervals take the midpoint series
+    # a short slope or flat: a chain segment whose ends nearly coincide
     profiles += [StableProfile([(0, 2), (1, 1), (1.001, y), (2, 0)])
                  for y in (1 - 0.001 / 3, 1)]
     rng = random.Random(15)
