@@ -1,17 +1,16 @@
 """Estimate the asymptotic constant for two growing shape families and
 cross-check against exact finite counts."""
-import math
-
 from skewtab import (
     constant,
     finite_n_constant,
+    thick_hook_constant,
     thick_hook_profile,
     thick_hook_shape_of_size,
     thick_ribbon_profile,
     thick_ribbon_shape_of_size,
 )
 
-THICK_HOOK_C = 3.5 * math.log(3.0) - (22.0 / 3.0) * math.log(2.0) + 0.5
+THICK_HOOK_C = thick_hook_constant(1.0, 1.0)
 
 
 def main():

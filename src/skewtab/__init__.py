@@ -26,6 +26,7 @@ from .exact import (
     count_thick_hook,
     macmahon,
     superfactorial,
+    thick_hook_constant,
 )
 from .tiling import (
     Lozenge,

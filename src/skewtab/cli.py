@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ResourceGuardError, check_eps
-from .exact import count_brute_force, count_determinant
+from .exact import count_brute_force, count_determinant, thick_hook_constant
 from .nhlf import count_nhlf, hook_weights, tiling_weight, uniform_weights
 from .render import render_density, render_tiling
 from .sampler import density, sample
@@ -194,7 +194,7 @@ def _cmd_repro(args) -> list[str]:
             ok = _check("hexagon entropy", mesh.psi_value,
                         4.5 * math.log(3.0) - 6.0 * math.log(2.0), 5e-3)
         elif name == "thick-hook":
-            target = 3.5 * math.log(3.0) - (22.0 / 3.0) * math.log(2.0) + 0.5
+            target = thick_hook_constant(1.0, 1.0)
             res = constant(thick_hook_profile(1.0, 1.0), mesh_n=args.mesh)
             ok = _check("thick-hook constant", res.value, target, 1e-2)
             limit = _series_limit(thick_hook_shape_of_size, range(12, 21),

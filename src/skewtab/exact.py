@@ -4,13 +4,14 @@ count_hlf        product formula for straight shapes
 count_brute_force  layered DP over packed row fill states
 count_determinant  integer determinant of inverse-factorial type
 count_thick_hook   closed superfactorial form for rectangle-minus-rectangle
+thick_hook_constant  its growth constant c(alpha, beta), in closed form
 macmahon           boxed plane partition product
 """
 from __future__ import annotations
 
-from math import factorial, perm
+from math import factorial, log, log1p, perm
 
-from .errors import ResourceGuardError
+from .errors import ResourceGuardError, check_count
 from .shapes import Partition, SkewShape, hook_table
 
 BRUTE_FORCE_LIMIT = 25
@@ -42,8 +43,10 @@ def count_brute_force(shape: SkewShape, limit: int = BRUTE_FORCE_LIMIT) -> int:
     entries placed to its number of fillings; entries are added one at a
     time in increasing label order, and a row takes its next cell only once
     the cell above it is filled.  Exact but exponential, so shapes with more
-    than `limit` cells are refused.
+    than `limit` cells are refused; a `limit` that is not an integer >= 0
+    raises ValueError.
     """
+    limit = check_count("limit", limit, 0)
     if shape.size > limit:
         raise ResourceGuardError(
             f"brute force refused for {shape.size} cells (limit {limit})",
@@ -149,3 +152,26 @@ def count_thick_hook(a: int, b: int, c: int) -> int:
     den = superfactorial(a + b) * superfactorial(a + c) * superfactorial(b + c)
     den *= superfactorial(a + b + 2 * c)
     return _divide_exactly(num, den, "thick hook product")
+
+
+def thick_hook_constant(alpha: float, beta: float) -> float:
+    """c(alpha, beta) = lim (log f - N log N / 2) / N on (a+c)^(b+c) / a^b,
+    with a = alpha c, b = beta c and c growing.
+
+    It is the limit of `count_thick_hook`'s product.  With log Phi(n) =
+    n^2 log n / 2 - 3 n^2 / 4 + O(n log n), each factor Phi(x c) leaves
+    x^2 log x / 2 per c^2 once the c^2 log c and c^2 terms cancel against
+    N!, N = (1 + s) c^2 and s = alpha + beta.
+    """
+    if alpha < 0 or beta < 0:
+        raise ValueError("need alpha, beta >= 0")
+    s = alpha + beta
+
+    def term(x: float) -> float:
+        return x * x * log(x) if x > 0 else 0.0
+
+    # Phi's arguments over c: a, b and twice a + b + c over a + b, a + c,
+    # b + c and a + b + 2c (the factors Phi(c) have x = 1)
+    num = term(alpha) + term(beta) + 2.0 * term(1.0 + s)
+    den = term(s) + term(1.0 + alpha) + term(1.0 + beta) + term(2.0 + s)
+    return 0.5 + 0.5 * log1p(s) + (num - den) / (2.0 * (1.0 + s))

@@ -8,7 +8,12 @@ in polynomial time as a Lindström–Gessel–Viennot determinant of lattice
 path sums, in integer arithmetic with one exact division at the end.  The
 paths are the region's one path family, `Region.paths()`, built once per
 region and reused by every sum on it (`cap_gaps` makes 1 + len(eps) sums).
-`count_nhlf` feeds it integer hooks; `partition_function` and `cap_gaps`
+A path's two moves between neighbouring chains are adjacent offsets, so
+the steps it can reach on a chain form a run: each source's path sums are
+one list window, advanced a chain at a time by a pairwise sum and clipped
+to the chain's cells.
+`count_nhlf` feeds it integer hooks, read at the path cells only;
+`partition_function` and `cap_gaps`
 feed it each log weight x as the exact rational 1 / exp(-x), read off the
 float exp(-x) as d / n from its integer ratio n / d, so that every node
 weight 1/w is a dyadic rational.
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, mul
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import check_eps
@@ -92,46 +98,54 @@ def _tiling_sum(region: Region,
     prod(w over those cells) times det[path sums from sources to sinks]
     (Lindström–Gessel–Viennot).  The arithmetic is in ints: chain c scales
     its node weights 1/w, w = p/q an int or Fraction, by L_c = lcm(p) to
-    the ints L_c q / p.  Each source carries its path sums over one
-    denominator, times L_c per chain and reduced by a gcd; each row is
-    cleared by the lcm of its denominators for the fraction-free Bareiss
-    determinant.
+    the ints L_c q / p.  Each source carries its path sums as a window, a
+    list over consecutive steps, over one denominator: a chain step adds
+    the window to itself shifted by one, reads the sinks by index, keeps
+    the steps that carry cells, multiplies in the node weights and the
+    denominator by L_c, and divides out a gcd.  Each row is cleared by the
+    lcm of its denominators for the fraction-free Bareiss determinant.
     """
     chains, sources = region.paths()
     pnum = pden = 1
-    node_w, scale = [], []
-    for cells, _, _ in chains:
+    steps = []  # per chain: window shift, sinks, L_c and the node weights
+    for cells, moves, sinks in chains:
+        if not cells:
+            steps.append((moves[0], sinks, 1, [None]))
+            continue
         ws = [cell_weight(c) for c in cells]
-        lc = math.lcm(*(w.numerator for w in ws))
-        pnum *= math.prod(w.numerator for w in ws)
+        nums = [w.numerator for w in ws]
+        lc = math.lcm(*nums)
+        pnum *= math.prod(nums)
         pden *= math.prod(w.denominator for w in ws)
-        scale.append(lc)
-        node_w.append([None] + [lc // w.numerator * w.denominator
-                                for w in ws])
+        steps.append((moves[0], sinks, lc,
+                      [None] + [lc // w.numerator * w.denominator for w in ws]))
 
     n = len(sources)
     m = [[(0, 1)] * n for _ in range(n)]
-    for i, (c, t) in enumerate(sources):
-        sums, q = {t: 1}, 1  # weighted path count by step on chain c, over q
+    for i, (c, lo) in enumerate(sources):
+        # weighted path counts by step on chain c, over q: sums[k] is step
+        # lo + k's, as the steps a path reaches on a chain form a run
+        sums, q = [1], 1
         while sums:
-            moves = chains[c][1]
+            # moves are (-1, 0) or (0, 1): step s on the next chain sums
+            # steps s + 1 and s, or s and s - 1, of this one
+            lo += steps[c][0]
             c += 1
-            for j, s in chains[c][2]:
-                v = sum(sums.get(s - dt, 0) for dt in moves)
+            _, sinks, lc, wts = steps[c]
+            sums = list(map(add, [0, *sums], [*sums, 0]))
+            for j, s in sinks:
+                v = sums[s - lo] if 0 <= s - lo < len(sums) else 0
                 g = math.gcd(v, q)
                 m[i][j] = (v // g, q // g)
-            top, wts = len(chains[c][0]), node_w[c]
-            nxt: dict[int, int] = {}
-            for s, val in sums.items():
-                for dt in moves:
-                    if 1 <= s + dt <= top:
-                        nxt[s + dt] = nxt.get(s + dt, 0) + val
-            sums = {s: val * wts[s] for s, val in nxt.items()}
-            q *= scale[c]
-            g = math.gcd(q, *sums.values())
+            # keep the steps 1..len(cells) and weigh them; map stops at the top
+            if lo < 1:
+                sums, lo = sums[1 - lo:], 1
+            sums = list(map(mul, sums, wts[lo:]))
+            q *= lc
+            g = math.gcd(q, *sums)
             if g > 1:
                 q //= g
-                sums = {s: val // g for s, val in sums.items()}
+                sums = [v // g for v in sums]
     rows, clear = [], 1
     for row in m:
         lr = math.lcm(*(b for _, b in row))
@@ -174,15 +188,22 @@ def count_nhlf(shape) -> int:
     """Exact filling count: N!/hookproduct * sum over tilings of hook products.
 
     The hook product sum runs over the horizontal-lozenge cells of every
-    tiling and is evaluated exactly by the LGV engine, `_tiling_sum`.
+    tiling and is evaluated exactly by the LGV engine, `_tiling_sum`, which
+    reads the hook h(x, y) = lam_x + lam'_y - x - y + 1 at the path cells
+    only.  The outer hook product is Frobenius's prod l_i! / prod_{i<j}
+    (l_i - l_j), l_i = lam_i + n - i over the n rows.
     """
     region = _as_region(shape)
     shape = region.shape
-    table = hook_table(shape.outer)
-    total = _tiling_sum(region, table.__getitem__)
-    return _divide_exactly(math.factorial(shape.size) * total.numerator,
-                           table.product() * total.denominator,
-                           "N! times the hook sum over the hook product")
+    lam, conj = shape.outer.parts, shape.outer.conjugate().parts
+    total = _tiling_sum(
+        region, lambda c: lam[c[0] - 1] + conj[c[1] - 1] - c[0] - c[1] + 1)
+    ell = [p + len(lam) - i for i, p in enumerate(lam, 1)]
+    vdm = math.prod(a - b for i, a in enumerate(ell) for b in ell[i + 1:])
+    return _divide_exactly(
+        math.factorial(shape.size) * total.numerator * vdm,
+        math.prod(map(math.factorial, ell)) * total.denominator,
+        "N! times the hook sum over the hook product")
 
 
 def _log_ratio(a: Fraction, b: Fraction) -> float:

@@ -9,14 +9,18 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Iterator
 
+from .errors import check_count
+
 Cell = tuple[int, int]
 
 
 class Partition:
     """A weakly decreasing tuple of positive row lengths.
 
-    Trailing zeros are dropped on construction.  Negative parts or an
-    increase between consecutive parts raise ValueError.
+    Trailing zeros are dropped on construction.  A part that is not an
+    integer (a float, a string or a bool; numpy ints are integers), a
+    negative part or an increase between consecutive parts raises
+    ValueError.
     """
 
     __slots__ = ("parts",)
@@ -25,7 +29,8 @@ class Partition:
         if isinstance(parts, Partition):
             self.parts = parts.parts
             return
-        ps = tuple(int(p) for p in parts)
+        ps = tuple(p if type(p) is int else check_count("row length", p, 0)
+                   for p in parts)
         while ps and ps[-1] == 0:
             ps = ps[:-1]
         for i, p in enumerate(ps):
@@ -50,10 +55,11 @@ class Partition:
         return 0
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition()
-        w = self.parts[0]
-        return Partition(sum(1 for p in self.parts if p >= y) for y in range(1, w + 1))
+        # columns lam_{x+1} < y <= lam_x have length x
+        conj: list[int] = []
+        for x in range(len(self.parts), 0, -1):
+            conj += [x] * (self.parts[x - 1] - len(conj))
+        return Partition(conj)
 
     def cells(self) -> Iterator[Cell]:
         for x, p in enumerate(self.parts, start=1):

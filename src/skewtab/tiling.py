@@ -227,26 +227,32 @@ class Region:
         rules).  Masked steps rise and form a suffix, so level l is forced
         onto step k_d + l when that step is masked or k_d = 0, and the free
         levels ride on the unmasked steps t = 1, 2, ..., step t's cell being
-        cells[t - 1] (no cells when k_d = 0).  Each maximal run of chains on
-        which a level is free is one path, from the forced node before the
-        run, source i = (c, t), to the forced node after it, sink (i, t) on
-        its chain; the outermost chains have k_d = 0, so every run ends
-        inside the region.  Tilings are the vertex-disjoint path families,
-        and a tiling's flat cells are the cells no path visits (Morales–
-        Pak–Panova, arXiv:1512.08348, section 3).
+        cells[t - 1]: the chain cut once where the masked suffix starts (no
+        cells when k_d = 0).  Each maximal run of chains on which a level is
+        free is one path, from the forced node before the run, source i =
+        (c, t), to the forced node after it, sink (i, t) on its chain, found
+        in one pass over the chains per level; the outermost chains have
+        k_d = 0, so every run ends inside the region.  Tilings are the
+        vertex-disjoint path families, and a tiling's flat cells are the
+        cells no path visits (Morales–Pak–Panova, arXiv:1512.08348,
+        section 3).
         """
         if self._paths is None:
             ds = sorted(self.chains)
-            ks = [len(self.chains[d]) - 1 - self.depth for d in ds]
-            # chains with k_d = 0 are pinned ramps: no flat cell, no free level
-            cells = [[c for c in self.chains[d][1:] if c not in self.masked]
-                     if k else [] for d, k in zip(ds, ks)]
+            chains = [self.chains[d] for d in ds]
+            ks = [len(ch) - 1 - self.depth for ch in chains]
+            masked = self.masked.__contains__
+            # chains with k_d = 0 are pinned ramps: no flat cell, no free
+            # level; elsewhere the masked cells are the chain's suffix
+            cells = [list(ch[1:bisect_left(ch, True, 1, key=masked)]) if k
+                     else [] for ch, k in zip(chains, ks)]
+            # levels 1..nfree[c] ride on chain c's unmasked steps
+            nfree = [len(cs) - k for cs, k in zip(cells, ks)]
             sources, sinks = [], [()] * len(ds)
             for level in range(1, self.depth + 1):
                 for c in range(1, len(ds)):
-                    # a level is free on a chain where its node is unmasked
-                    inside = ks[c] + level <= len(cells[c])
-                    if inside != (ks[c - 1] + level <= len(cells[c - 1])):
+                    inside = level <= nfree[c]
+                    if inside != (level <= nfree[c - 1]):
                         if inside:
                             sources.append((c - 1, ks[c - 1] + level))
                         else:  # the end of the last source's path
@@ -266,7 +272,7 @@ def build_region(shape: SkewShape) -> Region:
     """Chain-of-diagonals region whose height functions encode the tilings."""
     lam = shape.outer.parts
     mu = shape.inner.parts + (0,) * (len(lam) - len(shape.inner))
-    kd, ud = {}, {}
+    diagonals, depth = [], 0
     for d in range(-len(shape.inner), shape.inner.width + 1):
         hx, hy = (0, d) if d >= 0 else (-d, 0)
         # the diagonal's cells in lam are its first u; those in mu, its first k
@@ -274,17 +280,17 @@ def build_region(shape: SkewShape) -> Region:
         while hx + u < len(lam) and lam[hx + u] > hy + u:
             k += mu[hx + u] > hy + u
             u += 1
-        kd[d], ud[d] = k, u
-    depth = max((ud[d] - kd[d] for d in kd if kd[d] > 0), default=0)
+        diagonals.append((hx, hy, k, u))
+        if k and u - k > depth:
+            depth = u - k
     vertices: set[Vertex] = set()
     fixed: dict[Vertex, int] = {}
     masked: set[Vertex] = set()
     chains: dict[int, tuple[Vertex, ...]] = {}
-    for d in sorted(kd):
-        hx, hy = (0, d) if d >= 0 else (-d, 0)
-        k, u = kd[d], ud[d]
-        chain = tuple((hx + t, hy + t) for t in range(k + depth + 1))
-        chains[d] = chain
+    for hx, hy, k, u in diagonals:
+        n = k + depth + 1
+        chain = tuple(zip(range(hx, hx + n), range(hy, hy + n)))
+        chains[hy - hx] = chain
         vertices.update(chain)
         # the steps past u are masked and must rise, so from step u on (from
         # the head when k = 0) the heights are forced to reach D at the tail
@@ -292,7 +298,7 @@ def build_region(shape: SkewShape) -> Region:
         fixed[chain[0]] = 0
         fixed.update(zip(chain[start:], range(start - k, depth + 1)))
         masked.update(chain[u + 1:])
-    free = tuple(sorted(v for v in vertices if v not in fixed))
+    free = tuple(sorted(vertices.difference(fixed)))
     return Region(shape, frozenset(vertices), fixed, free, frozenset(masked),
                   chains, depth)
 

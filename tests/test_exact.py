@@ -18,6 +18,7 @@ from skewtab import (
     macmahon,
     superfactorial,
 )
+from skewtab import thick_hook_constant as library_thick_hook_constant
 from skewtab.exact import _divide_exactly
 
 
@@ -127,6 +128,17 @@ def test_brute_force_guard():
         assert "count_determinant" in str(exc)
 
 
+@pytest.mark.parametrize("limit,why", [
+    (3.5, "limit must be an integer, got 3.5"),
+    (True, "limit must be an integer, got True"),
+    (-1, "limit must be >= 0, got -1"),
+])
+def test_brute_force_checks_its_limit(limit, why):
+    with pytest.raises(ValueError, match=why):
+        count_brute_force(SkewShape([2, 1]), limit)
+    assert count_brute_force(SkewShape([2, 1]), np.int64(3)) == 2
+
+
 def test_superfactorial():
     assert [superfactorial(n) for n in range(6)] == [1, 1, 1, 2, 12, 288]
     with pytest.raises(ValueError):
@@ -196,6 +208,18 @@ def test_thick_hook_constant_closed_form():
     # repro's thick-hook target is c(1, 1)
     repro = 3.5 * math.log(3.0) - (22.0 / 3.0) * math.log(2.0) + 0.5
     assert abs(thick_hook_constant(1.0, 1.0) - repro) <= 1e-15
+
+
+def test_library_thick_hook_constant_matches_the_oracle():
+    # the 6 x 6 grid of (alpha, beta) the solver is judged on
+    grid = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
+    for alpha in grid:
+        for beta in grid:
+            assert abs(library_thick_hook_constant(alpha, beta)
+                       - thick_hook_constant(alpha, beta)) <= 1e-14
+    assert library_thick_hook_constant(0.0, 0.0) == 0.5 - math.log(2.0) * 2
+    with pytest.raises(ValueError, match="need alpha, beta >= 0"):
+        library_thick_hook_constant(-0.5, 1.0)
 
 
 @pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 0.5)])

@@ -201,10 +201,11 @@ def test_tiling_sum_matches_enumeration():
 
 
 def test_count_nhlf_large_shapes():
-    for k in range(1, 13):
+    for k in range(1, 21):
         assert count_nhlf(thick_hook_shape(k, k, k)) \
             == count_thick_hook(k, k, k), k
-    for k in (10, 16):
+    # odd and even ribbons: path windows clipped at both ends of a chain
+    for k in (*range(3, 16), 16):
         sh = thick_ribbon_shape(k)
         assert count_nhlf(sh) == count_determinant(sh), k
 
@@ -399,6 +400,41 @@ def test_path_family_weighted_cells_are_the_outer_cells():
             k = len(chain) - 1 - region.depth
             assert list(cells) == ([c for c in chain[1:] if c in sh.outer]
                                    if k else []), (sh, d)
+
+
+def test_path_cells_are_the_unmasked_chain_cells():
+    # the slice at the masked suffix against the cell-by-cell mask filter,
+    # on every connected shape with |outer| <= 9 and on random ones
+    def check(sh):
+        region = build_region(sh)
+        for d, (cells, _, _) in zip(sorted(region.chains), region.paths()[0]):
+            chain = region.chains[d]
+            k = len(chain) - 1 - region.depth
+            assert cells == ([c for c in chain[1:] if c not in region.masked]
+                             if k else []), (sh, d)
+
+    checked = 0
+    for lam in _all_partitions_up_to(9):
+        for mu in _subpartitions(lam):
+            try:
+                sh = SkewShape(lam, mu)
+            except ValueError:
+                continue
+            check(sh)
+            checked += 1
+    assert checked == 927
+    rng = random.Random(41)
+    done = 0
+    while done < 200:
+        lam = sorted((rng.randint(1, 12) for _ in range(rng.randint(1, 10))),
+                     reverse=True)
+        mu = sorted((rng.randint(0, v) for v in lam), reverse=True)
+        try:
+            sh = SkewShape(lam, mu)
+        except ValueError:
+            continue
+        check(sh)
+        done += 1
 
 
 def test_cap_gaps_builds_the_path_family_once(monkeypatch):

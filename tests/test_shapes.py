@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from _naive import connected_reference
@@ -38,6 +39,26 @@ def test_partition_rejects_increasing():
         Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([2, -1])
+
+
+@pytest.mark.parametrize("build,bad", [
+    (lambda: SkewShape([2.7, 1], [0.9]), "2.7"),
+    (lambda: Partition(["3"]), "'3'"),
+    (lambda: Partition([True, True]), "True"),
+    (lambda: Partition([3, 2.0]), "2.0"),
+    (lambda: thick_hook_shape(1.5, 1, 1), "2.5"),
+])
+def test_partition_refuses_parts_that_are_not_integers(build, bad):
+    # nothing is truncated: the refusal names the part
+    with pytest.raises(ValueError, match=f"row length must be an integer, "
+                                         f"got {bad}"):
+        build()
+
+
+def test_partition_takes_numpy_ints():
+    p = Partition(np.array([3, 1, 0], dtype=np.int64))
+    assert p == Partition([3, 1]) and all(type(v) is int for v in p.parts)
+    assert SkewShape(np.array([3, 2]), [np.int32(1)]) == SkewShape([3, 2], [1])
 
 
 def test_skew_shape_validation():
