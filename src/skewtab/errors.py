@@ -21,14 +21,20 @@ class ResourceGuardError(RuntimeError):
         return base
 
 
+def check_int(name: str, value) -> int:
+    """value as an int, rejecting non-integers (bools too)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_count(name: str, value, least: int) -> int:
     """value as an int, rejecting non-integers (bools too) and values
     below least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = check_int(name, value)
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
-    return int(value)
+    return value
 
 
 def check_eps(eps: float) -> float:

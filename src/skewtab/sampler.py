@@ -9,11 +9,11 @@ log weight, in which an unlisted cell has log weight 0.
 
 A chain's state is one int list from start to finish, the height vector
 in `Region.moves().order`; the move table gives each free vertex its
-index and those of its six neighbours; the mask needs no term, since
-the region pins every vertex it touches.  In a valid state every
-neighbour differs from h(v) by 0 or 1, so the legal interval reduces to
-equality tests: v can rise only if h(v - e3) = h(v), and fall only
-otherwise.  A flip toggles only the
+index and those of its six neighbours; the outer shape needs no term,
+since the region pins every chain step that leaves it.  In a valid state
+every neighbour differs from h(v) by 0 or 1, so the legal interval
+reduces to equality tests: v can rise only if h(v - e3) = h(v), and fall
+only otherwise.  A flip toggles only the
 horizontal lozenges at v and v + e3, so a rise changes the log weight by
 logw(v + e3) - logw(v) and a fall by the negative; the two acceptance
 probabilities of every row are computed once per (region, w, beta).
@@ -188,14 +188,16 @@ def density(samples: list[Tiling]) -> DensityField:
     if region is None or any(t.region is not region for t in samples):
         raise ValueError("samples must share one region")
     n = len(samples)
+    table = region.moves()
     heights = np.array([t.heights for t in samples])
-    cols = np.array([row[:3] for row in region.moves().ups()],
+    cols = np.array([row[:3] for row in table.ups()],
                     dtype=np.intp).reshape(-1, 3)
     p, p1, p3 = (heights[:, cols[:, i]] for i in range(3))
     two = (p1 != p).sum(axis=0)
     three = ((p1 == p) & (p3 == p1)).sum(axis=0)
     freqs = np.stack([n - two - three, two, three], axis=1) / n
-    return DensityField(region, region.up_triangles(), freqs, n)
+    anchors = tuple(table.order[row[0]] for row in table.ups())
+    return DensityField(region, anchors, freqs, n)
 
 
 @dataclass

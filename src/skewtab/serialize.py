@@ -86,7 +86,8 @@ def load_tiling(path, shape: SkewShape) -> Tiling:
 
     The heights are those whose flat cells are the file's horizontal
     lozenges (`MoveTable.heights`); they must be a height function on the
-    pins, which hold the mask, whose lozenges are exactly the file's.
+    pins, which keep every flat cell inside the outer shape, whose
+    lozenges are exactly the file's.
     """
     data = _read_json(path)
     if not isinstance(data, list):

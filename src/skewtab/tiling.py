@@ -18,13 +18,13 @@ diagonal chains, one per diagonal of the inner staircase.  The chain of
 diagonal d starts at (0, d) for d >= 0 and at (-d, 0) otherwise, and runs
 k_d + D steps down the diagonal, where k_d counts inner cells on that
 diagonal and the depth D is the largest legal excitation over all chains.
-Chain cells falling outside the outer shape are masked: no horizontal
-lozenge may sit there, so the e3 edge into them must gain 1.  They form
-a suffix of the chain, so each chain has a pinned suffix: from its step
-u_d, the diagonal's last cell inside the outer shape, to the tail, the
-height at step t is forced to t - k_d, the tail's being D.  Heads are
-pinned to 0, and chains with k_d = 0 are pinned to the full ramp.  With
-the mask held by the pins, no move of a free vertex reads it.  A
+No horizontal lozenge may sit at a chain cell outside the outer shape,
+so the e3 edge into it must gain 1.  Those cells form a suffix of the
+chain, so each chain has a pinned suffix: from its step u_d, the
+diagonal's last cell inside the outer shape, to the tail, the height at
+step t is forced to t - k_d, the tail's being D.  Heads are pinned to 0,
+and chains with k_d = 0 are pinned to the full ramp.  The pins are the
+only record of the outer shape: no move, path or decode reads it.  A
 straight shape, the empty one included, has the single chain (0, 0) and
 one tiling.  A tiling's flat cells form an excited diagram of the inner
 shape (Morales–Pak–Panova, arXiv:1512.08348), the lowest tiling's being
@@ -52,7 +52,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ResourceGuardError, check_count
+from .errors import ResourceGuardError, check_count, check_int
 from .shapes import SkewShape
 
 Vertex = tuple[int, int]
@@ -82,13 +82,13 @@ class MoveTable:
         lo = max(h[a], h[b], h[c], h[x] - 1, h[y] - 1, h[z] - 1)
         hi = min(h[a] + 1, h[b] + 1, h[c] + 1, h[x], h[y], h[z])
 
-    is the closed interval of heights v may take, all else fixed.  The
-    mask takes no part: a region whose free vertex, or its +e3 neighbour,
-    is masked is refused with ValueError, since its moves would need it.
+    is the closed interval of heights v may take, all else fixed.
 
-    Built on first use: `ups()`, per up triangle p (sorted), the indices
-    of p, p + e1, p + e3 and for types 1, 2, 3 the lozenge and the index
-    of its down triangle in `Region.down_triangles` (-1 if absent);
+    Built on first use: `ups()`, per up triangle p = {p, p + e1, p + e3}
+    of the region (sorted by p), the indices of its three vertices and for
+    types 1, 2, 3 the lozenge and the index of its down triangle (-1 if
+    absent), the down triangles q = {q, q + e2, q + e3} being numbered by
+    sorted q, `ndown` of them;
     `below()`, per vertex, the indices of its -e1, -e2, -e3 neighbours,
     which all come before it in `order`; and
     `steps()`, the chain steps (index of v - e3, index of v, v) from head
@@ -96,8 +96,8 @@ class MoveTable:
     `heights` read.
     """
 
-    __slots__ = ("region", "order", "index", "rows", "_ups", "_below",
-                 "_steps")
+    __slots__ = ("region", "order", "index", "rows", "ndown", "_ups",
+                 "_below", "_steps")
 
     def __init__(self, region: "Region"):
         self.region = region
@@ -106,24 +106,26 @@ class MoveTable:
         rows = []
         for v in region.free:
             i, j = v
-            q = (i + 1, j + 1)
-            if v in region.masked or q in region.masked:
-                raise ValueError(f"free vertex {v} or its +e3 neighbour is masked")
-            c, z = at[(i - 1, j - 1)], at[q]
+            c, z = at[(i - 1, j - 1)], at[(i + 1, j + 1)]
             rows.append((at[v], at.get((i - 1, j), c),
                          at.get((i, j - 1), c), c, at.get((i + 1, j), z),
                          at.get((i, j + 1), z), z))
         self.rows = tuple(rows)
-        self._ups = self._below = self._steps = None
+        self.ndown = self._ups = self._below = self._steps = None
 
     def ups(self) -> tuple:
-        """The up-triangle table, built on first use."""
+        """The up-triangle table, built on first use with `ndown`."""
         if self._ups is None:
             at = self.index
-            down = {q: k for k, q in enumerate(self.region.down_triangles())}
+            down = {q: k for k, q in enumerate(
+                (i, j) for i, j in self.order
+                if (i, j + 1) in at and (i + 1, j + 1) in at)}
+            self.ndown = len(down)
             rows = []
-            for p in self.region.up_triangles():
+            for p in self.order:
                 i, j = p
+                if (i + 1, j) not in at or (i + 1, j + 1) not in at:
+                    continue
                 r, s = (i, j - 1), (i + 1, j + 1)
                 rows.append((at[p], at[(i + 1, j)], at[s], (
                     (Lozenge(1, i, j), down.get((i + 1, j), -1)),
@@ -158,8 +160,8 @@ class MoveTable:
     def heights(self, flat) -> list[int]:
         """The height vector whose flat cells are `flat`, the inverse of
         `flat_cells`: 0 at every chain head, +1 at every step into a cell
-        not in `flat`.  The pins, which hold the mask, are the caller's to
-        check."""
+        not in `flat`.  The pins, which keep the flat cells inside the outer
+        shape, are the caller's to check."""
         h = [0] * len(self.order)
         for a, b, v in self.steps():
             h[b] = h[a] + (v not in flat)
@@ -167,47 +169,24 @@ class MoveTable:
 
 
 class Region:
-    """Vertex set, pinned boundary and mask for one skew shape.
+    """Vertex set and pinned boundary for one skew shape.
 
     `free` holds the unpinned vertices in sorted order; `flip` finds a
     vertex's move-table row by bisecting it.
     """
 
-    __slots__ = ("shape", "vertices", "fixed", "free", "masked", "chains",
-                 "depth", "_up", "_down", "_moves", "_paths")
+    __slots__ = ("shape", "vertices", "fixed", "free", "chains", "depth",
+                 "_moves", "_paths")
 
-    def __init__(self, shape, vertices, fixed, free, masked, chains, depth):
+    def __init__(self, shape, vertices, fixed, free, chains, depth):
         self.shape = shape
         self.vertices = vertices
         self.fixed = fixed
         self.free = free
-        self.masked = masked
         self.chains = chains
         self.depth = depth
-        self._up = None
-        self._down = None
         self._moves = None
         self._paths = None
-
-    def up_triangles(self) -> tuple[Vertex, ...]:
-        """Roots p of upward triangles {p, p+e1, p+e3} inside the region."""
-        if self._up is None:
-            vs = self.vertices
-            self._up = tuple(
-                p for p in sorted(vs)
-                if (p[0] + 1, p[1]) in vs and (p[0] + 1, p[1] + 1) in vs
-            )
-        return self._up
-
-    def down_triangles(self) -> tuple[Vertex, ...]:
-        """Roots q of downward triangles {q, q+e2, q+e3} inside the region."""
-        if self._down is None:
-            vs = self.vertices
-            self._down = tuple(
-                q for q in sorted(vs)
-                if (q[0], q[1] + 1) in vs and (q[0] + 1, q[1] + 1) in vs
-            )
-        return self._down
 
     def moves(self) -> MoveTable:
         """The region's integer tables, built on first use."""
@@ -224,15 +203,16 @@ class Region:
         l = 1..D crosses chain d at the step p_d(l) where the height reaches
         l; p_d strictly increases in l and moves by one of `moves` to chain
         d + 1: -1 or 0 when d >= 0, 0 or +1 when d < 0 (the e1 and e2 edge
-        rules).  Masked steps rise and form a suffix, so level l is forced
-        onto step k_d + l when that step is masked or k_d = 0, and the free
-        levels ride on the unmasked steps t = 1, 2, ..., step t's cell being
-        cells[t - 1]: the chain cut once where the masked suffix starts (no
-        cells when k_d = 0).  Each maximal run of chains on which a level is
-        free is one path, from the forced node before the run, source i =
-        (c, t), to the forced node after it, sink (i, t) on its chain, found
-        in one pass over the chains per level; the outermost chains have
-        k_d = 0, so every run ends inside the region.  Tilings are the
+        rules).  The pins past the head form a suffix, from the first of
+        them, step u_d, to the tail, so level l is forced onto step k_d + l
+        when k_d + l > u_d or k_d = 0, and the free levels ride on the steps
+        t = 1, ..., u_d, step t's cell being cells[t - 1]: the chain cut
+        once, after its first pin past the head (no cells when k_d = 0).
+        Each maximal run of chains on which a level is free is one path,
+        from the forced node before the run, source i = (c, t), to the
+        forced node after it, sink (i, t) on its chain, found in one pass
+        over the chains per level; the outermost chains have k_d = 0, so
+        every run ends inside the region.  Tilings are the
         vertex-disjoint path families, and a tiling's flat cells are the
         cells no path visits (Morales–Pak–Panova, arXiv:1512.08348,
         section 3).
@@ -241,12 +221,13 @@ class Region:
             ds = sorted(self.chains)
             chains = [self.chains[d] for d in ds]
             ks = [len(ch) - 1 - self.depth for ch in chains]
-            masked = self.masked.__contains__
+            pinned = self.fixed.__contains__
             # chains with k_d = 0 are pinned ramps: no flat cell, no free
-            # level; elsewhere the masked cells are the chain's suffix
-            cells = [list(ch[1:bisect_left(ch, True, 1, key=masked)]) if k
-                     else [] for ch, k in zip(chains, ks)]
-            # levels 1..nfree[c] ride on chain c's unmasked steps
+            # level; elsewhere the pins past the head are the chain's suffix,
+            # the first of them the diagonal's last cell in the outer shape
+            cells = [list(ch[1:bisect_left(ch, True, 1, key=pinned) + 1])
+                     if k else [] for ch, k in zip(chains, ks)]
+            # levels 1..nfree[c] ride on chain c's steps up to its first pin
             nfree = [len(cs) - k for cs, k in zip(cells, ks)]
             sources, sinks = [], [()] * len(ds)
             for level in range(1, self.depth + 1):
@@ -285,22 +266,20 @@ def build_region(shape: SkewShape) -> Region:
             depth = u - k
     vertices: set[Vertex] = set()
     fixed: dict[Vertex, int] = {}
-    masked: set[Vertex] = set()
     chains: dict[int, tuple[Vertex, ...]] = {}
     for hx, hy, k, u in diagonals:
         n = k + depth + 1
         chain = tuple(zip(range(hx, hx + n), range(hy, hy + n)))
         chains[hy - hx] = chain
         vertices.update(chain)
-        # the steps past u are masked and must rise, so from step u on (from
-        # the head when k = 0) the heights are forced to reach D at the tail
+        # the steps past u leave the outer shape and must rise, so from step
+        # u on (from the head when k = 0) the heights are forced to reach D
+        # at the tail
         start = u if k else 0
         fixed[chain[0]] = 0
         fixed.update(zip(chain[start:], range(start - k, depth + 1)))
-        masked.update(chain[u + 1:])
     free = tuple(sorted(vertices.difference(fixed)))
-    return Region(shape, frozenset(vertices), fixed, free, frozenset(masked),
-                  chains, depth)
+    return Region(shape, frozenset(vertices), fixed, free, chains, depth)
 
 
 def _as_region(shape_or_region) -> Region:
@@ -361,8 +340,7 @@ class Tiling:
                 loz, q = row[3][t]
                 by_type[t].append(loz)
                 downs.append(q)
-            n = len(self.region.down_triangles())
-            if sorted(downs) != list(range(n)):
+            if sorted(downs) != list(range(self.region.moves().ndown)):
                 raise ValueError("inconsistent heights: a down triangle is "
                                  "not covered once (are the pins kept?)")
             # each type's anchors shift the sorted up-triangle roots by a
@@ -407,7 +385,8 @@ def _extension(partial: dict, region: Region, maximal: bool) -> list[int]:
         raise ValueError(f"pinned vertices outside the region: {unknown[:3]}")
     items = sorted(partial.items())
     S = np.array([v for v, _ in items], dtype=np.int64)
-    G = np.array([val for _, val in items], dtype=np.int64)
+    G = np.array([check_int(f"pinned height at {v}", val) for v, val in items],
+                 dtype=np.int64)
     # pairwise growth check: g(y) - g(x) <= max(y1 - x1, y2 - x2, 0)
     diff = S[None, :, :] - S[:, None, :]
     cone = _cone_max(diff[..., 0], diff[..., 1])
@@ -431,15 +410,16 @@ def _extension(partial: dict, region: Region, maximal: bool) -> list[int]:
 def extend(partial: dict, region: Region) -> Tiling:
     """Largest height function through the given partial values.
 
-    The partial data must satisfy the pairwise growth bound
+    Each value must be an integer (bools refused), and the partial data
+    must satisfy the pairwise growth bound
     g(y) - g(x) <= max(y1 - x1, y2 - x2, 0); a violating pair is reported.
     The result dominates every other extension pointwise.  It keeps the
     edge rule with no check: every edge steps by e in {e1, e2, e3}, and
     the cone max(d1, d2, 0) is subadditive with cone(e) = 1 and
     cone(-e) = 0, so min over pins of g + cone gains 0 or 1 along e.
     Agreement with the region's pins is up to the caller's choice of
-    partial data.  Through `region.fixed`, whose pinned suffixes hold the
-    mask, it is the region's highest tiling.
+    partial data.  Through `region.fixed`, whose pinned suffixes keep every
+    flat cell inside the outer shape, it is the region's highest tiling.
     """
     return Tiling(region, _extension(partial, region, maximal=True))
 

@@ -23,15 +23,19 @@ walks a curve segment by segment for one diagonal's chord, and
 one diagonal at a time: the routes that `varsolve`'s interpolation on a
 curve's boundary chain replaces.  `k_psi_reference` integrates
 log hbar over psi's hypograph by adaptive quadrature in x, the route the
-closed form in `varsolve.k_psi` replaces.  `flip_interval_reference`
-bounds a vertex's height neighbour by neighbour through a dict, the route
-that `flip` and the sampler read off a move-table row; `mix_reference` is
+closed form in `varsolve.k_psi` replaces.  `outside_cells` is a region's
+chain cells outside its outer shape, where no horizontal lozenge may sit:
+the mask that `build_region` holds only as pins.  `flip_interval_reference`
+bounds a vertex's height neighbour by neighbour through a dict, reading
+that mask, the route that `flip` and the sampler read off a move-table
+row; `mix_reference` is
 the dict-keyed Metropolis loop on it and `_delta_logw` that the sampler's
 move-table loop replaces, fed the same chunked draws.
 `tiling_sum_reference` is the LGV tiling sum with every path sum and
 elimination step in `Fraction`s, on `det_reference`'s rational Gaussian
 elimination: the route the integer engine and its Bareiss determinant
-replace.  `heights_to_tiling_reference` decodes a dict of heights one
+replace.  `up_roots` and `down_roots` list a region's triangles from its
+vertex set, `heights_to_tiling_reference` decodes a dict of heights one
 upward triangle at a time and checks the down triangles with a
 claimed-dict, and `density_reference` tallies lozenge types one
 lozenge at a time: the routes that `Tiling`'s table decode from its
@@ -414,10 +418,34 @@ def k_psi_reference(profile) -> float:
     return total
 
 
+def outside_cells(region) -> set:
+    """The chain cells outside the region's outer shape."""
+    outer = region.shape.outer
+    return {v for c in region.chains.values() for v in c[1:]
+            if v not in outer}
+
+
+def up_roots(region) -> list:
+    """Sorted roots p of the up triangles {p, p + e1, p + e3}."""
+    vs = region.vertices
+    return sorted(p for p in vs
+                  if (p[0] + 1, p[1]) in vs and (p[0] + 1, p[1] + 1) in vs)
+
+
+def down_roots(region) -> list:
+    """Sorted roots q of the down triangles {q, q + e2, q + e3}."""
+    vs = region.vertices
+    return sorted(q for q in vs
+                  if (q[0], q[1] + 1) in vs and (q[0] + 1, q[1] + 1) in vs)
+
+
 def flip_interval_reference(region, hd: dict, v) -> tuple[int, int]:
-    """Feasible closed interval for the height at v, all else fixed."""
+    """Feasible closed interval for the height at the free vertex v, all
+    else fixed.  v and v + e3 are chain cells past the head, so the e3 edge
+    into either must rise where it lies outside the outer shape."""
     i, j = v
     vs = region.vertices
+    outer = region.shape.outer
     lo, hi = -(1 << 30), 1 << 30
     for p in ((i - 1, j), (i, j - 1)):
         if p in vs:
@@ -428,7 +456,7 @@ def flip_interval_reference(region, hd: dict, v) -> tuple[int, int]:
                 hi = hp + 1
     p3 = (i - 1, j - 1)
     if p3 in vs:
-        b = hd[p3] + (1 if v in region.masked else 0)
+        b = hd[p3] + (1 if v not in outer else 0)
         if b > lo:
             lo = b
         if hd[p3] + 1 < hi:
@@ -444,7 +472,7 @@ def flip_interval_reference(region, hd: dict, v) -> tuple[int, int]:
     if q3 in vs:
         if hd[q3] - 1 > lo:
             lo = hd[q3] - 1
-        b = hd[q3] - (1 if q3 in region.masked else 0)
+        b = hd[q3] - (1 if q3 not in outer else 0)
         if b < hi:
             hi = b
     return lo, hi
@@ -556,7 +584,7 @@ def heights_to_tiling_reference(region, hd: dict) -> tuple:
     """
     claimed = {}
     lozenges = []
-    for p in region.up_triangles():
+    for p in up_roots(region):
         i, j = p
         if hd[(i + 1, j)] != hd[p]:
             typ, anchor, q = 2, (i, j - 1), (i, j - 1)
@@ -568,7 +596,7 @@ def heights_to_tiling_reference(region, hd: dict) -> tuple:
         if q in claimed:
             raise ValueError(f"down triangle at {q} claimed twice")
         claimed[q] = typ
-    if set(claimed) != set(region.down_triangles()):
+    if set(claimed) != set(down_roots(region)):
         raise ValueError("some down triangles are left uncovered")
     return tuple(sorted(lozenges))
 
@@ -576,7 +604,7 @@ def heights_to_tiling_reference(region, hd: dict) -> tuple:
 def density_reference(samples) -> DensityField:
     """sampler.density by a loop over every lozenge of every sample."""
     region = samples[0].region
-    ups = region.up_triangles()
+    ups = tuple(up_roots(region))
     index = {p: k for k, p in enumerate(ups)}
     counts = np.zeros((len(ups), 3))
     for t in samples:

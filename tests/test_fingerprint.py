@@ -3,8 +3,10 @@
 It covers `count_nhlf` and `partition_function(...).z` under hook and
 hook/sqrt(N) weights on every connected lam/mu with |lam| <= 9 and on 100
 seeded random shapes, and `cap_gaps` on th(3,3,3) as `float.hex`.  A
-change to the exact layer that claims to move no number must leave the
-hash as it is; one that moves numbers by design updates it and says why.
+second sha256 pins the region layer on the same shapes: `vertices`,
+`fixed`, `free`, `chains`, `depth` and the full `paths()` output.  A
+change that claims to move no number must leave both hashes as they are;
+one that moves numbers by design updates the hash it moves and says why.
 """
 import hashlib
 import random
@@ -14,6 +16,7 @@ from skewtab import (SkewShape, build_region, cap_gaps, count_nhlf,
                      hook_weights, partition_function, thick_hook_shape)
 
 EXACT_SHA256 = "cf9221bb169ea4a867956d373a59fa0b2d1d90ed7c9fe10533320d3b3a6b6aaf"
+REGION_SHA256 = "1399d3674197e9b2571e1dcc43e8a498caa24da49c7c20b82b1b3b3f47c60dfc"
 
 
 def _shapes():
@@ -53,8 +56,25 @@ def _lines():
     yield "cap_gaps " + " ".join(g.hex() for g in gaps)
 
 
-def test_exact_layer_fingerprint():
+def _region_lines():
+    for sh in _shapes():
+        region = build_region(sh)
+        yield " ".join(map(repr, (
+            sh, sorted(region.vertices), sorted(region.fixed.items()),
+            region.free, sorted(region.chains.items()), region.depth,
+            region.paths())))
+
+
+def _sha256(lines):
     digest = hashlib.sha256()
-    for line in _lines():
+    for line in lines:
         digest.update(line.encode() + b"\n")
-    assert digest.hexdigest() == EXACT_SHA256
+    return digest.hexdigest()
+
+
+def test_exact_layer_fingerprint():
+    assert _sha256(_lines()) == EXACT_SHA256
+
+
+def test_region_layer_fingerprint():
+    assert _sha256(_region_lines()) == REGION_SHA256

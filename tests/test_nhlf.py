@@ -391,7 +391,8 @@ def test_path_family_sources_match_sinks_on_random_shapes():
 
 
 def test_path_family_weighted_cells_are_the_outer_cells():
-    # the family reads the mask; on a built region that is the outer shape
+    # the family cuts each chain at its first pin past the head; on a built
+    # region that keeps exactly the chain cells in the outer shape
     for sh in (SkewShape([5, 4, 4, 2], [2, 1]), thick_ribbon_shape(7),
                SkewShape([2, 2], [2])):
         region = build_region(sh)
@@ -403,14 +404,14 @@ def test_path_family_weighted_cells_are_the_outer_cells():
 
 
 def test_path_cells_are_the_unmasked_chain_cells():
-    # the slice at the masked suffix against the cell-by-cell mask filter,
-    # on every connected shape with |outer| <= 9 and on random ones
+    # the slice at the first pin against the cell-by-cell outer filter, on
+    # every connected shape with |outer| <= 9 and on random ones
     def check(sh):
         region = build_region(sh)
         for d, (cells, _, _) in zip(sorted(region.chains), region.paths()[0]):
             chain = region.chains[d]
             k = len(chain) - 1 - region.depth
-            assert cells == ([c for c in chain[1:] if c not in region.masked]
+            assert cells == ([c for c in chain[1:] if c in sh.outer]
                              if k else []), (sh, d)
 
     checked = 0

@@ -21,7 +21,8 @@ from skewtab.shapes import thick_hook_shape
 from skewtab.tiling import (Region, Tiling, build_region, enumerate_H, flip,
                             minimal_extension)
 
-from _naive import density_reference, flip_interval_reference, mix_reference
+from _naive import (density_reference, flip_interval_reference, mix_reference,
+                    outside_cells)
 from test_tiling import oracle_shapes
 
 
@@ -42,7 +43,7 @@ def _check_flips(t) -> int:
 
 
 def _trimmed(region):
-    """The region without its two outermost chains, its pinned mask kept.
+    """The region without its two outermost chains, its pins kept.
 
     No region of a skew shape looks like this: free vertices next to the
     dropped chains lose -e1, -e2 or +e1 neighbours.
@@ -54,25 +55,19 @@ def _trimmed(region):
               if not drop.issuperset(c)}
     fixed = {v: x for v, x in region.fixed.items() if v not in drop}
     return Region(region.shape, region.vertices - drop, fixed, region.free,
-                  region.masked - drop, chains, region.depth)
+                  chains, region.depth)
 
 
-def _lone_chain(masked=frozenset()):
+def _lone_chain():
     """One chain of six vertices from height 0 to 3, with no e1 or e2
-    neighbour anywhere."""
+    neighbour anywhere, its cells inside the 5 x 5 square."""
     chain = tuple((t, t) for t in range(6))
-    return Region(SkewShape([1], []), frozenset(chain),
-                  {chain[0]: 0, chain[-1]: 3}, chain[1:-1],
-                  frozenset(masked), {0: chain}, 3)
+    return Region(SkewShape([5] * 5, []), frozenset(chain),
+                  {chain[0]: 0, chain[-1]: 3}, chain[1:-1], {0: chain}, 3)
 
 
-def test_move_table_refuses_a_masked_free_vertex():
-    """A mask on a free vertex or its +e3 neighbour is refused, not
-    simulated: build_region pins every vertex the mask touches."""
+def test_move_table_has_a_row_per_free_vertex():
     assert len(_lone_chain().moves().rows) == 4
-    for v in [(1, 1), (2, 2), (5, 5)]:
-        with pytest.raises(ValueError, match="is masked"):
-            _lone_chain([v]).moves()
 
 
 def _kernel_regions():
@@ -98,7 +93,8 @@ def _kernel_regions():
 
 def test_move_table_interval_matches_flip_interval():
     """flip reads the dict reference's interval off its move-table row, on
-    every state and free vertex, a masked region included."""
+    every state and free vertex, a region with chain cells outside its
+    outer shape included."""
     sizes = []
     for shape in (thick_hook_shape(2, 2, 2), SkewShape([3, 3, 2], [2, 1]),
                   SkewShape([5, 4, 3, 2, 1], [2, 1]), SkewShape([2, 2], [2])):
@@ -112,16 +108,16 @@ def test_move_table_interval_matches_flip_interval():
             assert [t[v] for v in table.order] == list(t.heights)
             moved += _check_flips(t)
         # 2,2/2 has one state: its one free vertex (1, 1) is held in place
-        # by (1, 2), pinned on the masked suffix of its chain
-        assert moved > 0 or reg.masked, shape
-        sizes.append((len(states), bool(reg.masked)))
+        # by (1, 2), pinned on the suffix of its chain outside the shape
+        assert moved > 0 or outside_cells(reg), shape
+        sizes.append((len(states), bool(outside_cells(reg))))
     assert sizes[0] == (20, False) and sizes[-1] == (1, True)
 
 
 def test_mix_matches_dict_reference():
     """Same chunked draws, same chain, state for state, across a chunk edge."""
     regions = _kernel_regions()
-    assert sum(1 for r in regions if r.masked) >= 20
+    assert sum(1 for r in regions if outside_cells(r)) >= 20
     missing = moved = 0
     for reg in regions:
         w = hook_weights(reg.shape, scale=reg.shape.size)

@@ -19,6 +19,8 @@ from skewtab.serialize import (
 from skewtab.shapes import thick_hook_profile
 from skewtab.tiling import Region, build_region, enumerate_H, heights_to_tiling
 
+from _naive import outside_cells
+
 
 def test_shape_round_trip(tmp_path, s332_21):
     p = tmp_path / "s.json"
@@ -125,16 +127,17 @@ def test_load_tiling_rejects_non_tilings(tmp_path, s332_21):
         with pytest.raises(ValueError):
             load_tiling(p, s332_21)
     # a flat lozenge outside the outer shape: the heights of 2,2/2 pinned
-    # only at its chain heads and tails, at a state the mask forbids
+    # only at its chain heads and tails, at a state the pins forbid
     shape = SkewShape([2, 2], [2])
     reg = build_region(shape)
     ends = {v: x for c in reg.chains.values()
             for v, x in ((c[0], 0), (c[-1], reg.depth))}
-    unmasked = Region(shape, reg.vertices, ends,
-                      tuple(sorted(reg.vertices - ends.keys())), frozenset(),
-                      reg.chains, reg.depth)
-    outside = [h for h in enumerate_H(unmasked)
-               if not reg.masked.isdisjoint(h.type3_cells())]
+    unpinned = Region(shape, reg.vertices, ends,
+                      tuple(sorted(reg.vertices - ends.keys())), reg.chains,
+                      reg.depth)
+    masked = outside_cells(reg)
+    outside = [h for h in enumerate_H(unpinned)
+               if not masked.isdisjoint(h.type3_cells())]
     assert outside
     for h in outside:
         t = heights_to_tiling(h)

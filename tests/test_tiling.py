@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from skewtab import (
@@ -20,7 +21,8 @@ from skewtab.serialize import load_tiling, save_tiling
 from skewtab.shapes import thick_hook_shape
 from skewtab.tiling import _as_region, _check_edges, iter_flat_cells
 
-from _naive import flip_interval_reference, heights_to_tiling_reference
+from _naive import (flip_interval_reference, heights_to_tiling_reference,
+                    outside_cells, up_roots)
 from test_acceptance import _all_partitions_up_to, _subpartitions
 
 
@@ -33,7 +35,7 @@ def test_region_structure_332_21():
     assert len(reg.vertices) == 13
     assert reg.depth == 1
     assert set(reg.free) == {(1, 1), (1, 2), (2, 1)}
-    assert not reg.masked
+    assert not outside_cells(reg)
     # heads pinned to 0, tails pinned to the depth
     for chain in reg.chains.values():
         assert reg.fixed[chain[0]] == 0
@@ -43,9 +45,8 @@ def test_region_structure_332_21():
 def test_region_empty_inner_degenerate():
     for shape in (SkewShape([3, 2], []), SkewShape()):
         reg = build_region(shape)
-        assert (reg.vertices, reg.fixed, reg.free, reg.masked, reg.chains,
-                reg.depth) == ({(0, 0)}, {(0, 0): 0}, (), set(),
-                               {0: ((0, 0),)}, 0)
+        assert (reg.vertices, reg.fixed, reg.free, reg.chains,
+                reg.depth) == ({(0, 0)}, {(0, 0): 0}, (), {0: ((0, 0),)}, 0)
         assert len(enumerate_H(reg.shape)) == 1
 
 
@@ -199,6 +200,21 @@ def test_extension_rejects_contradiction():
         extend(bad, reg)
 
 
+def test_extension_refuses_non_integer_heights():
+    # truncation would give a free vertex pinned to 0.5 the height 0, and
+    # one pinned to "1" or True the height 1
+    reg = region_332_21()
+    for bad in (0.5, 1.0, "1", True):
+        for ext in (extend, minimal_extension):
+            with pytest.raises(ValueError,
+                               match=r"pinned height at \(1, 1\) must be an "
+                                     "integer"):
+                ext({**reg.fixed, (1, 1): bad}, reg)
+    for ext in (extend, minimal_extension):
+        assert ext({**reg.fixed, (1, 1): np.int64(1)}, reg) == \
+            ext({**reg.fixed, (1, 1): 1}, reg)
+
+
 def test_extension_needs_pins():
     with pytest.raises(ValueError, match="at least one pinned value"):
         extend({}, region_332_21())
@@ -264,24 +280,11 @@ def test_heights_invert_flat_cells():
         assert low == list(minimal_extension(reg.fixed, reg).heights)
 
 
-def test_mask_is_the_chain_cells_outside_the_outer_shape():
-    shapes = [SkewShape()]
-    for lam in _all_partitions_up_to(7):
-        for mu in _subpartitions(lam):
-            try:
-                shapes.append(SkewShape(lam, mu))
-            except ValueError:
-                continue
-    for shape in shapes:
-        reg = build_region(shape)
-        assert reg.masked == {v for c in reg.chains.values() for v in c[1:]
-                              if v not in shape.outer}, shape
-
-
 def test_masked_suffix_is_pinned():
     """From the diagonal's last cell in the outer shape to the tail, every
     chain vertex is pinned to t - k_d at step t, so no move touches the
-    mask, and the maximal extension of the pins is the highest tiling."""
+    cells outside the outer shape, and the maximal extension of the pins
+    is the highest tiling."""
     shapes = []
     for lam in _all_partitions_up_to(7):
         for mu in _subpartitions(lam):
@@ -303,20 +306,21 @@ def test_masked_suffix_is_pinned():
     extended = 0
     for shape in shapes:
         reg = build_region(shape)
+        masked = outside_cells(reg)
         for chain in reg.chains.values():
             k = len(chain) - 1 - reg.depth
             u = sum(1 for v in chain[1:] if v in shape.outer)
             for t, v in enumerate(chain):
-                if v in reg.masked or t == u or k == 0:
+                if v in masked or t == u or k == 0:
                     assert reg.fixed.get(v) == t - k, (shape, v)
-        assert not any(v in reg.masked or (v[0] + 1, v[1] + 1) in reg.masked
+        assert not any(v in masked or (v[0] + 1, v[1] + 1) in masked
                        for v in reg.free), shape
         if shape.size > 12:
             continue
         top = extend(reg.fixed, reg)
         assert all(top[v] == x for v, x in reg.fixed.items()), shape
-        assert len(top.lozenges) == len(reg.up_triangles())
-        assert reg.masked.isdisjoint(top.type3_cells()), shape
+        assert len(top.lozenges) == len(up_roots(reg))
+        assert masked.isdisjoint(top.type3_cells()), shape
         states = enumerate_H(reg)
         assert list(top.heights) == [max(t.heights[i] for t in states)
                                      for i in range(len(top.heights))], shape
