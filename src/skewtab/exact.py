@@ -1,7 +1,7 @@
 """Exact counting of standard fillings by independent routes.
 
 count_hlf        product formula for straight shapes
-count_brute_force  layered DP over packed row fill states
+count_brute_force  layered DP over packed row fill states, one guard-bit mask each
 count_determinant  integer determinant of inverse-factorial type
 count_thick_hook   closed superfactorial form for rectangle-minus-rectangle
 thick_hook_constant  its growth constant c(alpha, beta), in closed form
@@ -9,9 +9,10 @@ macmahon           boxed plane partition product
 """
 from __future__ import annotations
 
-from math import factorial, log, log1p, perm
+from itertools import zip_longest
+from math import factorial, isfinite, log, log1p, perm
 
-from .errors import ResourceGuardError, check_count
+from .errors import ResourceGuardError, check_count, check_int
 from .shapes import Partition, SkewShape, hook_table
 
 BRUTE_FORCE_LIMIT = 25
@@ -38,13 +39,21 @@ def count_hlf(lam) -> int:
 def count_brute_force(shape: SkewShape, limit: int = BRUTE_FORCE_LIMIT) -> int:
     """Count standard fillings by a layered DP over packed row fill states.
 
-    A state records how far each row is filled, B bits per row in one int
-    (B the bit length of the longest row).  Layer t maps each state with t
-    entries placed to its number of fillings; entries are added one at a
-    time in increasing label order, and a row takes its next cell only once
-    the cell above it is filled.  Exact but exponential, so shapes with more
-    than `limit` cells are refused; a `limit` that is not an integer >= 0
-    raises ValueError.
+    A state records how far each row is filled in one int: row i owns a
+    field of W = B + 1 bits at shift i W, B value bits (B the bit length
+    of lam_1) under one guard bit.  Layer t maps each state with t entries
+    placed to its number of fillings; entries are added one at a time in
+    increasing label order, and row i takes its next cell when
+    c_i < lam_i and c_i < c_{i-1} (row 1 compares with lam_1).  One mask
+    expression flags all such rows at once: (TOP | G) - ONES - s holds
+    2^B + lam_i - 1 - c_i in field i and (s << W) + G - ONES + lam_1 - s
+    holds 2^B + c_{i-1} - 1 - c_i, so each guard bit is set exactly when
+    its test passes.  Every field stays in [0, 2^W), as 0 <= c_i <= lam_i
+    <= lam_1 < 2^B, so no borrow crosses a field.  Rows that mu covers
+    need no separate test: c_{i-1} >= mu_{i-1} always.  A table local to
+    the call maps each mask to its one-cell increments.  Exact but
+    exponential, so shapes with more than `limit` cells are refused; a
+    `limit` that is not an integer >= 0 raises ValueError.
     """
     limit = check_count("limit", limit, 0)
     if shape.size > limit:
@@ -53,24 +62,36 @@ def count_brute_force(shape: SkewShape, limit: int = BRUTE_FORCE_LIMIT) -> int:
             "use count_determinant or count_nhlf",
         )
     lam = shape.outer.parts
-    mu = [shape.inner.row(x) for x in range(1, len(lam) + 1)]
-    bits = max(lam, default=0).bit_length()
-    mask = (1 << bits) - 1
-    # (shift, lam_i, mu_{i-1}, shift of row i-1, one cell of row i); row 1
-    # takes lam_1 as mu_0, so its test always passes
-    rows = [(i * bits, lam[i], mu[i - 1] if i else lam[0],
-             (i - 1) * bits if i else 0, 1 << i * bits)
-            for i in range(len(lam)) if mu[i] < lam[i]]
-    layer = {sum(m << i * bits for i, m in enumerate(mu)): 1}
+    top1 = lam[0] if lam else 0
+    b = top1.bit_length()
+    w = b + 1
+    top = ones = start = 0
+    for i, (row, cov) in enumerate(zip_longest(lam, shape.inner.parts,
+                                               fillvalue=0)):
+        top |= row << i * w
+        ones |= 1 << i * w
+        start |= cov << i * w
+    g = ones << b
+    below_top = (top | g) - ones
+    below_above = g - ones + top1
+    moves: dict[int, list[int]] = {}
+    layer = {start: 1}
     for _ in range(shape.size):
         nxt: dict[int, int] = {}
         get = nxt.get
         for state, ways in layer.items():
-            for shift, end, mu_above, shift_above, one in rows:
-                c = state >> shift & mask
-                if c < end and (c < mu_above or c < state >> shift_above & mask):
-                    t = state + one
-                    nxt[t] = get(t, 0) + ways
+            m = (below_top - state) & ((state << w) + below_above - state) & g
+            incs = moves.get(m)
+            if incs is None:
+                incs = moves[m] = []
+                rest = m
+                while rest:
+                    low = rest & -rest
+                    incs.append(low >> b)
+                    rest ^= low
+            for inc in incs:
+                t = state + inc
+                nxt[t] = get(t, 0) + ways
         layer = nxt
     (total,) = layer.values()
     return total
@@ -122,6 +143,7 @@ def count_determinant(shape: SkewShape) -> int:
 
 def superfactorial(n: int) -> int:
     """Phi(n) = 1! 2! ... (n-1)!, with Phi(0) = Phi(1) = 1."""
+    n = check_int("n", n)
     if n < 0:
         raise ValueError("superfactorial needs n >= 0")
     out = 1
@@ -134,6 +156,7 @@ def superfactorial(n: int) -> int:
 
 def macmahon(a: int, b: int, c: int) -> int:
     """Number of lozenge tilings of the a x b x c hexagon (boxed plane partitions)."""
+    a, b, c = check_int("a", a), check_int("b", b), check_int("c", c)
     if min(a, b, c) < 0:
         raise ValueError("box sides must be nonnegative")
     num = superfactorial(a) * superfactorial(b) * superfactorial(c)
@@ -144,6 +167,7 @@ def macmahon(a: int, b: int, c: int) -> int:
 
 def count_thick_hook(a: int, b: int, c: int) -> int:
     """Closed form for the number of standard fillings of (a+c)^(b+c) / a^b."""
+    a, b, c = check_int("a", a), check_int("b", b), check_int("c", c)
     if a < 0 or b < 0 or c < 1:
         raise ValueError("need a, b >= 0 and c >= 1")
     n = c * (a + b + c)
@@ -163,6 +187,8 @@ def thick_hook_constant(alpha: float, beta: float) -> float:
     x^2 log x / 2 per c^2 once the c^2 log c and c^2 terms cancel against
     N!, N = (1 + s) c^2 and s = alpha + beta.
     """
+    if not (isfinite(alpha) and isfinite(beta)):
+        raise ValueError(f"alpha and beta must be finite, got {alpha}, {beta}")
     if alpha < 0 or beta < 0:
         raise ValueError("need alpha, beta >= 0")
     s = alpha + beta

@@ -7,9 +7,10 @@ belongs to the partition lam iff y <= lam_x.
 from __future__ import annotations
 
 import math
+from operator import ge
 from typing import Callable, Iterable, Iterator
 
-from .errors import check_count
+from .errors import check_count, check_int
 
 Cell = tuple[int, int]
 
@@ -29,15 +30,20 @@ class Partition:
         if isinstance(parts, Partition):
             self.parts = parts.parts
             return
-        ps = tuple(p if type(p) is int else check_count("row length", p, 0)
-                   for p in parts)
+        ps = tuple(parts)
+        if not all(type(p) is int for p in ps):
+            ps = tuple(p if type(p) is int else check_count("row length", p, 0)
+                       for p in ps)
         while ps and ps[-1] == 0:
             ps = ps[:-1]
-        for i, p in enumerate(ps):
-            if p <= 0:
-                raise ValueError(f"row lengths must be positive, got {p}")
-            if i > 0 and ps[i - 1] < p:
-                raise ValueError(f"row lengths must be weakly decreasing: {ps}")
+        if ps and not (ps[-1] > 0 and all(map(ge, ps, ps[1:]))):
+            # find the first bad part to name it
+            for i, p in enumerate(ps):
+                if p <= 0:
+                    raise ValueError(f"row lengths must be positive, got {p}")
+                if i > 0 and ps[i - 1] < p:
+                    raise ValueError(
+                        f"row lengths must be weakly decreasing: {ps}")
         self.parts = ps
 
     @property
@@ -69,11 +75,6 @@ class Partition:
     def __contains__(self, cell: Cell) -> bool:
         x, y = cell
         return x >= 1 and y >= 1 and self.row(x) >= y
-
-    def contains(self, other: "Partition") -> bool:
-        """Cellwise inclusion: other fits inside self."""
-        other = Partition(other)
-        return all(self.row(x) >= p for x, p in enumerate(other.parts, start=1))
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -111,10 +112,10 @@ class SkewShape:
     def __init__(self, outer: Iterable[int] = (), inner: Iterable[int] = ()):
         self.outer = Partition(outer)
         self.inner = Partition(inner)
-        if not self.outer.contains(self.inner):
+        lam, mu = self.outer.parts, self.inner.parts
+        if not (len(mu) <= len(lam) and all(map(ge, lam, mu))):
             raise ValueError(
-                f"inner shape {self.inner.parts} does not fit inside outer "
-                f"shape {self.outer.parts}"
+                f"inner shape {mu} does not fit inside outer shape {lam}"
             )
         if not self._connected():
             raise ValueError(f"skew shape {self} has a disconnected cell set")
@@ -135,9 +136,10 @@ class SkewShape:
         return out
 
     def _connected(self) -> bool:
-        lam, mu = self.outer.row, self.inner.row
-        rows = [x for x in range(1, len(self.outer) + 1) if mu(x) < lam(x)]
-        return all(mu(x) < lam(y) for x, y in zip(rows, rows[1:]))
+        lam = self.outer.parts
+        mu = self.inner.parts + (0,) * (len(lam) - len(self.inner.parts))
+        rows = [x for x in range(len(lam)) if mu[x] < lam[x]]
+        return all(mu[x] < lam[y] for x, y in zip(rows, rows[1:]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -353,6 +355,7 @@ def thick_ribbon_profile() -> StableProfile:
 
 def thick_hook_shape(a: int, b: int, c: int) -> SkewShape:
     """(a+c)^(b+c) / a^b: an (a+c) x (b+c) rectangle minus an a x b corner."""
+    a, b, c = check_int("a", a), check_int("b", b), check_int("c", c)
     if a < 0 or b < 0 or c < 1:
         raise ValueError("need a, b >= 0 and c >= 1")
     return SkewShape([a + c] * (b + c), [a] * b)
@@ -360,6 +363,7 @@ def thick_hook_shape(a: int, b: int, c: int) -> SkewShape:
 
 def thick_ribbon_shape(k: int) -> SkewShape:
     """Staircase delta(2k-1) minus staircase delta(k-1), size k(3k-1)/2."""
+    k = check_int("k", k)
     if k < 1:
         raise ValueError("k must be a positive integer")
     return SkewShape(range(2 * k - 1, 0, -1), range(k - 1, 0, -1))
@@ -367,6 +371,7 @@ def thick_ribbon_shape(k: int) -> SkewShape:
 
 def thick_hook_shape_of_size(N: int) -> SkewShape:
     """The a = b = c thick hook with N = 3c^2 cells."""
+    N = check_int("N", N)
     c = round(math.sqrt(N / 3.0))
     if c < 1 or 3 * c * c != N:
         raise ValueError(f"{N} is not 3c^2 for a positive integer c")
@@ -375,6 +380,7 @@ def thick_hook_shape_of_size(N: int) -> SkewShape:
 
 def thick_ribbon_shape_of_size(N: int) -> SkewShape:
     """The thick ribbon with N = k(3k-1)/2 cells."""
+    N = check_int("N", N)
     k = round((1.0 + math.sqrt(1.0 + 24.0 * N)) / 6.0)
     if k < 1 or k * (3 * k - 1) != 2 * N:
         raise ValueError(f"{N} is not k(3k-1)/2 for a positive integer k")

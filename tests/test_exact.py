@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,7 @@ def test_brute_force_packed_states():
         ((4, 3, 3), (4, 1)),        # top row fully covered
         ((9,), ()),
         ((1,) * 9, ()),
+        ((3, 2, 2), (2, 2, 2)),     # rows covered by mu at the bottom
     ]
     # a full row of 7, 8, 15 or 16 cells fills its 3-, 4-, 4- or 5-bit field
     edges += [((w, w, 1), (w - 2,)) for w in (7, 8, 15, 16)]
@@ -82,6 +84,22 @@ def test_brute_force_packed_states():
     at_limit = SkewShape([8, 7, 6, 5, 4], [3, 2])
     assert at_limit.size == 25
     assert count_brute_force(at_limit) == count_determinant(at_limit)
+
+
+@pytest.mark.parametrize("lam", [[1] * 25, [2] * 12])
+def test_brute_force_states_stay_dict_keyed(lam):
+    # a dense table over the box prod(lam_i - mu_i + 1) would hold 2^25
+    # slots for the column and 3^12 for the 2 x 12 rectangle; the dict
+    # holds one layer of reachable states
+    sh = SkewShape(lam)
+    tracemalloc.start()
+    try:
+        f = count_brute_force(sh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f == count_determinant(sh)
+    assert peak < 2 ** 20, peak
 
 
 def test_determinant_against_brute():
@@ -220,6 +238,35 @@ def test_library_thick_hook_constant_matches_the_oracle():
     assert library_thick_hook_constant(0.0, 0.0) == 0.5 - math.log(2.0) * 2
     with pytest.raises(ValueError, match="need alpha, beta >= 0"):
         library_thick_hook_constant(-0.5, 1.0)
+
+
+@pytest.mark.parametrize("alpha,beta,bad", [
+    (math.nan, 1.0, "nan"), (math.inf, 1.0, "inf"), (1.0, -math.inf, "-inf"),
+])
+def test_thick_hook_constant_refuses_non_finite_arguments(alpha, beta, bad):
+    with pytest.raises(ValueError, match=f"must be finite, got .*{bad}"):
+        library_thick_hook_constant(alpha, beta)
+
+
+@pytest.mark.parametrize("call,why", [
+    (lambda: superfactorial(2.5), "n must be an integer, got 2.5"),
+    (lambda: superfactorial(True), "n must be an integer, got True"),
+    (lambda: macmahon(True, 1, 1), "a must be an integer, got True"),
+    (lambda: macmahon(1.5, 2, 2), "a must be an integer, got 1.5"),
+    (lambda: macmahon(2, 2, 2.0), "c must be an integer, got 2.0"),
+    (lambda: count_thick_hook(1, 1, True), "c must be an integer, got True"),
+    (lambda: count_thick_hook(1, 1.0, 1), "b must be an integer, got 1.0"),
+])
+def test_closed_forms_refuse_non_integers(call, why):
+    with pytest.raises(ValueError, match=why):
+        call()
+
+
+def test_closed_forms_take_numpy_ints():
+    assert superfactorial(np.int64(4)) == 12
+    assert macmahon(*np.array([2, 2, 2])) == 20
+    assert count_thick_hook(np.int32(1), 1, np.int64(1)) == count_determinant(
+        SkewShape([2, 2], [1]))
 
 
 @pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 0.5)])

@@ -46,7 +46,7 @@ def test_partition_rejects_increasing():
     (lambda: Partition(["3"]), "'3'"),
     (lambda: Partition([True, True]), "True"),
     (lambda: Partition([3, 2.0]), "2.0"),
-    (lambda: thick_hook_shape(1.5, 1, 1), "2.5"),
+    (lambda: SkewShape([3, 3], [2.5]), "2.5"),
 ])
 def test_partition_refuses_parts_that_are_not_integers(build, bad):
     # nothing is truncated: the refusal names the part
@@ -134,6 +134,27 @@ def test_family_constructors_refuse_bad_arguments():
             thick_hook_shape(a, b, c)
     with pytest.raises(ValueError, match="k must be a positive integer"):
         thick_ribbon_shape(0)
+
+
+@pytest.mark.parametrize("build,why", [
+    (lambda: thick_hook_shape(1.5, 1, 1), "a must be an integer, got 1.5"),
+    (lambda: thick_hook_shape(1, 1, True), "c must be an integer, got True"),
+    (lambda: thick_ribbon_shape(2.0), "k must be an integer, got 2.0"),
+    (lambda: thick_ribbon_shape(True), "k must be an integer, got True"),
+    (lambda: thick_hook_shape_of_size(12.0), "N must be an integer, got 12.0"),
+    (lambda: thick_ribbon_shape_of_size(5.0), "N must be an integer, got 5.0"),
+    (lambda: thick_ribbon_shape_of_size(True), "N must be an integer, got True"),
+])
+def test_family_constructors_refuse_non_integers(build, why):
+    with pytest.raises(ValueError, match=why):
+        build()
+
+
+def test_family_constructors_take_numpy_ints():
+    assert thick_hook_shape(*np.array([1, 1, 2])) == SkewShape([3] * 3, [1])
+    assert thick_ribbon_shape(np.int64(2)) == thick_ribbon_shape(2)
+    assert thick_hook_shape_of_size(np.int64(12)) == thick_hook_shape(2, 2, 2)
+    assert thick_ribbon_shape_of_size(np.int32(5)) == thick_ribbon_shape(2)
 
 
 def test_profile_normalization():
