@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .errors import ResourceGuardError, check_eps
 from .exact import count_brute_force, count_determinant, thick_hook_constant
-from .nhlf import count_nhlf, hook_weights, tiling_weight, uniform_weights
+from .nhlf import (count_nhlf, finite_n_constant, hook_weights, tiling_weight,
+                   uniform_weights)
 from .render import render_density, render_tiling
 from .sampler import density, sample
 from .serialize import (load_density, load_profile, load_shape, load_tiling,
@@ -32,8 +33,8 @@ from .shapes import (thick_hook_profile, thick_hook_shape_of_size,
                      thick_ribbon_profile, thick_ribbon_shape_of_size)
 from .tiling import ENUM_GUARD, enumerate_H
 from .varsolve import (DEFAULT_EPS, DEFAULT_MESH, DEFAULT_TOL,
-                       build_functional, constant, finite_n_constant,
-                       maximize, unit_hexagon_functional)
+                       build_functional, constant, maximize,
+                       unit_hexagon_functional)
 
 _G = "{:.12g}".format
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import check_eps
+from .errors import check_count, check_eps
 from .exact import _bareiss_det, _divide_exactly
 from .shapes import Cell, SkewShape, hook_table
 from .tiling import Region, Tiling, _as_region
@@ -45,15 +45,23 @@ def uniform_weights() -> WeightField:
     return WeightField()
 
 
+def _check_scale(name: str, value: float) -> None:
+    """Refuse a scale that is not > 0 (nan too) or not finite, by name."""
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def hook_weights(shape: SkewShape, scale: float | None = None) -> WeightField:
     """log hook length on horizontal lozenges.
 
     With `scale` = N the hook is divided by sqrt(N) first (the weighting
     under which the partition function has an N-independent scale); a
-    scale that is not > 0 raises ValueError.
+    scale that is not finite and > 0 raises ValueError.
     """
-    if scale is not None and not scale > 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    if scale is not None:
+        _check_scale("scale", scale)
     half_log = 0.5 * math.log(scale) if scale is not None else 0.0
     return WeightField((cell, math.log(hv) - half_log)
                        for cell, hv in hook_table(shape.outer).items())
@@ -61,8 +69,7 @@ def hook_weights(shape: SkewShape, scale: float | None = None) -> WeightField:
 
 def capped_weights(shape: SkewShape, N: int, eps: float) -> WeightField:
     """Scaled hook weights with the log clipped from below at log(eps)."""
-    if not N > 0:
-        raise ValueError(f"N must be > 0, got {N}")
+    _check_scale("N", N)
     flo = math.log(check_eps(eps))
     return WeightField((cell, max(lw, flo))
                        for cell, lw in hook_weights(shape, scale=N).items())
@@ -204,6 +211,21 @@ def count_nhlf(shape) -> int:
         math.factorial(shape.size) * total.numerator * vdm,
         math.prod(map(math.factorial, ell)) * total.denominator,
         "N! times the hook sum over the hook product")
+
+
+def finite_n_constant(shape_family: Callable, sizes) -> list[float]:
+    """Exact finite size constants (log f_N - 0.5 N log N) / N along a family.
+
+    shape_family maps a size N to a SkewShape of exactly that size.
+    """
+    sizes = [check_count("size", n, 1) for n in sizes]
+    out = []
+    for n in sizes:
+        shape = shape_family(n)
+        if shape.size != n:
+            raise ValueError(f"family produced {shape.size} cells for size {n}")
+        out.append((math.log(count_nhlf(shape)) - 0.5 * n * math.log(n)) / n)
+    return out
 
 
 def _log_ratio(a: Fraction, b: Fraction) -> float:

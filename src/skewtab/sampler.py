@@ -141,8 +141,8 @@ def sample(shape, w: WeightField | None = None, burn_in: int | None = None,
 
     The chain starts at the pointwise lowest height function.  Defaults:
     burn_in = 20 * (number of vertices)^2 proposals, thinning of one sweep
-    (one proposal per free vertex) between draws.  Counts must be integers.
-    Fixed seed, fixed output.
+    (one proposal per free vertex) between draws.  Counts must be integers,
+    and the seed a nonnegative one.  Fixed seed, fixed output.
     """
     region = _as_region(shape)
     if w is None:
@@ -155,6 +155,7 @@ def sample(shape, w: WeightField | None = None, burn_in: int | None = None,
     burn_in = check_count("burn_in", burn_in, 0)
     thin = check_count("thin", thin, 1)
     n_samples = check_count("n_samples", n_samples, 0)
+    seed = check_count("seed", seed, 0)
     h = _lowest(region)
     run = _kernel(region, w, 1.0)
     rng = _rng(seed)
@@ -245,7 +246,8 @@ def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
     anneals on its own generator with sweeps_per_level sweeps per schedule
     level.  A
     schedule stopping short of 1 estimates the partially tempered
-    partition function.  Counts must be integers.
+    partition function.  Counts must be integers, and the seed a
+    nonnegative one.
     """
     region = _as_region(shape)
     if w is None:
@@ -255,6 +257,7 @@ def estimate_logZ(shape, w: WeightField | None = None, schedule=None,
                             else np.linspace(0.0, 1.0, 17))
     particles = check_count("particles", particles, 2)
     sweeps_per_level = check_count("sweeps_per_level", sweeps_per_level, 1)
+    seed = check_count("seed", seed, 0)
     free = region.free
     h = _lowest(region)
     if not free:

@@ -319,9 +319,10 @@ def stable_family(profile: StableProfile, N: int) -> SkewShape:
     Row x of the outer (inner) partition is the rounded value of
     sqrt(N) * psi (phi) at the midpoint of the x-th unit cell of the
     sqrt(N)-scaled axis.  Midpoint sampling keeps vertical drops of the
-    curves from landing exactly on a sample point.
+    curves from landing exactly on a sample point.  N must be a positive
+    integer (bools refused).
     """
-    if N < 1:
+    if check_int("N", N) < 1:
         raise ValueError("N must be a positive integer")
     r = math.sqrt(N)
     lam = _round_rows(profile.psi_at, r)
@@ -340,6 +341,8 @@ def thick_hook_profile(alpha: float = 1.0, beta: float = 1.0) -> StableProfile:
     Scaled limit of the shapes (a+c)^(b+c) / a^b with a = alpha*c and
     b = beta*c.  alpha = beta = 0 degenerates to the unit square.
     """
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"alpha and beta must be finite, got {alpha}, {beta}")
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be nonnegative")
     r = 1.0 / math.sqrt(1.0 + alpha + beta)

@@ -50,8 +50,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
 from .errors import ResourceGuardError, check_count, check_int
 from .shapes import SkewShape
 
@@ -372,12 +370,17 @@ class Tiling:
         return f"Tiling({self.counts()} of types 1/2/3)"
 
 
-def _cone_max(dz0, dz1):
-    return np.maximum(np.maximum(dz0, dz1), 0)
-
-
 def _extension(partial: dict, region: Region, maximal: bool) -> list[int]:
-    """Extreme heights through the partial values, by sorted vertex."""
+    """Extreme heights through the partial values, by sorted vertex.
+
+    numpy is imported here, not with the module, so that counting never
+    loads it; the arrays cost O(|vertices| * |pins|) in native code.
+    """
+    import numpy as np
+
+    def cone_max(dz0, dz1):
+        return np.maximum(np.maximum(dz0, dz1), 0)
+
     if not partial:
         raise ValueError("extension needs at least one pinned value")
     unknown = [v for v in partial if v not in region.vertices]
@@ -389,7 +392,7 @@ def _extension(partial: dict, region: Region, maximal: bool) -> list[int]:
                  dtype=np.int64)
     # pairwise growth check: g(y) - g(x) <= max(y1 - x1, y2 - x2, 0)
     diff = S[None, :, :] - S[:, None, :]
-    cone = _cone_max(diff[..., 0], diff[..., 1])
+    cone = cone_max(diff[..., 0], diff[..., 1])
     slack = G[None, :] - G[:, None] - cone
     if slack.max() > 0:
         i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
@@ -400,10 +403,10 @@ def _extension(partial: dict, region: Region, maximal: bool) -> list[int]:
     V = np.array(sorted(region.vertices), dtype=np.int64)
     if maximal:
         d = V[:, None, :] - S[None, :, :]
-        vals = (G[None, :] + _cone_max(d[..., 0], d[..., 1])).min(axis=1)
+        vals = (G[None, :] + cone_max(d[..., 0], d[..., 1])).min(axis=1)
     else:
         d = S[None, :, :] - V[:, None, :]
-        vals = (G[None, :] - _cone_max(d[..., 0], d[..., 1])).max(axis=1)
+        vals = (G[None, :] - cone_max(d[..., 0], d[..., 1])).max(axis=1)
     return vals.tolist()
 
 

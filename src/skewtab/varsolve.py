@@ -40,7 +40,6 @@ import numpy as np
 from .entropy import lobachevsky
 from .errors import check_count, check_eps
 from .laplacian import EdgeLaplacian
-from .nhlf import count_nhlf
 from .shapes import StableProfile
 
 DEFAULT_MESH = 64
@@ -746,17 +745,3 @@ def constant(profile: StableProfile, eps: float = DEFAULT_EPS,
     }
     return ConstantResult(psi - k - 1.0, psi, k, budget=budget, mesh=mesh)
 
-
-def finite_n_constant(shape_family: Callable, sizes) -> list[float]:
-    """Exact finite size constants (log f_N - 0.5 N log N) / N along a family.
-
-    shape_family maps a size N to a SkewShape of exactly that size.
-    """
-    sizes = [check_count("size", n, 1) for n in sizes]
-    out = []
-    for n in sizes:
-        shape = shape_family(n)
-        if shape.size != n:
-            raise ValueError(f"family produced {shape.size} cells for size {n}")
-        out.append((math.log(count_nhlf(shape)) - 0.5 * n * math.log(n)) / n)
-    return out

@@ -333,6 +333,13 @@ def test_bad_mesh_or_tol_exits_2(capsys, data_dir):
         assert "error" in json.loads(err.strip()), argv
 
 
+def test_negative_seed_exits_2_naming_the_seed(capsys, data_dir):
+    code, out, err = run(capsys, "--no-manifest", "sample", "--shape",
+                         str(data_dir / "s332_21.json"), "--seed", "-1")
+    assert code == 2 and not out
+    assert json.loads(err.strip()) == {"error": "seed must be >= 0, got -1"}
+
+
 def test_solver_verbs_take_no_seed(capsys):
     for argv in (["solve", "--profile", "hexagon", "--seed", "1"],
                  ["constant", "--profile", "x.json", "--restarts", "2"],

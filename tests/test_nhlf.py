@@ -113,6 +113,15 @@ def test_weight_scales_must_be_positive(s332_21, bad):
         capped_weights(s332_21, bad, 0.5)
 
 
+def test_weight_scales_must_be_finite(s332_21):
+    with pytest.raises(ValueError, match="scale must be finite, got inf"):
+        hook_weights(s332_21, scale=math.inf)
+    with pytest.raises(ValueError, match="N must be finite, got inf"):
+        capped_weights(s332_21, math.inf, 0.5)
+    with pytest.raises(ValueError, match="N must be finite, got inf"):
+        cap_gaps(s332_21, math.inf, [0.5])
+
+
 def test_tiling_weight_paths_agree(s332_21):
     # chain-walk fast path vs full decode must give identical sums
     w = hook_weights(s332_21)

@@ -302,6 +302,18 @@ def test_estimate_logZ_schedule_validation(s332_21):
         estimate_logZ(s332_21, particles=2.5)
 
 
+@pytest.mark.parametrize("seed, why", [
+    (True, "seed must be an integer, got True"),
+    (1.5, "seed must be an integer, got 1.5"),
+    (-1, "seed must be >= 0, got -1"),
+])
+def test_seed_must_be_a_nonnegative_integer(s332_21, seed, why):
+    with pytest.raises(ValueError, match=why):
+        sample(s332_21, n_samples=1, seed=seed)
+    with pytest.raises(ValueError, match=why):
+        estimate_logZ(s332_21, particles=2, seed=seed)
+
+
 def test_nan_log_weight_is_refused(s332_21):
     # a NaN used to leave every Metropolis test false (a uniform chain)
     # and make the AIS estimate NaN

@@ -126,6 +126,20 @@ def test_stable_family_needs_a_positive_size():
         stable_family(square_profile(), 0)
 
 
+@pytest.mark.parametrize("N", [2.5, True, float("nan")])
+def test_stable_family_refuses_a_size_that_is_not_an_integer(N):
+    with pytest.raises(ValueError, match=f"N must be an integer, got {N}"):
+        stable_family(square_profile(), N)
+
+
+@pytest.mark.parametrize("alpha, beta", [(float("nan"), 1.0),
+                                         (float("inf"), 1.0),
+                                         (1.0, float("-inf"))])
+def test_thick_hook_profile_refuses_non_finite_arguments(alpha, beta):
+    with pytest.raises(ValueError, match="alpha and beta must be finite"):
+        thick_hook_profile(alpha, beta)
+
+
 def test_family_constructors_refuse_bad_arguments():
     with pytest.raises(ValueError, match="must be nonnegative"):
         thick_hook_profile(-0.5, 1.0)
